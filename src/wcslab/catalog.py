@@ -7,21 +7,19 @@ entry carries just the three scalars consumed by the positivity bound.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    STANDARD_J,
-    ComplexStructure,
-    RiemannTensor,
-    pontrjagin_density,
-    validate_symmetries,
-)
+from .geometry import STANDARD_J, ComplexStructure, RiemannTensor, pontrjagin_density
 
 __all__ = [
     "KahlerSurface",
     "UnsupportedSurfaceError",
+    "SurfaceSpecError",
+    "SURFACE_TYPES",
+    "build_surface",
     "flat_torus",
     "cp2_fubini_study",
     "product_cp1",
@@ -147,10 +145,10 @@ def product_cp1(a: int, b: int) -> KahlerSurface:
 def generic_bounds(sigma: int, volume: float, r_inf: float,
                    name: str = "generic") -> KahlerSurface:
     """Bounds-only entry: only the positivity-bound decision is available."""
-    if volume <= 0:
-        raise ValueError("volume must be positive")
-    if r_inf < 0:
-        raise ValueError("r_inf must be nonnegative")
+    if not 0 < volume < np.inf:
+        raise ValueError("volume must be positive and finite")
+    if not 0 <= r_inf < np.inf:
+        raise ValueError("r_inf must be nonnegative and finite")
     return KahlerSurface(
         name=name,
         volume=float(volume),
@@ -166,10 +164,54 @@ def signature_from_curvature(S: KahlerSurface) -> float:
     return pontrjagin_density(R) * S.volume / 3.0
 
 
-def _check_entry(S: KahlerSurface, tol: float = 1e-12) -> None:
-    # J-invariance: R(JX,JY,Z,W) = R(X,Y,Z,W) in the adapted frame.
-    R = S.require_curvature()
-    assert validate_symmetries(R, tol)
-    Jm = S.J.matrix
-    rot = np.einsum("ijkl,ia,jb->abkl", R.comp, Jm, Jm)
-    assert np.max(np.abs(rot - R.comp)) <= tol
+class SurfaceSpecError(ValueError):
+    """Unknown surface type, or a missing or bad parameter of a known one."""
+
+    def __init__(self, message: str, missing: bool = False):
+        super().__init__(message)
+        self.missing = missing
+
+
+@dataclass(frozen=True)
+class SurfaceType:
+    """Constructor of one surface type and its typed required parameters.
+    Only bounds-only types take the name of a config-file entry."""
+
+    build: Callable[..., KahlerSurface]
+    params: tuple[tuple[str, Callable], ...] = ()
+    curvature_known: bool = True
+
+
+SURFACE_TYPES = {
+    "t4": SurfaceType(flat_torus),
+    "cp2": SurfaceType(cp2_fubini_study),
+    "cp1xcp1": SurfaceType(product_cp1, (("a", int), ("b", int))),
+    "generic": SurfaceType(
+        generic_bounds,
+        (("sigma", int), ("vol", float), ("r_inf", float)),
+        curvature_known=False,
+    ),
+}
+
+
+def build_surface(stype: str | None, raw: dict, name: str | None = None) -> KahlerSurface:
+    """Surface of type `stype` from raw (string) parameter values; unused
+    keys are ignored and None counts as missing."""
+    spec = SURFACE_TYPES.get(stype)
+    if spec is None:
+        raise SurfaceSpecError(f"unknown surface type {stype!r}")
+    values = []
+    for key, convert in spec.params:
+        text = raw.get(key)
+        if text is None:
+            raise SurfaceSpecError(f"surface type {stype!r} needs key {key!r}", missing=True)
+        try:
+            values.append(convert(text))
+        except ValueError:
+            raise SurfaceSpecError(f"surface type {stype!r}: bad value {text!r} "
+                                   f"for key {key!r} (expected {convert.__name__})") from None
+    named = {} if spec.curvature_known or name is None else {"name": name}
+    try:
+        return spec.build(*values, **named)
+    except (ValueError, OverflowError) as exc:
+        raise SurfaceSpecError(f"surface type {stype!r}: {exc}") from None

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -16,8 +17,7 @@ import sys
 import numpy as np
 
 from . import catalog, leading, psdo, specfiles, wcs
-from .catalog import UnsupportedSurfaceError
-from .sasaki import lift_curvature
+from .catalog import SurfaceSpecError, UnsupportedSurfaceError
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = [
@@ -41,8 +41,12 @@ class UsageError(Exception):
     pass
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("WCSLAB_SEED", "0"))
+def _seed(args) -> int:
+    text = os.environ.get("WCSLAB_SEED", "0") if args.seed is None else args.seed
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"WCSLAB_SEED must be an integer, got {text!r}") from None
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -66,60 +70,54 @@ def _resolve_ks(args) -> list[int]:
     return _parse_k_range(args.k_range)
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _requirement(stype: str) -> str:
+    *head, last = [_flag(key) for key, _ in catalog.SURFACE_TYPES[stype].params]
+    return f"requires {', '.join(head)} and {last}" if head else f"requires {last}"
+
+
+def _config_surfaces(args) -> dict[str, catalog.KahlerSurface]:
+    if not args.config:
+        return {}
+    with open(args.config) as fh:
+        return specfiles.load_surfaces(fh.read())
+
+
 def _resolve_surface(args) -> catalog.KahlerSurface:
-    surfaces = {}
-    if args.config:
-        with open(args.config) as fh:
-            surfaces = specfiles.load_surfaces(fh.read())
-    name = args.surface
-    if name in surfaces:
-        return surfaces[name]
-    if name == "t4":
-        return catalog.flat_torus()
-    if name == "cp2":
-        return catalog.cp2_fubini_study()
+    surfaces = _config_surfaces(args)
+    if args.surface in surfaces:
+        return surfaces[args.surface]
     try:
-        if name == "cp1xcp1":
-            if args.a is None or args.b is None:
-                raise UsageError("surface cp1xcp1 requires --a and --b")
-            return catalog.product_cp1(args.a, args.b)
-        if name == "generic":
-            if args.sigma is None or args.vol is None or args.r_inf is None:
-                raise UsageError("surface generic requires --sigma, --vol and --r-inf")
-            return catalog.generic_bounds(args.sigma, args.vol, args.r_inf)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown surface {name!r}")
+        return catalog.build_surface(args.surface, vars(args))
+    except SurfaceSpecError as exc:
+        if not exc.missing:
+            raise
+        raise UsageError(f"surface {args.surface} {_requirement(args.surface)}") from None
 
 
-def _report_row(surface: catalog.KahlerSurface, k: int) -> dict:
-    verdict = wcs.decide_pi1(surface, k)
-    row = {
+def _level_row(surface: catalog.KahlerSurface, k: int) -> dict:
+    verdict, dens = wcs.level_report(surface, k)
+    return {
         "schema_version": SCHEMA_VERSION,
         "surface": surface.name,
         "k": k,
-        "density_closed": None,
-        "density_perm": None,
-        "route_agreement": None,
+        "density_closed": None if dens is None else dens.value_closed,
+        "density_perm": None if dens is None else dens.value_permutation,
+        "route_agreement": None if dens is None else dens.route_agreement,
         "integral": verdict.integral,
         "prop39_lhs": verdict.prop39_lhs,
         "verdict": verdict.verdict.value,
         "calibration_constant": wcs.calibration_constant(),
         "provenance": verdict.rationale,
     }
-    if surface.curvature_known:
-        lift = lift_curvature(surface, k)
-        closed = wcs.density_closed_form(lift)
-        perm = wcs.density_permutation(lift)
-        row["density_closed"] = closed
-        row["density_perm"] = perm
-        row["route_agreement"] = abs(perm - closed) / max(1.0, abs(closed))
-    return row
 
 
 def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -134,54 +132,33 @@ def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _catalog_row(surface: catalog.KahlerSurface) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "surface": surface.name,
+        "params": surface.params,
+        "signature": surface.signature,
+        "volume": surface.volume,
+        "r_inf": surface.r_inf,
+        "curvature_known": surface.curvature_known,
+    }
+
+
 def _cmd_catalog(args) -> int:
     rows = []
-    entries = [
-        catalog.flat_torus(),
-        catalog.cp2_fubini_study(),
-    ]
-    if args.a is not None and args.b is not None:
-        entries.append(catalog.product_cp1(args.a, args.b))
-    else:
-        entries.append(None)  # placeholder row emitted below
-    if None not in (args.sigma, args.vol, args.r_inf):
-        entries.append(catalog.generic_bounds(args.sigma, args.vol, args.r_inf))
-    else:
-        entries.append("generic")
-    if args.config:
-        with open(args.config) as fh:
-            entries.extend(specfiles.load_surfaces(fh.read()).values())
-    for entry in entries:
-        if entry is None:
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "surface": "cp1xcp1",
-                    "params": "requires --a and --b",
-                    "curvature_known": True,
-                }
-            )
-        elif entry == "generic":
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "surface": "generic",
-                    "params": "requires --sigma, --vol and --r-inf",
-                    "curvature_known": False,
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "surface": entry.name,
-                    "params": entry.params,
-                    "signature": entry.signature,
-                    "volume": entry.volume,
-                    "r_inf": entry.r_inf,
-                    "curvature_known": entry.curvature_known,
-                }
-            )
+    for stype, spec in catalog.SURFACE_TYPES.items():
+        try:
+            rows.append(_catalog_row(catalog.build_surface(stype, vars(args))))
+        except SurfaceSpecError as exc:
+            if not exc.missing:
+                raise
+            rows.append({
+                "schema_version": SCHEMA_VERSION,
+                "surface": stype,
+                "params": _requirement(stype),
+                "curvature_known": spec.curvature_known,
+            })
+    rows.extend(_catalog_row(surface) for surface in _config_surfaces(args).values())
     _emit(rows, args.format, args.out)
     return EXIT_OK
 
@@ -189,22 +166,20 @@ def _cmd_catalog(args) -> int:
 def _cmd_sweep(args, field: str | None) -> int:
     surface = _resolve_surface(args)
     ks = sorted(_resolve_ks(args))
-    rows = [_report_row(surface, k) for k in ks]
-    if field is not None:
-        missing = [row["k"] for row in rows if row[field] is None]
-        if missing:
-            raise UnsupportedSurfaceError(
-                f"surface {surface.name!r} is bounds-only; {field} unavailable"
-            )
-    _emit(rows, args.format, args.out)
+    if field is not None and not surface.curvature_known:
+        raise UnsupportedSurfaceError(
+            f"surface {surface.name!r} is bounds-only; {field} unavailable"
+        )
+    _emit([_level_row(surface, k) for k in ks], args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_psdo(args) -> int:
     with open(args.symbol_file) as fh:
         symbol = specfiles.load_symbol(fh.read())
+    seed = _seed(args)
     residue = psdo.wodzicki_residue(symbol)
-    violation = psdo.commutator_trace_test(args.seed, args.trials, args.depth)
+    violation = psdo.commutator_trace_test(seed, args.trials, args.depth)
     B = psdo.resolvent_parametrix(None, depth=args.depth, dim=symbol.fiber_dim)
     A = psdo.laplacian_plus_one_symbol(
         np.zeros((symbol.fiber_dim, symbol.fiber_dim)), depth=args.depth + 2
@@ -221,7 +196,7 @@ def _cmd_psdo(args) -> int:
             str(c.degree): c.sup_norm() for c in defect.components
         },
         "depth": args.depth,
-        "seed": args.seed,
+        "seed": seed,
     }
     _emit([report], args.format, args.out)
     return EXIT_OK
@@ -249,19 +224,22 @@ def _cmd_verify_prop22(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--config", default=None, help="surface configuration file")
 
 
+def _add_surface_params(p: argparse.ArgumentParser) -> None:
+    # Raw strings: build_surface converts and validates them.
+    keys = (key for spec in catalog.SURFACE_TYPES.values() for key, _ in spec.params)
+    for key in dict.fromkeys(keys):
+        p.add_argument(_flag(key))
+
+
 def _add_surface_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surface", required=True)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--sigma", type=int, default=None)
-    p.add_argument("--vol", type=float, default=None)
-    p.add_argument("--r-inf", dest="r_inf", type=float, default=None)
+    _add_surface_params(p)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--k", type=int, default=None)
     group.add_argument("--k-range", dest="k_range", default=None, metavar="LO..HI")
@@ -276,29 +254,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="list the surface catalog")
+    p.set_defaults(run=_cmd_catalog)
     _add_common(p)
-    p.add_argument("--a", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--sigma", type=int, default=None)
-    p.add_argument("--vol", type=float, default=None)
-    p.add_argument("--r-inf", dest="r_inf", type=float, default=None)
+    _add_surface_params(p)
 
-    for name, help_text in (
-        ("density", "pointwise density by both routes"),
-        ("integral", "exact integral over the bundle total space"),
-        ("decide", "fundamental-group verdicts over a k sweep"),
+    for name, field, help_text in (
+        ("density", "density_closed", "pointwise density by both routes"),
+        ("integral", "integral", "exact integral over the bundle total space"),
+        ("decide", None, "fundamental-group verdicts over a k sweep"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=functools.partial(_cmd_sweep, field=field))
         _add_common(p)
         _add_surface_flags(p)
 
     p = sub.add_parser("psdo", help="symbol-calculus residue report")
+    p.set_defaults(run=_cmd_psdo)
     _add_common(p)
     p.add_argument("--symbol-file", required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--depth", type=int, default=6)
 
     p = sub.add_parser("verify-prop22", help="rotation-family pairing check")
+    p.set_defaults(run=_cmd_verify_prop22)
     _add_common(p)
     p.add_argument("--charge", type=int, required=True)
     p.add_argument("--grid", type=int, default=64)
@@ -324,20 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_k_range(list(sys.argv[1:] if argv is None else argv)))
     try:
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "density":
-            return _cmd_sweep(args, "density_closed")
-        if args.command == "integral":
-            return _cmd_sweep(args, "integral")
-        if args.command == "decide":
-            return _cmd_sweep(args, None)
-        if args.command == "psdo":
-            return _cmd_psdo(args)
-        if args.command == "verify-prop22":
-            return _cmd_verify_prop22(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, specfiles.ParseError, FileNotFoundError) as exc:
+        return args.run(args)
+    except (UsageError, specfiles.ParseError, SurfaceSpecError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsupportedSurfaceError, psdo.SymbolError, ValueError) as exc:

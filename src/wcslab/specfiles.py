@@ -48,6 +48,8 @@ def parse_sections(text: str) -> tuple[dict, list[Section]]:
             if not line.endswith("]"):
                 raise ParseError("unterminated section header", lineno, len(raw))
             current = Section(header=line[1:-1].strip(), line=lineno)
+            if not current.header:
+                raise ParseError("empty section header", lineno)
             sections.append(current)
             continue
         if "=" not in line:
@@ -81,13 +83,13 @@ def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int
         if key == prefix:
             values += _parse_matrix(text, lineno)[None, :, :]
             seen = True
-        elif key.startswith(prefix + "_cos"):
-            n = int(key[len(prefix) + 4:])
-            values += np.cos(n * x)[:, None, None] * _parse_matrix(text, lineno)
-            seen = True
-        elif key.startswith(prefix + "_sin"):
-            n = int(key[len(prefix) + 4:])
-            values += np.sin(n * x)[:, None, None] * _parse_matrix(text, lineno)
+        elif key.startswith((prefix + "_cos", prefix + "_sin")):
+            try:
+                n = int(key[len(prefix) + 4:])
+            except ValueError:
+                raise ParseError(f"bad Fourier key {key!r}", lineno) from None
+            wave = np.cos if key.startswith(prefix + "_cos") else np.sin
+            values += wave(n * x)[:, None, None] * _parse_matrix(text, lineno)
             seen = True
     if not seen:
         raise ParseError(f"component is missing a {prefix!r} matrix", line)
@@ -144,8 +146,8 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
 def load_surfaces(text: str) -> dict[str, catalog.KahlerSurface]:
     """Surface entries from a configuration file.
 
-    Each `[surface NAME]` section has a `type` in {t4, cp2, cp1xcp1,
-    generic} plus the parameters that type requires.
+    Each `[surface NAME]` section has a `type` from catalog.SURFACE_TYPES
+    plus the parameters that type requires.
     """
     _, sections = parse_sections(text)
     out: dict[str, catalog.KahlerSurface] = {}
@@ -153,28 +155,9 @@ def load_surfaces(text: str) -> dict[str, catalog.KahlerSurface]:
         parts = sec.header.split()
         if parts[0] != "surface" or len(parts) != 2:
             raise ParseError("expected '[surface NAME]'", sec.line)
-        name = parts[1]
-        entries = {k: v for k, (v, _) in sec.entries.items()}
-        stype = entries.get("type")
+        raw = {key: value for key, (value, _) in sec.entries.items()}
         try:
-            if stype == "t4":
-                surf = catalog.flat_torus()
-            elif stype == "cp2":
-                surf = catalog.cp2_fubini_study()
-            elif stype == "cp1xcp1":
-                surf = catalog.product_cp1(int(entries["a"]), int(entries["b"]))
-            elif stype == "generic":
-                surf = catalog.generic_bounds(
-                    int(entries["sigma"]),
-                    float(entries["vol"]),
-                    float(entries["r_inf"]),
-                    name=name,
-                )
-            else:
-                raise ParseError(f"unknown surface type {stype!r}", sec.line)
-        except KeyError as exc:
-            raise ParseError(
-                f"surface type {stype!r} needs key {exc.args[0]!r}", sec.line
-            ) from None
-        out[name] = surf
+            out[parts[1]] = catalog.build_surface(raw.get("type"), raw, name=parts[1])
+        except catalog.SurfaceSpecError as exc:
+            raise ParseError(str(exc), sec.line) from None
     return out

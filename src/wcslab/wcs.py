@@ -35,6 +35,7 @@ __all__ = [
     "iterate_value",
     "s_scaled_density",
     "decide_pi1",
+    "level_report",
     "calibration_constant",
     "route_comparison",
     "CURVATURE_TERMS",
@@ -250,66 +251,69 @@ def s_scaled_density(lift: SasakiLift, s: float) -> float:
     return s * density_closed_form(lift)
 
 
-def route_comparison(surface: KahlerSurface, k: int) -> WcsDensity:
-    lift = lift_curvature(surface, k)
+def _densities(lift: SasakiLift) -> WcsDensity:
     return WcsDensity(
-        surface=surface.name,
-        k=k,
+        surface=lift.base.name,
+        k=lift.k,
         value_closed=density_closed_form(lift),
         value_permutation=density_permutation(lift),
         calibration_constant=calibration_constant(),
     )
 
 
-def decide_pi1(surface: KahlerSurface, k: int) -> Pi1Verdict:
-    """Decide whether the fiber-rotation loop has infinite order at level k."""
+def route_comparison(surface: KahlerSurface, k: int) -> WcsDensity:
+    return _densities(lift_curvature(surface, k))
+
+
+def _verdict(
+    surface: KahlerSurface, k: int, lift: SasakiLift | None, closed: float | None
+) -> Pi1Verdict:
+    """Verdict at level k from the closed-form density `closed` on `lift`;
+    both are unused at k = 0 and for a bounds-only surface."""
     prop_lhs, prop_holds = prop39_bound(
         surface.signature, surface.volume, surface.r_inf, k
     )
     if k == 0:
-        return Pi1Verdict(
-            surface=surface.name,
-            k=0,
-            integral=0.0 if surface.curvature_known else None,
-            prop39_lhs=prop_lhs,
-            prop39_holds=False,
-            verdict=Verdict.INCONCLUSIVE,
-            rationale="k = 0: the invariant carries no information for the "
-            "trivial bundle M x S^1",
-        )
-    if surface.curvature_known:
-        lift = lift_curvature(surface, k)
-        integral = integral_csw5(lift)
+        integral = 0.0 if surface.curvature_known else None
+        prop_holds = infinite = False
+        rationale = ("k = 0: the invariant carries no information for the "
+                     "trivial bundle M x S^1")
+    elif surface.curvature_known:
+        integral = closed * lift.total_volume
         atol = VERDICT_ATOL_FACTOR * lift.total_volume
-        if abs(integral) > atol:
-            return Pi1Verdict(
-                surface=surface.name,
-                k=k,
-                integral=integral,
-                prop39_lhs=prop_lhs,
-                prop39_holds=prop_holds,
-                verdict=Verdict.INFINITE_ORDER,
-                rationale=f"exact integral {integral:.6g} is nonzero "
-                f"(threshold {atol:.3g})",
-            )
-        return Pi1Verdict(
-            surface=surface.name,
-            k=k,
-            integral=integral,
-            prop39_lhs=prop_lhs,
-            prop39_holds=prop_holds,
-            verdict=Verdict.INCONCLUSIVE,
-            rationale=f"exact integral vanishes within threshold {atol:.3g}",
-        )
-    verdict = Verdict.INFINITE_ORDER if prop_holds else Verdict.INCONCLUSIVE
-    why = "holds" if prop_holds else "fails"
+        infinite = abs(integral) > atol
+        rationale = (f"exact integral {integral:.6g} is nonzero (threshold {atol:.3g})"
+                     if infinite else f"exact integral vanishes within threshold {atol:.3g}")
+    else:
+        integral, infinite = None, prop_holds
+        rationale = (f"bounds mode: sufficient positivity condition "
+                     f"{'holds' if prop_holds else 'fails'} (lhs = {prop_lhs:.6g})")
     return Pi1Verdict(
         surface=surface.name,
         k=k,
-        integral=None,
+        integral=integral,
         prop39_lhs=prop_lhs,
         prop39_holds=prop_holds,
-        verdict=verdict,
-        rationale=f"bounds mode: sufficient positivity condition {why} "
-        f"(lhs = {prop_lhs:.6g})",
+        verdict=Verdict.INFINITE_ORDER if infinite else Verdict.INCONCLUSIVE,
+        rationale=rationale,
     )
+
+
+def decide_pi1(surface: KahlerSurface, k: int) -> Pi1Verdict:
+    """Decide whether the fiber-rotation loop has infinite order at level k."""
+    if k == 0 or not surface.curvature_known:
+        return _verdict(surface, k, None, None)
+    lift = lift_curvature(surface, k)
+    return _verdict(surface, k, lift, density_closed_form(lift))
+
+
+def level_report(surface: KahlerSurface, k: int) -> tuple[Pi1Verdict, WcsDensity | None]:
+    """Verdict and both density routes at level k from a single lift.
+
+    The densities are None for a bounds-only surface.
+    """
+    if not surface.curvature_known:
+        return _verdict(surface, k, None, None), None
+    lift = lift_curvature(surface, k)
+    densities = _densities(lift)
+    return _verdict(surface, k, lift, densities.value_closed), densities

@@ -5,7 +5,10 @@ from wcslab.catalog import (
     CP2_HOL_SECTIONAL,
     CP2_LINE_PERIOD,
     CP2_VOLUME,
+    SURFACE_TYPES,
+    SurfaceSpecError,
     UnsupportedSurfaceError,
+    build_surface,
     complex_space_form,
     cp2_fubini_study,
     flat_torus,
@@ -125,6 +128,54 @@ class TestGenericBounds:
             generic_bounds(0, 0.0, 1.0)
         with pytest.raises(ValueError):
             generic_bounds(0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("volume, r_inf", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_rejected(self, volume, r_inf):
+        with pytest.raises(ValueError, match="finite"):
+            generic_bounds(0, volume, r_inf)
+
+
+RAW = {"a": "2", "b": "3", "sigma": "-16", "vol": "1.5", "r_inf": "0.25"}
+
+
+class TestRegistry:
+    def test_builds_every_type_from_strings(self):
+        built = {t: build_surface(t, RAW) for t in SURFACE_TYPES}
+        assert [s.name for s in built.values()] == ["t4", "cp2", "cp1xcp1", "generic"]
+        assert built["cp1xcp1"].params == {"a": 2, "b": 3}
+        assert built["generic"].params == {"sigma": -16, "vol": 1.5, "r_inf": 0.25}
+        for t, surface in built.items():
+            assert surface.curvature_known == SURFACE_TYPES[t].curvature_known
+
+    def test_only_bounds_only_types_take_the_entry_name(self):
+        assert build_surface("generic", RAW, name="k3ish").name == "k3ish"
+        assert build_surface("cp1xcp1", RAW, name="squares").name == "cp1xcp1"
+
+    def test_unknown_type(self):
+        with pytest.raises(SurfaceSpecError, match="unknown surface type 'banana'") as exc:
+            build_surface("banana", RAW)
+        assert not exc.value.missing
+
+    def test_missing_key_is_named(self):
+        with pytest.raises(SurfaceSpecError, match="needs key 'b'") as exc:
+            build_surface("cp1xcp1", {"a": "2", "b": None})
+        assert exc.value.missing
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("a", "x", "bad value 'x' for key 'a'"),
+        ("a", "2.5", "bad value '2.5' for key 'a'"),
+        ("a", "0", "a and b must be positive"),
+        ("a", "9" * 400, "too large"),
+    ])
+    def test_bad_product_value(self, key, value, message):
+        with pytest.raises(SurfaceSpecError, match=message) as exc:
+            build_surface("cp1xcp1", {**RAW, key: value})
+        assert not exc.value.missing
+
+    @pytest.mark.parametrize("key, value", [("vol", "-1"), ("vol", "nan"), ("r_inf", "inf")])
+    def test_bad_bounds_value(self, key, value):
+        with pytest.raises(SurfaceSpecError, match=key.replace("vol", "volume")):
+            build_surface("generic", {**RAW, key: value})
 
 
 def curvature_known_entries():

@@ -125,6 +125,52 @@ class TestErrors:
         assert code == 2
 
 
+BAD_VALUES = [
+    ("cp1xcp1", {"a": "0", "b": "1"}),
+    ("cp1xcp1", {"a": "x", "b": "1"}),
+    ("generic", {"sigma": "1", "vol": "-1", "r_inf": "1"}),
+    ("generic", {"sigma": "1", "vol": "nan", "r_inf": "1"}),
+    ("generic", {"sigma": "1", "vol": "1", "r_inf": "inf"}),
+]
+
+
+def _flags(params):
+    return [arg for key, value in params.items() for arg in (f"--{key.replace('_', '-')}", value)]
+
+
+class TestBadSurfaceValues:
+    """The same bad value exits 2 with one line, whichever path it takes."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("stype, params", BAD_VALUES)
+    def test_from_flags(self, capsys, stype, params):
+        self.assert_usage_error(capsys, "decide", "--surface", stype, *_flags(params), "--k", "1")
+
+    @pytest.mark.parametrize("stype, params", BAD_VALUES)
+    def test_from_catalog(self, capsys, stype, params):
+        self.assert_usage_error(capsys, "catalog", *_flags(params))
+
+    @pytest.mark.parametrize("stype, params", BAD_VALUES)
+    def test_from_config(self, capsys, tmp_path, stype, params):
+        cfg = tmp_path / "bad.cfg"
+        body = "".join(f"{key} = {value}\n" for key, value in params.items())
+        cfg.write_text(f"[surface s]\ntype = {stype}\n{body}")
+        self.assert_usage_error(capsys, "decide", "--surface", "s", "--k", "1", "--config", str(cfg))
+        self.assert_usage_error(capsys, "catalog", "--config", str(cfg))
+
+    def test_non_finite_result_is_not_emitted_as_json(self, capsys):
+        # Volumes this large overflow to inf; the emitter refuses the row.
+        huge = "1" + "0" * 200
+        code, out, err = run(
+            capsys, "integral", "--surface", "cp1xcp1", "--a", huge, "--b", huge, "--k", "1"
+        )
+        assert code == 3 and out == "" and err.count("\n") == 1
+
+
 class TestOutputFormats:
     def test_csv_header(self, capsys):
         code, out, _ = run(
@@ -175,6 +221,27 @@ class TestPsdoCommand:
         path.write_text("order = 0\n")
         code, _, err = run(capsys, "psdo", "--symbol-file", str(path))
         assert code == 2
+
+    def test_bad_fourier_key_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(SYMBOL_FILE + "plus_cosx = 1\n")
+        code, _, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
+        assert code == 2 and "bad Fourier key 'plus_cosx'" in err
+
+    def test_seed_from_environment(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "sym.txt"
+        path.write_text(SYMBOL_FILE)
+        monkeypatch.setenv("WCSLAB_SEED", "7")
+        code, out, _ = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
+        assert code == 0 and json.loads(out)[0]["seed"] == 7
+
+    def test_non_integer_seed_environment_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "sym.txt"
+        path.write_text(SYMBOL_FILE)
+        monkeypatch.setenv("WCSLAB_SEED", "abc")
+        code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == "error: WCSLAB_SEED must be an integer, got 'abc'\n"
 
 
 class TestVerifyProp22:

@@ -1,0 +1,163 @@
+"""Golden rows: the catalog listing and the per-(surface, k) rows, pinned.
+
+``golden_rows.json`` holds the exit code and stdout of every command in
+``commands()``.  Keys, strings, ints and None must match exactly; floats
+must match within 1e-12 relative/absolute.
+
+    PYTHONPATH=src python tests/test_golden_rows.py          # print every stdout
+    PYTHONPATH=src python tests/test_golden_rows.py --write  # rewrite the fixture
+
+Rewrite the fixture only when the row format changes on purpose.
+"""
+
+import contextlib
+import csv
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from wcslab import sasaki, wcs
+from wcslab.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_rows.json")
+CONFIG_TOKEN = "<CONFIG>"
+CONFIG_FILE = """
+[surface flat]
+type = t4
+
+[surface proj]
+type = cp2
+
+[surface quad]
+type = cp1xcp1
+a = 1
+b = 4
+
+[surface k3ish]
+type = generic
+sigma = -16
+vol = 1.0
+r_inf = 1.0
+"""
+GENERIC_FLAGS = ["--sigma", "-1", "--vol", "1", "--r-inf", "1"]
+SURFACES = (
+    ["t4"],
+    ["cp2"],
+    ["cp1xcp1", "--a", "2", "--b", "3"],
+    ["generic", *GENERIC_FLAGS],
+    *([name, "--config", CONFIG_TOKEN] for name in ("flat", "proj", "quad", "k3ish")),
+)
+FORMATS = ("json", "csv")
+
+
+def commands() -> list[list[str]]:
+    listings = (
+        ["catalog"],
+        ["catalog", "--a", "2", "--b", "3"],
+        ["catalog", *GENERIC_FLAGS, "--config", CONFIG_TOKEN],
+    )
+    sweeps = (
+        [sub, "--surface", *surface, "--k-range", "-3..3"]
+        for sub in ("decide", "density", "integral")
+        for surface in SURFACES
+    )
+    return [[*argv, "--format", fmt] for argv in (*listings, *sweeps) for fmt in FORMATS]
+
+
+def run(argv: list[str], config: Path) -> tuple[int, str]:
+    argv = [str(config) if a == CONFIG_TOKEN else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def parse(argv: list[str], stdout: str):
+    if not stdout:
+        return None
+    if argv[-1] == "csv":
+        return list(csv.reader(io.StringIO(stdout)))
+    return json.loads(stdout)
+
+
+def assert_matches(actual, expected, where: str) -> None:
+    if isinstance(expected, str) and isinstance(actual, str) and expected != actual:
+        # CSV cells: compare numerically unless they are ints or text.
+        try:
+            int(expected)
+        except ValueError:
+            try:
+                actual, expected = float(actual), float(expected)
+            except ValueError:
+                pass
+    assert type(actual) is type(expected), f"{where}: {actual!r} != {expected!r}"
+    if isinstance(expected, dict):
+        assert sorted(actual) == sorted(expected), f"{where}: keys differ"
+        for key in expected:
+            assert_matches(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(actual) == len(expected), f"{where}: length differs"
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=1e-12), (
+            f"{where}: {actual!r} != {expected!r}"
+        )
+    else:
+        assert actual == expected, f"{where}: {actual!r} != {expected!r}"
+
+
+GOLDEN_ENTRIES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+
+@pytest.mark.parametrize(
+    "entry", GOLDEN_ENTRIES, ids=[" ".join(e["argv"]) for e in GOLDEN_ENTRIES]
+)
+def test_rows_match_golden(entry, tmp_path):
+    config = tmp_path / "surfaces.cfg"
+    config.write_text(CONFIG_FILE)
+    code, stdout = run(entry["argv"], config)
+    assert code == entry["exit"]
+    assert_matches(parse(entry["argv"], stdout), parse(entry["argv"], entry["stdout"]), "rows")
+
+
+def test_golden_covers_every_command():
+    assert [e["argv"] for e in GOLDEN_ENTRIES] == commands()
+
+
+def test_one_lift_per_nonzero_k_row(capsys, monkeypatch):
+    wcs.calibration_constant()  # its own lift is cached once per process
+    original = sasaki.lift_curvature
+    lifts = []
+
+    def counting(surface, k):
+        lifts.append(k)
+        return original(surface, k)
+
+    # Callers import lift_curvature by name; patch every such binding.
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "wcslab" and getattr(mod, "lift_curvature", None) is original:
+            monkeypatch.setattr(mod, "lift_curvature", counting)
+    assert main(["decide", "--surface", "cp2", "--k-range", "-3..3"]) == 0
+    capsys.readouterr()
+    assert sorted(k for k in lifts if k != 0) == [-3, -2, -1, 1, 2, 3]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "surfaces.cfg"
+        config.write_text(CONFIG_FILE)
+        entries = []
+        for argv in commands():
+            code, stdout = run(argv, config)
+            entries.append({"argv": argv, "exit": code, "stdout": stdout})
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
+    else:
+        for e in entries:
+            sys.stdout.write(f"$ wcslab {' '.join(e['argv'])}  -> exit {e['exit']}\n{e['stdout']}")

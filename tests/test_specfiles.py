@@ -63,6 +63,13 @@ class TestParseSections:
         with pytest.raises(ParseError):
             parse_sections("[oops\n")
 
+    @pytest.mark.parametrize("header", ["[]", "[ ]"])
+    def test_empty_header(self, header):
+        with pytest.raises(ParseError, match="line 2.*empty section header"):
+            load_surfaces(f"# surfaces\n{header}\ntype = t4\n")
+        with pytest.raises(ParseError, match="line 3.*empty section header"):
+            load_symbol(f"order = 0\ndim = 1\n{header}\nplus = 1\nminus = 1\n")
+
 
 class TestLoadSymbol:
     def test_inverse_xi_residue(self):
@@ -94,6 +101,13 @@ class TestLoadSymbol:
                 "order = 0\ndim = 1\n[component degree=0]\nplus = zap\nminus = 1\n"
             )
 
+    @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5"])
+    def test_bad_fourier_suffix(self, key):
+        with pytest.raises(ParseError, match=f"line 5.*bad Fourier key '{key}'"):
+            load_symbol(
+                f"order = 0\ndim = 1\n[component degree=0]\nplus = 1\n{key} = 1\nminus = 1\n"
+            )
+
     def test_gap_degrees_filled_with_zeros(self):
         text = (
             "order = 0\ndim = 1\n"
@@ -121,6 +135,17 @@ class TestLoadSurfaces:
     def test_missing_parameter(self):
         with pytest.raises(ParseError, match="needs key"):
             load_surfaces("[surface x]\ntype = cp1xcp1\na = 2\n")
+
+    @pytest.mark.parametrize("entry", ["a = 0\nb = 1", "a = x\nb = 1"])
+    def test_bad_parameter_carries_section_line(self, entry):
+        text = f"[surface ok]\ntype = t4\n[surface x]\ntype = cp1xcp1\n{entry}\n"
+        with pytest.raises(ParseError, match="line 3.*surface type 'cp1xcp1'"):
+            load_surfaces(text)
+
+    def test_catalog_types_keep_their_type_name(self):
+        surfaces = load_surfaces(SURFACES)
+        assert surfaces["mytorus"].name == "t4"
+        assert surfaces["squares"].name == "cp1xcp1"
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
