@@ -7,6 +7,7 @@ entry carries just the three scalars consumed by the positivity bound.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -145,6 +146,8 @@ def product_cp1(a: int, b: int) -> KahlerSurface:
 def generic_bounds(sigma: int, volume: float, r_inf: float,
                    name: str = "generic") -> KahlerSurface:
     """Bounds-only entry: only the positivity-bound decision is available."""
+    if not abs(sigma) <= sys.float_info.max:  # exact for ints
+        raise ValueError("sigma must convert to a finite float")
     if not 0 < volume < np.inf:
         raise ValueError("volume must be positive and finite")
     if not 0 <= r_inf < np.inf:

@@ -36,17 +36,33 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
+#: Caps on user-sized inputs; a value outside them is a usage error.
+MAX_TRIALS = 10_000     # psdo --trials
+MAX_DEPTH = 32          # psdo --depth
+MAX_PROP22_GRID = 256   # verify-prop22 --grid
+MAX_K_RANGE = 1_000     # levels in one --k-range
+MAX_ABS_LEVEL = 10**6   # |k| of --k and --k-range, |verify-prop22 --charge|
+
 
 class UsageError(Exception):
     pass
 
 
+def _check_range(flag: str, value: int, lo: int, hi: int) -> int:
+    if not lo <= value <= hi:
+        raise UsageError(f"{flag} must be in [{lo}, {hi}]")
+    return value
+
+
 def _seed(args) -> int:
     text = os.environ.get("WCSLAB_SEED", "0") if args.seed is None else args.seed
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise UsageError(f"WCSLAB_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise UsageError("the seed must be nonnegative")
+    return seed
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -59,6 +75,10 @@ def _parse_k_range(text: str) -> list[int]:
         raise UsageError(f"bad --k-range {text!r}, expected LO..HI") from None
     if hi_i < lo_i:
         raise UsageError("--k-range upper bound below lower bound")
+    for k in (lo_i, hi_i):
+        _check_range("--k-range bounds", k, -MAX_ABS_LEVEL, MAX_ABS_LEVEL)
+    if hi_i - lo_i >= MAX_K_RANGE:
+        raise UsageError(f"--k-range spans more than {MAX_K_RANGE} levels")
     return list(range(lo_i, hi_i + 1))
 
 
@@ -66,7 +86,7 @@ def _resolve_ks(args) -> list[int]:
     if (args.k is None) == (args.k_range is None):
         raise UsageError("exactly one of --k / --k-range is required")
     if args.k is not None:
-        return [args.k]
+        return [_check_range("--k", args.k, -MAX_ABS_LEVEL, MAX_ABS_LEVEL)]
     return _parse_k_range(args.k_range)
 
 
@@ -175,9 +195,11 @@ def _cmd_sweep(args, field: str | None) -> int:
 
 
 def _cmd_psdo(args) -> int:
+    _check_range("--trials", args.trials, 1, MAX_TRIALS)
+    _check_range("--depth", args.depth, 2, MAX_DEPTH)
+    seed = _seed(args)
     with open(args.symbol_file) as fh:
         symbol = specfiles.load_symbol(fh.read())
-    seed = _seed(args)
     residue = psdo.wodzicki_residue(symbol)
     violation = psdo.commutator_trace_test(seed, args.trials, args.depth)
     B = psdo.resolvent_parametrix(None, depth=args.depth, dim=symbol.fiber_dim)
@@ -203,8 +225,8 @@ def _cmd_psdo(args) -> int:
 
 
 def _cmd_verify_prop22(args) -> int:
-    if args.grid < 16:
-        raise UsageError("--grid must be >= 16")
+    _check_range("--grid", args.grid, 16, MAX_PROP22_GRID)
+    _check_range("--charge", args.charge, -MAX_ABS_LEVEL, MAX_ABS_LEVEL)
     fam = leading.MappedFamily(args.grid, 2 * args.grid, args.grid)
     L = leading.LineBundleCurvature(args.charge)
     lhs = leading.c_lo_pairing(fam, L)

@@ -23,6 +23,7 @@ __all__ = [
     "pontrjagin_density",
     "max_abs_component",
     "perm_sign",
+    "LEVI_CIVITA",
 ]
 
 _VALID_DIMS = (3, 4, 5)
@@ -163,6 +164,19 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def _levi_civita(n: int) -> np.ndarray:
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = perm_sign(perm)
+    eps.setflags(write=False)
+    return eps
+
+
+#: Read-only Levi-Civita symbols: LEVI_CIVITA[n][i_1, ..., i_n] is the sign
+#: of the permutation (i_1, ..., i_n), and 0 on repeated indices.
+LEVI_CIVITA = {n: _levi_civita(n) for n in _VALID_DIMS}
+
+
 def _rotate_tensor(comp: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Components in the frame whose vectors are the rows of `basis`."""
     return np.einsum("ijkl,ai,bj,ck,dl->abcd", comp, basis, basis, basis, basis)
@@ -186,12 +200,9 @@ def pontrjagin_density(R: RiemannTensor, frame: OrthonormalFrame | None = None) 
     if frame.dim != 4:
         raise ShapeError("frame dimension must be 4")
     comp = _rotate_tensor(R.comp, frame.vectors)
-    # Curvature endomorphisms E_ab[l,k] = R[a,b,k,l]
-    E = np.transpose(comp, (0, 1, 3, 2))
-    total = 0.0
-    for sigma in itertools.permutations(range(4)):
-        a, b, c, d = sigma
-        total += perm_sign(sigma) * np.trace(E[a, b] @ E[c, d])
+    # sum_sigma sgn(sigma) tr(E_ab E_cd) over the curvature endomorphisms
+    # E_ab[l,k] = R[a,b,k,l]
+    total = np.einsum("abcd,abkl,cdlk->", LEVI_CIVITA[4], comp, comp)
     # 1/(2! 2!) antisymmetrization factor for the wedge of two 2-forms
     return _P1_SIGN * total / (4.0 * 8.0 * np.pi**2)
 

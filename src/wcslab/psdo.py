@@ -249,15 +249,21 @@ def derivative_symbol(
     return sym.pad_zeros(depth)
 
 
-def _dx(values: np.ndarray, m: int) -> np.ndarray:
-    """m-th x-derivative by spectral differentiation on the periodic grid."""
-    if m == 0:
-        return values
-    grid = values.shape[0]
+def _derivatives(components, depth: int) -> list:
+    """table[q][m] = d_x^m of components[q] for q + m < depth, with the plus
+    and minus values stacked on a leading axis.  Spectral differentiation on
+    the periodic grid: one forward FFT per component."""
+    grid = components[0].grid
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer wavenumbers
-    mult = (1j * freqs) ** m
-    hat = np.fft.fft(values, axis=0)
-    return np.fft.ifft(hat * mult[:, None, None], axis=0)
+    table = []
+    for q, c in enumerate(components[:depth]):
+        values = np.stack((c.plus, c.minus))
+        hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
+        table.append([values] + [
+            np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
+            for m in range(1, depth - q)
+        ])
+    return table
 
 
 def _falling(a: Fraction, m: int) -> float:
@@ -265,6 +271,20 @@ def _falling(a: Fraction, m: int) -> float:
     for t in range(m):
         out *= float(a - t)
     return out
+
+
+def _product_term(P_components, dQ: list, j: int) -> np.ndarray:
+    """Degree order - j part of the asymptotic product, plus and minus stacked:
+    the sum over p + m + q = j of ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q,
+    p ranging over P_components.  d_xi^m carries (-1)^m at xi = -1."""
+    acc = np.zeros_like(dQ[0][0])
+    for p, cp in enumerate(P_components[: j + 1]):
+        left = np.stack((cp.plus, cp.minus))
+        for m in range(j - p + 1):
+            coeff = (-1j) ** m / factorial(m)
+            scale = coeff * _falling(cp.degree, m) * np.array([1.0, (-1.0) ** m])
+            acc += scale[:, None, None, None] * np.matmul(left, dQ[j - p - m][m])
+    return acc
 
 
 def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) -> ClassicalSymbol:
@@ -286,26 +306,12 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) ->
             f"(deficit {depth - available})"
         )
     order = P.order + Q.order
-    shape = (P.grid, P.fiber_dim, P.fiber_dim)
-    comps = []
-    for j in range(depth):
-        acc_p = np.zeros(shape, dtype=complex)
-        acc_m = np.zeros(shape, dtype=complex)
-        for p in range(min(j + 1, P.depth)):
-            cp = P.components[p]
-            for m in range(j - p + 1):
-                q = j - p - m
-                if q >= Q.depth:
-                    continue
-                cq = Q.components[q]
-                coeff = (-1j) ** m / factorial(m)
-                fall = _falling(cp.degree, m)
-                dq_p = _dx(cq.plus, m)
-                dq_m = _dx(cq.minus, m)
-                acc_p += coeff * fall * np.matmul(cp.plus, dq_p)
-                acc_m += coeff * fall * ((-1.0) ** m) * np.matmul(cp.minus, dq_m)
-        comps.append(HomogeneousComponent(order - j, acc_p, acc_m))
-    return ClassicalSymbol(order, tuple(comps))
+    dQ = _derivatives(Q.components, depth)
+    comps = tuple(
+        HomogeneousComponent(order - j, *_product_term(P.components, dQ, j))
+        for j in range(depth)
+    )
+    return ClassicalSymbol(order, comps)
 
 
 def wodzicki_residue(P: ClassicalSymbol) -> complex:
@@ -350,31 +356,12 @@ def resolvent_parametrix(gamma=None, depth: int = 2, dim: int | None = None,
     A = laplacian_plus_one_symbol(gamma_arr, grid=grid, depth=depth + 2)
 
     a2 = A.components[0]
-    a2inv_p = np.linalg.inv(a2.plus)
-    a2inv_m = np.linalg.inv(a2.minus)
-    shape = (grid, dim, dim)
-    b = [HomogeneousComponent(Fraction(-2), a2inv_p, a2inv_m)]
+    a2inv = np.linalg.inv(np.stack((a2.plus, a2.minus)))
+    dA = _derivatives(A.components, depth)
+    b = [HomogeneousComponent(Fraction(-2), *a2inv)]
     for j in range(1, depth):
-        acc_p = np.zeros(shape, dtype=complex)
-        acc_m = np.zeros(shape, dtype=complex)
-        for p in range(j):
-            bp = b[p]
-            for m in range(j - p + 1):
-                q = j - p - m
-                aq = A.component(Fraction(2 - q))
-                if aq is None:
-                    continue
-                coeff = (-1j) ** m / factorial(m)
-                fall = _falling(bp.degree, m)
-                acc_p += coeff * fall * np.matmul(bp.plus, _dx(aq.plus, m))
-                acc_m += coeff * fall * ((-1.0) ** m) * np.matmul(bp.minus, _dx(aq.minus, m))
-        b.append(
-            HomogeneousComponent(
-                Fraction(-2 - j),
-                -np.matmul(acc_p, a2inv_p),
-                -np.matmul(acc_m, a2inv_m),
-            )
-        )
+        acc = _product_term(b, dA, j)
+        b.append(HomogeneousComponent(Fraction(-2 - j), *-np.matmul(acc, a2inv)))
     return ClassicalSymbol(Fraction(-2), tuple(b))
 
 

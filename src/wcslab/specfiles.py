@@ -62,15 +62,29 @@ def parse_sections(text: str) -> tuple[dict, list[Section]]:
     return top, sections
 
 
-def _parse_matrix(text: str, line: int) -> np.ndarray:
+def _parse_matrix(text: str, line: int, dim: int) -> np.ndarray:
     rows = [r for r in text.split(";") if r.strip()]
     try:
         mat = np.array([[complex(v) for v in row.split()] for row in rows])
     except ValueError as exc:
         raise ParseError(f"bad matrix entry ({exc})", line) from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ParseError("matrix must be square", line)
+    if mat.shape != (dim, dim):
+        raise ParseError(f"matrix must be {dim} x {dim}", line)
     return mat
+
+
+def _value(entry: tuple[str, int], convert, valid, expected: str):
+    """Convert the text of a (text, line) entry; ParseError at its line if
+    it does not convert or the result is not valid."""
+    text, line = entry
+    try:
+        value = convert(text)
+        ok = valid(value)
+    except (ValueError, ZeroDivisionError):
+        ok = False
+    if not ok:
+        raise ParseError(f"expected {expected}, got {text!r}", line)
+    return value
 
 
 def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int) -> np.ndarray:
@@ -81,7 +95,7 @@ def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int
     seen = False
     for key, (text, lineno) in entries.items():
         if key == prefix:
-            values += _parse_matrix(text, lineno)[None, :, :]
+            values += _parse_matrix(text, lineno, dim)[None, :, :]
             seen = True
         elif key.startswith((prefix + "_cos", prefix + "_sin")):
             try:
@@ -89,7 +103,7 @@ def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int
             except ValueError:
                 raise ParseError(f"bad Fourier key {key!r}", lineno) from None
             wave = np.cos if key.startswith(prefix + "_cos") else np.sin
-            values += wave(n * x)[:, None, None] * _parse_matrix(text, lineno)
+            values += wave(n * x)[:, None, None] * _parse_matrix(text, lineno, dim)
             seen = True
     if not seen:
         raise ParseError(f"component is missing a {prefix!r} matrix", line)
@@ -104,13 +118,14 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
     Fourier terms.
     """
     top, sections = parse_sections(text)
-    try:
-        order = Fraction((top["order"][0]))
-        dim = int(top["dim"][0])
-    except KeyError as exc:
-        raise ParseError(f"missing top-level key {exc.args[0]!r}", 1) from None
+    for key in ("order", "dim"):
+        if key not in top:
+            raise ParseError(f"missing top-level key {key!r}", 1)
+    order = _value(top["order"], Fraction, lambda v: True, "a rational order")
+    dim = _value(top["dim"], int, lambda v: v >= 1, "a positive integer dim")
     if "grid" in top:
-        grid = int(top["grid"][0])
+        grid = _value(top["grid"], int, lambda v: v >= 16 and v & (v - 1) == 0,
+                      "a power-of-two grid >= 16")
 
     by_degree: dict[Fraction, Section] = {}
     for sec in sections:
@@ -120,7 +135,10 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
         kv = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
         if "degree" not in kv:
             raise ParseError("component section needs degree=", sec.line)
-        by_degree[Fraction(kv["degree"])] = sec
+        degree = _value((kv["degree"], sec.line), Fraction,
+                        lambda v: v <= order and (order - v).denominator == 1,
+                        f"a degree {order} - j for an integer j >= 0")
+        by_degree[degree] = sec
 
     if not by_degree:
         raise ParseError("no components defined", 1)

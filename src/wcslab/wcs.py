@@ -9,7 +9,6 @@ curved catalog surfaces is the correctness gate for both.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -18,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .catalog import KahlerSurface, flat_torus
-from .geometry import OrthonormalFrame, RiemannTensor, perm_sign, pontrjagin_density
+from .geometry import LEVI_CIVITA, OrthonormalFrame, RiemannTensor, pontrjagin_density
 from .sasaki import SasakiLift, lift_curvature
 
 __all__ = [
@@ -106,6 +105,9 @@ def density_closed_form(lift: SasakiLift) -> float:
     return (k**2 / 30.0) * (32.0 * np.pi**2 * p1 + 32.0 * k**2 * B + 192.0 * k**4)
 
 
+_PERMUTATION_SUBSCRIPTS = {3: "abc,alj,bcjl->", 5: "abcde,alj,bcjk,dekl->"}
+
+
 def permutation_density_raw(
     R: RiemannTensor,
     frame: OrthonormalFrame,
@@ -139,17 +141,9 @@ def permutation_density_raw(
     A = np.einsum("ai,m,ijml->alj", vecs, gdot, comp)
     E = np.einsum("ai,bj,ijkl->ablk", vecs, vecs, comp)
 
-    total = 0.0
-    if dim == 3:
-        for sigma in itertools.permutations(range(3)):
-            s = perm_sign(sigma)
-            total += s * np.trace(A[sigma[0]] @ E[sigma[1], sigma[2]])
-    else:
-        for sigma in itertools.permutations(range(5)):
-            s = perm_sign(sigma)
-            total += s * np.trace(
-                A[sigma[0]] @ E[sigma[1], sigma[2]] @ E[sigma[3], sigma[4]]
-            )
+    # sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)]: one Levi-Civita contraction
+    total = np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
+                      *[E] * (dim // 2), optimize=True)
     return (4.0 / factorial(dim)) * total * fiber_length
 
 

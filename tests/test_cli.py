@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from wcslab import cli
 from wcslab.cli import CSV_COLUMNS, main
 
 SYMBOL_FILE = """
@@ -222,6 +223,18 @@ class TestPsdoCommand:
         code, _, err = run(capsys, "psdo", "--symbol-file", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        "order = 0\ndim = 2\n[component degree=0]\nplus = 1\nminus = 1\n",
+        "order = x\ndim = 1\n[component degree=0]\nplus = 1\nminus = 1\n",
+        "order = 0\ndim = 1\ngrid = 12\n[component degree=0]\nplus = 1\nminus = 1\n",
+    ])
+    def test_bad_symbol_value_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: line ") and err.count("\n") == 1
+
     def test_bad_fourier_key_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(SYMBOL_FILE + "plus_cosx = 1\n")
@@ -242,6 +255,43 @@ class TestPsdoCommand:
         code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
         assert code == 2 and out == ""
         assert err == "error: WCSLAB_SEED must be an integer, got 'abc'\n"
+
+
+# Each cap is tested at cap + 1 only: the check runs before any work.
+HUGE = "9" * 300
+OUT_OF_RANGE = [
+    (("psdo", "--symbol-file", "unused.sym", "--trials", "0"), "--trials"),
+    (("psdo", "--symbol-file", "unused.sym", "--trials", str(cli.MAX_TRIALS + 1)), "--trials"),
+    (("psdo", "--symbol-file", "unused.sym", "--depth", "0"), "--depth"),
+    (("psdo", "--symbol-file", "unused.sym", "--depth", "1"), "--depth"),
+    (("psdo", "--symbol-file", "unused.sym", "--depth", str(cli.MAX_DEPTH + 1)), "--depth"),
+    (("psdo", "--symbol-file", "unused.sym", "--seed", "-1"), "seed"),
+    (("verify-prop22", "--charge", "1", "--grid", str(cli.MAX_PROP22_GRID + 1)), "--grid"),
+    (("verify-prop22", "--charge", str(cli.MAX_ABS_LEVEL + 1)), "--charge"),
+    (("verify-prop22", "--charge", f"-{HUGE}"), "--charge"),
+    (("decide", "--surface", "cp2", "--k", str(cli.MAX_ABS_LEVEL + 1)), "--k "),
+    (("decide", "--surface", "cp2", "--k", f"-{cli.MAX_ABS_LEVEL + 1}"), "--k "),
+    (("decide", "--surface", "cp2", "--k", HUGE), "--k "),
+    (("decide", "--surface", "cp2", "--k-range", f"0..{cli.MAX_K_RANGE}"), "--k-range"),
+    (("decide", "--surface", "cp2", "--k-range", f"-{cli.MAX_ABS_LEVEL + 1}..0"), "--k-range"),
+    (("decide", "--surface", "cp2", "--k-range", f"0..{HUGE}"), "--k-range"),
+    (("decide", "--surface", "generic", "--sigma", "9" * 400, "--vol", "1", "--r-inf", "1",
+      "--k", "1"), "sigma must convert to a finite float"),
+]
+
+
+@pytest.mark.parametrize("argv, names", OUT_OF_RANGE,
+                         ids=[" ".join(argv)[:60] for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_values_are_usage_errors(capsys, argv, names):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and names in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_widest_k_range_within_cap_is_accepted():
+    ks = cli._parse_k_range(f"{cli.MAX_ABS_LEVEL - cli.MAX_K_RANGE + 1}..{cli.MAX_ABS_LEVEL}")
+    assert len(ks) == cli.MAX_K_RANGE and ks[-1] == cli.MAX_ABS_LEVEL
 
 
 class TestVerifyProp22:

@@ -1,10 +1,15 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wcslab.catalog import complex_space_form, cp2_fubini_study, product_cp1
 from wcslab.geometry import (
+    LEVI_CIVITA,
     STANDARD_J,
     ComplexStructure,
     OrthonormalFrame,
@@ -19,6 +24,7 @@ from wcslab.geometry import (
 )
 from wcslab.sasaki import lift_curvature
 from wcslab.catalog import flat_torus
+from wcslab.wcs import permutation_density_raw
 
 from conftest import random_curvature_3d, random_rotation
 
@@ -171,6 +177,62 @@ def test_perm_sign_matches_inversion_count(perm):
         1 for i in range(5) for j in range(i + 1, 5) if perm[i] > perm[j]
     )
     assert perm_sign(tuple(perm)) == (-1) ** inversions
+
+
+def test_levi_civita_table():
+    for n, eps in LEVI_CIVITA.items():
+        assert not eps.flags.writeable
+        assert np.count_nonzero(eps) == len(list(itertools.permutations(range(n))))
+        for perm in itertools.permutations(range(n)):
+            assert eps[perm] == perm_sign(perm)
+
+
+def _signed_sum(dim, term):
+    """Oracle: explicit loop over permutations, kept here in place of the
+    contraction.  Returns the signed sum and the sum of |terms|, the scale
+    against which agreement is measured."""
+    terms = [perm_sign(s) * term(s) for s in itertools.permutations(range(dim))]
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+def _tensors(dim):
+    return arrays(np.float64, (dim,) * 4, elements=st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_tensors(4))
+def test_pontrjagin_contraction_matches_permutation_loop(comp):
+    E = np.transpose(comp, (0, 1, 3, 2))
+    total, scale = _signed_sum(4, lambda s: np.trace(E[s[0], s[1]] @ E[s[2], s[3]]))
+    norm = -1.0 / (4.0 * 8.0 * np.pi**2)
+    assert abs(pontrjagin_density(RiemannTensor(comp)) - norm * total) <= (
+        1e-12 * abs(norm) * scale
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 5]).flatmap(
+    lambda d: st.tuples(_tensors(d), st.integers(0, 2**32 - 1))))
+def test_permutation_contraction_matches_permutation_loop(case):
+    comp, seed = case
+    dim = comp.shape[0]
+    rng = np.random.default_rng(seed)
+    vecs = random_rotation(rng, dim)
+    gdot = rng.standard_normal(dim)
+    A = np.einsum("ai,m,ijml->alj", vecs, gdot, comp)
+    E = np.einsum("ai,bj,ijkl->ablk", vecs, vecs, comp)
+
+    def term(s):
+        prod = A[s[0]]
+        for a, b in zip(s[1::2], s[2::2]):
+            prod = prod @ E[a, b]
+        return np.trace(prod)
+
+    total, scale = _signed_sum(dim, term)
+    fiber_length = 2.0
+    norm = 4.0 / math.factorial(dim) * fiber_length
+    value = permutation_density_raw(RiemannTensor(comp), OrthonormalFrame(vecs), gdot, fiber_length)
+    assert abs(value - norm * total) <= 1e-12 * norm * scale
 
 
 def test_random_3d_tensors_satisfy_symmetries(rng):

@@ -1,7 +1,8 @@
 """Golden rows: the catalog listing and the per-(surface, k) rows, pinned.
 
 ``golden_rows.json`` holds the exit code and stdout of every command in
-``commands()``.  Keys, strings, ints and None must match exactly; floats
+``commands()``: the surface rows, and the ``psdo`` and ``verify-prop22``
+reports.  Keys, strings, ints and None must match exactly; floats
 must match within 1e-12 relative/absolute.
 
     PYTHONPATH=src python tests/test_golden_rows.py          # print every stdout
@@ -44,6 +45,42 @@ sigma = -16
 vol = 1.0
 r_inf = 1.0
 """
+SYMBOL_DIM1 = """
+order = 0
+dim = 1
+
+[component degree=0]
+plus = 1
+plus_cos1 = 0.5
+minus = 2
+minus_sin2 = 0.25
+
+[component degree=-1]
+plus = 0.5
+plus_sin1 = 1
+minus = -1
+"""
+SYMBOL_DIM2 = """
+order = -1
+dim = 2
+grid = 32
+
+[component degree=-1]
+plus = 1 2; 0 1
+plus_cos1 = 0 1; 1 0
+minus = 1 0; 0 3
+minus_sin1 = 1 0; 0 -1
+
+[component degree=-2]
+plus = 0 1j; -1j 0
+minus = 1 0; 0 1
+minus_cos2 = 0.5 0; 0 0.5
+"""
+FILES = {
+    CONFIG_TOKEN: ("surfaces.cfg", CONFIG_FILE),
+    "<SYMBOL_DIM1>": ("dim1.sym", SYMBOL_DIM1),
+    "<SYMBOL_DIM2>": ("dim2.sym", SYMBOL_DIM2),
+}
 GENERIC_FLAGS = ["--sigma", "-1", "--vol", "1", "--r-inf", "1"]
 SURFACES = (
     ["t4"],
@@ -66,11 +103,30 @@ def commands() -> list[list[str]]:
         for sub in ("decide", "density", "integral")
         for surface in SURFACES
     )
-    return [[*argv, "--format", fmt] for argv in (*listings, *sweeps) for fmt in FORMATS]
+    residues = (
+        ["psdo", "--symbol-file", token, "--depth", depth, "--trials", "3", "--seed", "7"]
+        for token in ("<SYMBOL_DIM1>", "<SYMBOL_DIM2>")
+        for depth in ("4", "6")
+    )
+    prop22 = (["verify-prop22", "--charge", "1", "--grid", grid] for grid in ("16", "32"))
+    return [
+        *([*argv, "--format", fmt] for argv in (*listings, *sweeps) for fmt in FORMATS),
+        *([*argv, "--format", "json"] for argv in (*residues, *prop22)),
+    ]
 
 
-def run(argv: list[str], config: Path) -> tuple[int, str]:
-    argv = [str(config) if a == CONFIG_TOKEN else a for a in argv]
+def write_files(directory: Path) -> dict[str, str]:
+    """Write every input file into `directory`; map each token to its path."""
+    paths = {}
+    for token, (name, text) in FILES.items():
+        path = directory / name
+        path.write_text(text)
+        paths[token] = str(path)
+    return paths
+
+
+def run(argv: list[str], paths: dict[str, str]) -> tuple[int, str]:
+    argv = [paths.get(a, a) for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -119,9 +175,7 @@ GOLDEN_ENTRIES = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
     "entry", GOLDEN_ENTRIES, ids=[" ".join(e["argv"]) for e in GOLDEN_ENTRIES]
 )
 def test_rows_match_golden(entry, tmp_path):
-    config = tmp_path / "surfaces.cfg"
-    config.write_text(CONFIG_FILE)
-    code, stdout = run(entry["argv"], config)
+    code, stdout = run(entry["argv"], write_files(tmp_path))
     assert code == entry["exit"]
     assert_matches(parse(entry["argv"], stdout), parse(entry["argv"], entry["stdout"]), "rows")
 
@@ -150,11 +204,10 @@ def test_one_lift_per_nonzero_k_row(capsys, monkeypatch):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "surfaces.cfg"
-        config.write_text(CONFIG_FILE)
+        paths = write_files(Path(tmp))
         entries = []
         for argv in commands():
-            code, stdout = run(argv, config)
+            code, stdout = run(argv, paths)
             entries.append({"argv": argv, "exit": code, "stdout": stdout})
     if sys.argv[1:] == ["--write"]:
         GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -84,6 +85,35 @@ def parametrix_constant_oracle(Gamma, depth):
     return {(-2 - j): (b[(-2 - j, 1.0)], b[(-2 - j, -1.0)]) for j in range(depth)}
 
 
+def compose_loop_reference(P, Q, depth):
+    """The asymptotic product term by term: one spectral x-derivative per
+    (p, m, q) and each cosphere point separately."""
+    freqs = np.fft.fftfreq(P.grid, d=1.0 / P.grid)
+
+    def dx(values, m):
+        if m == 0:
+            return values
+        hat = np.fft.fft(values, axis=0)
+        return np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=0)
+
+    comps = []
+    for j in range(depth):
+        acc_p = np.zeros(P.components[0].plus.shape, dtype=complex)
+        acc_m = np.zeros(P.components[0].plus.shape, dtype=complex)
+        for p in range(j + 1):
+            cp = P.components[p]
+            for m in range(j - p + 1):
+                cq = Q.components[j - p - m]
+                fall = 1.0
+                for t in range(m):
+                    fall *= float(cp.degree - t)
+                coeff = (-1j) ** m / factorial(m)
+                acc_p += coeff * fall * np.matmul(cp.plus, dx(cq.plus, m))
+                acc_m += coeff * fall * (-1.0) ** m * np.matmul(cp.minus, dx(cq.minus, m))
+        comps.append((acc_p, acc_m))
+    return comps
+
+
 class TestCompose:
     def test_identity_is_neutral(self, rng):
         Q = random_symbol(rng, 1, 4, dim=2, grid=GRID)
@@ -142,6 +172,14 @@ class TestCompose:
         for c, o in zip(out.components, ora.components):
             assert np.max(np.abs(c.plus - o.plus)) <= 1e-12
             assert np.max(np.abs(c.minus - o.minus)) <= 1e-12
+
+    @pytest.mark.parametrize("dim, depth", [(1, 1), (2, 4), (3, 6)])
+    def test_matches_term_by_term_loop_exactly(self, rng, dim, depth):
+        P = random_symbol(rng, 1, depth, dim=dim, grid=GRID)
+        Q = random_symbol(rng, -2, depth + 1, dim=dim, grid=GRID)
+        out = compose(P, Q, depth)
+        for c, (ref_p, ref_m) in zip(out.components, compose_loop_reference(P, Q, depth)):
+            assert np.array_equal(c.plus, ref_p) and np.array_equal(c.minus, ref_m)
 
     def test_truncation_error_reports_deficit(self, rng):
         P = random_symbol(rng, 0, 2, dim=1, grid=GRID)

@@ -101,6 +101,33 @@ class TestLoadSymbol:
                 "order = 0\ndim = 1\n[component degree=0]\nplus = zap\nminus = 1\n"
             )
 
+    @pytest.mark.parametrize("matrix", ["1", "1 0 0; 0 1 0; 0 0 1", "1 0; 0 1; 1 1"])
+    def test_matrix_must_be_dim_by_dim(self, matrix):
+        text = f"order = 0\ndim = 2\n[component degree=0]\nplus = 1 0; 0 1\nminus = {matrix}\n"
+        with pytest.raises(ParseError, match="line 5.*matrix must be 2 x 2"):
+            load_symbol(text)
+        fourier = f"order = 0\ndim = 2\n[component degree=0]\nplus = 1 0; 0 1\nplus_sin1 = {matrix}\n"
+        with pytest.raises(ParseError, match="line 5.*matrix must be 2 x 2"):
+            load_symbol(fourier + "minus = 1 0; 0 1\n")
+
+    BAD_VALUES = {
+        "order-x": ("order = x\ndim = 1", "degree=0", 1),
+        "order-1/0": ("order = 1/0\ndim = 1", "degree=0", 1),
+        "dim-0": ("order = 0\ndim = 0", "degree=0", 2),
+        "dim-two": ("order = 0\ndim = two", "degree=0", 2),
+        "grid-12": ("order = 0\ndim = 1\ngrid = 12", "degree=0", 3),
+        "grid-8": ("order = 0\ndim = 1\ngrid = 8", "degree=0", 3),
+        "degree-q": ("order = 0\ndim = 1", "degree=q", 3),
+        "degree-above-order": ("order = 0\ndim = 1", "degree=1", 3),
+        "degree-off-ladder": ("order = 0\ndim = 1", "degree=-1/2", 3),
+    }
+
+    @pytest.mark.parametrize("top, header, line", BAD_VALUES.values(), ids=BAD_VALUES)
+    def test_bad_value_carries_its_line(self, top, header, line):
+        text = f"{top}\n[component {header}]\nplus = 1\nminus = 1\n"
+        with pytest.raises(ParseError, match=f"^line {line}, .*expected"):
+            load_symbol(text)
+
     @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5"])
     def test_bad_fourier_suffix(self, key):
         with pytest.raises(ParseError, match=f"line 5.*bad Fourier key '{key}'"):
