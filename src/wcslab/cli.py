@@ -119,7 +119,8 @@ def _resolve_surface(args) -> catalog.KahlerSurface:
 
 
 def _level_row(surface: catalog.KahlerSurface, k: int) -> dict:
-    verdict, dens = wcs.level_report(surface, k)
+    verdict = wcs.decide_pi1(surface, k)
+    dens = verdict.densities
     return {
         "schema_version": SCHEMA_VERSION,
         "surface": surface.name,
@@ -196,7 +197,7 @@ def _cmd_sweep(args, field: str | None) -> int:
 
 def _cmd_psdo(args) -> int:
     _check_range("--trials", args.trials, 1, MAX_TRIALS)
-    _check_range("--depth", args.depth, 2, MAX_DEPTH)
+    _check_range("--depth", args.depth, psdo.MIN_TRACE_TEST_DEPTH, MAX_DEPTH)
     seed = _seed(args)
     with open(args.symbol_file) as fh:
         symbol = specfiles.load_symbol(fh.read())
@@ -308,15 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _join_k_range(argv: list[str]) -> list[str]:
     # argparse mistakes values like "-3..3" for flags; fold them into the
     # "--k-range=LO..HI" form before parsing.
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--k-range" and i + 1 < len(argv):
-            out.append(f"--k-range={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+    out, args = [], iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--k-range" else None
+        out.append(arg if value is None else f"--k-range={value}")
     return out
 
 

@@ -69,9 +69,6 @@ class MappedFamily:
         c, s = np.cos(theta), np.sin(theta)
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
-    def map_point(self, x: np.ndarray, theta: float) -> np.ndarray:
-        return self.rotation(theta) @ x
-
 
 @dataclass(frozen=True)
 class LineBundleCurvature:

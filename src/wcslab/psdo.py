@@ -37,9 +37,14 @@ __all__ = [
     "connection_difference_order_audit",
     "connection_difference_symbol",
     "DEFAULT_GRID",
+    "MIN_TRACE_TEST_DEPTH",
 ]
 
 DEFAULT_GRID = 64
+
+#: commutator_trace_test draws orders op, oq in [-2, 1]; the residue of
+#: [P, Q] reads its component j = op + oq + 1 <= 3, so it needs depth >= 4.
+MIN_TRACE_TEST_DEPTH = 4
 
 
 class SymbolError(ValueError):
@@ -204,9 +209,7 @@ class ClassicalSymbol:
 
 
 def identity_symbol(dim: int = 1, grid: int = DEFAULT_GRID, depth: int = 1) -> ClassicalSymbol:
-    eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid, dim, dim))
-    sym = ClassicalSymbol(Fraction(0), (HomogeneousComponent(Fraction(0), eye, eye),))
-    return sym.pad_zeros(depth)
+    return multiplication_symbol(np.eye(dim, dtype=complex), grid, depth)
 
 
 def multiplication_symbol(value, grid: int = DEFAULT_GRID, depth: int = 1) -> ClassicalSymbol:
@@ -229,10 +232,8 @@ def derivative_symbol(
 ) -> ClassicalSymbol:
     """Symbol of D = d/dx + Gamma(x), or of its formal adjoint."""
     eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid, dim, dim))
-    if gamma is None:
-        g = np.zeros((grid, dim, dim), dtype=complex)
-    else:
-        g = _as_grid_matrix(gamma, grid, dim)
+    g = (np.zeros((grid, dim, dim), dtype=complex) if gamma is None
+         else _as_grid_matrix(gamma, grid, dim))
     if adjoint:
         lead_p, lead_m = -1j * eye, 1j * eye
         g0 = np.conjugate(np.transpose(g, (0, 2, 1)))
@@ -344,16 +345,10 @@ def resolvent_parametrix(gamma=None, depth: int = 2, dim: int | None = None,
     if depth < 2:
         raise SymbolError("depth must be >= 2")
     if gamma is None:
-        if dim is None:
-            dim = 1
-        gamma_arr = np.zeros((grid, dim, dim), dtype=complex)
-    else:
-        gamma_arr = np.asarray(gamma, dtype=complex)
-        if dim is None:
-            dim = gamma_arr.shape[-1]
-        gamma_arr = _as_grid_matrix(gamma_arr, grid, dim)
-
-    A = laplacian_plus_one_symbol(gamma_arr, grid=grid, depth=depth + 2)
+        gamma = np.zeros((grid,) + (1 if dim is None else dim,) * 2)
+    elif dim is not None:
+        gamma = _as_grid_matrix(gamma, grid, dim)
+    A = laplacian_plus_one_symbol(gamma, grid=grid, depth=depth + 2)
 
     a2 = A.components[0]
     a2inv = np.linalg.inv(np.stack((a2.plus, a2.minus)))
@@ -408,6 +403,8 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
     trace, so the exact value is 0 for every pair."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if depth < MIN_TRACE_TEST_DEPTH:
+        raise ValueError(f"depth must be >= {MIN_TRACE_TEST_DEPTH}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -486,8 +483,5 @@ def connection_difference_order_audit(lift, depth: int = 6, grid: int = DEFAULT_
 
 def connection_difference_symbol(lift, depth: int = 6, grid: int = DEFAULT_GRID) -> ClassicalSymbol:
     """Sum of the six terms: the full difference of the two connections."""
-    terms = connection_difference_terms(lift, depth, grid)
-    total = terms[0][1]
-    for _, sym in terms[1:]:
-        total = total + sym
-    return total
+    (_, first), *rest = connection_difference_terms(lift, depth, grid)
+    return sum((sym for _, sym in rest), first)

@@ -17,6 +17,12 @@ from .psdo import ClassicalSymbol, HomogeneousComponent
 
 __all__ = ["ParseError", "parse_sections", "load_symbol", "load_surfaces"]
 
+#: Caps on a symbol file's dim, grid and number of components (`order` down
+#: to the lowest `degree=`), checked before any allocation: 64 MiB at most.
+MAX_SYMBOL_DIM = 8
+MAX_SYMBOL_GRID = 1024
+MAX_SYMBOL_DEPTH = 32
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int = 1):
@@ -122,10 +128,12 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
         if key not in top:
             raise ParseError(f"missing top-level key {key!r}", 1)
     order = _value(top["order"], Fraction, lambda v: True, "a rational order")
-    dim = _value(top["dim"], int, lambda v: v >= 1, "a positive integer dim")
+    dim = _value(top["dim"], int, lambda v: 1 <= v <= MAX_SYMBOL_DIM,
+                 f"an integer dim in [1, {MAX_SYMBOL_DIM}]")
     if "grid" in top:
-        grid = _value(top["grid"], int, lambda v: v >= 16 and v & (v - 1) == 0,
-                      "a power-of-two grid >= 16")
+        grid = _value(top["grid"], int,
+                      lambda v: 16 <= v <= MAX_SYMBOL_GRID and v & (v - 1) == 0,
+                      f"a power-of-two grid in [16, {MAX_SYMBOL_GRID}]")
 
     by_degree: dict[Fraction, Section] = {}
     for sec in sections:
@@ -136,8 +144,13 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
         if "degree" not in kv:
             raise ParseError("component section needs degree=", sec.line)
         degree = _value((kv["degree"], sec.line), Fraction,
-                        lambda v: v <= order and (order - v).denominator == 1,
-                        f"a degree {order} - j for an integer j >= 0")
+                        lambda v: 0 <= order - v < MAX_SYMBOL_DEPTH
+                        and (order - v).denominator == 1,
+                        f"a degree {order} - j for an integer j in "
+                        f"[0, {MAX_SYMBOL_DEPTH - 1}]")
+        if degree in by_degree:
+            raise ParseError(f"second component of degree {degree} (the first "
+                             f"is at line {by_degree[degree].line})", sec.line)
         by_degree[degree] = sec
 
     if not by_degree:

@@ -34,7 +34,6 @@ __all__ = [
     "iterate_value",
     "s_scaled_density",
     "decide_pi1",
-    "level_report",
     "calibration_constant",
     "route_comparison",
     "CURVATURE_TERMS",
@@ -84,10 +83,9 @@ class Pi1Verdict:
     prop39_holds: bool
     verdict: Verdict
     rationale: str
-
-
-def _curvature_combination(R: RiemannTensor) -> float:
-    return sum(c * R.comp[idx] for c, idx in CURVATURE_TERMS)
+    #: Both density routes on the lift that decided the verdict; None for a
+    #: bounds-only surface.
+    densities: WcsDensity | None
 
 
 def density_closed_form(lift: SasakiLift) -> float:
@@ -101,7 +99,7 @@ def density_closed_form(lift: SasakiLift) -> float:
     R = lift.base.require_curvature()
     k = float(lift.k)
     p1 = pontrjagin_density(R)
-    B = _curvature_combination(R)
+    B = sum(c * R.comp[idx] for c, idx in CURVATURE_TERMS)
     return (k**2 / 30.0) * (32.0 * np.pi**2 * p1 + 32.0 * k**2 * B + 192.0 * k**4)
 
 
@@ -177,9 +175,7 @@ def density_permutation(
     """
     if frame is None:
         frame = OrthonormalFrame.standard(5)
-    if loop_speed is None:
-        loop_speed = np.eye(5)[0]
-    gdot = np.asarray(loop_speed, dtype=float)
+    gdot = np.eye(5)[0] if loop_speed is None else np.asarray(loop_speed, dtype=float)
     if abs(np.linalg.norm(gdot) - 1.0) > 1e-12:
         raise ValueError("loop_speed must be a unit vector")
     raw = permutation_density_raw(lift.curvature5, frame, gdot, lift.fiber_length)
@@ -216,14 +212,9 @@ def prop39_middle_coefficient() -> float:
 
 def prop39_crossover(sigma: int, volume: float, r_inf: float, kmax: int = 50) -> int | None:
     """Smallest k >= 1 from which the bound holds for every k' in [k, kmax]."""
-    holds = [prop39_bound(sigma, volume, r_inf, k)[1] for k in range(1, kmax + 1)]
-    crossover = None
-    for k, ok in zip(range(1, kmax + 1), holds):
-        if ok and crossover is None:
-            crossover = k
-        elif not ok:
-            crossover = None
-    return crossover
+    fails = [k for k in range(1, kmax + 1) if not prop39_bound(sigma, volume, r_inf, k)[1]]
+    start = fails[-1] + 1 if fails else 1
+    return start if start <= kmax else None
 
 
 def iterate_value(lift: SasakiLift, n: int) -> float:
@@ -259,27 +250,32 @@ def route_comparison(surface: KahlerSurface, k: int) -> WcsDensity:
     return _densities(lift_curvature(surface, k))
 
 
-def _verdict(
-    surface: KahlerSurface, k: int, lift: SasakiLift | None, closed: float | None
-) -> Pi1Verdict:
-    """Verdict at level k from the closed-form density `closed` on `lift`;
-    both are unused at k = 0 and for a bounds-only surface."""
+def decide_pi1(surface: KahlerSurface, k: int) -> Pi1Verdict:
+    """Decide whether the fiber-rotation loop has infinite order at level k.
+
+    A curvature surface is lifted once, k = 0 included, and the verdict
+    carries both density routes of that lift; a bounds-only surface is
+    decided by the prop-3.9 condition and carries no densities.
+    """
     prop_lhs, prop_holds = prop39_bound(
         surface.signature, surface.volume, surface.r_inf, k
     )
+    densities = integral = None
+    if surface.curvature_known:
+        lift = lift_curvature(surface, k)
+        densities = _densities(lift)
+        integral = densities.value_closed * lift.total_volume if k else 0.0
     if k == 0:
-        integral = 0.0 if surface.curvature_known else None
         prop_holds = infinite = False
         rationale = ("k = 0: the invariant carries no information for the "
                      "trivial bundle M x S^1")
-    elif surface.curvature_known:
-        integral = closed * lift.total_volume
+    elif densities is not None:
         atol = VERDICT_ATOL_FACTOR * lift.total_volume
         infinite = abs(integral) > atol
         rationale = (f"exact integral {integral:.6g} is nonzero (threshold {atol:.3g})"
                      if infinite else f"exact integral vanishes within threshold {atol:.3g}")
     else:
-        integral, infinite = None, prop_holds
+        infinite = prop_holds
         rationale = (f"bounds mode: sufficient positivity condition "
                      f"{'holds' if prop_holds else 'fails'} (lhs = {prop_lhs:.6g})")
     return Pi1Verdict(
@@ -290,24 +286,5 @@ def _verdict(
         prop39_holds=prop_holds,
         verdict=Verdict.INFINITE_ORDER if infinite else Verdict.INCONCLUSIVE,
         rationale=rationale,
+        densities=densities,
     )
-
-
-def decide_pi1(surface: KahlerSurface, k: int) -> Pi1Verdict:
-    """Decide whether the fiber-rotation loop has infinite order at level k."""
-    if k == 0 or not surface.curvature_known:
-        return _verdict(surface, k, None, None)
-    lift = lift_curvature(surface, k)
-    return _verdict(surface, k, lift, density_closed_form(lift))
-
-
-def level_report(surface: KahlerSurface, k: int) -> tuple[Pi1Verdict, WcsDensity | None]:
-    """Verdict and both density routes at level k from a single lift.
-
-    The densities are None for a bounds-only surface.
-    """
-    if not surface.curvature_known:
-        return _verdict(surface, k, None, None), None
-    lift = lift_curvature(surface, k)
-    densities = _densities(lift)
-    return _verdict(surface, k, lift, densities.value_closed), densities

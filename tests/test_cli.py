@@ -264,6 +264,7 @@ OUT_OF_RANGE = [
     (("psdo", "--symbol-file", "unused.sym", "--trials", str(cli.MAX_TRIALS + 1)), "--trials"),
     (("psdo", "--symbol-file", "unused.sym", "--depth", "0"), "--depth"),
     (("psdo", "--symbol-file", "unused.sym", "--depth", "1"), "--depth"),
+    (("psdo", "--symbol-file", "unused.sym", "--depth", "3"), "--depth"),
     (("psdo", "--symbol-file", "unused.sym", "--depth", str(cli.MAX_DEPTH + 1)), "--depth"),
     (("psdo", "--symbol-file", "unused.sym", "--seed", "-1"), "seed"),
     (("verify-prop22", "--charge", "1", "--grid", str(cli.MAX_PROP22_GRID + 1)), "--grid"),

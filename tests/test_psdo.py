@@ -10,6 +10,7 @@ from wcslab.psdo import (
     FiberMismatchError,
     HomogeneousComponent,
     InsufficientDepthError,
+    MIN_TRACE_TEST_DEPTH,
     SymbolError,
     TruncationError,
     commutator_trace_test,
@@ -283,6 +284,13 @@ class TestParametrix:
 class TestCommutatorTrace:
     def test_random_pairs_small_run(self):
         assert commutator_trace_test(seed=0, trials=5, depth=6, grid=GRID) <= 1e-8
+
+    def test_depth_floor(self):
+        # Orders in [-2, 1] put the residue of [P, Q] at component j <= 3.
+        assert commutator_trace_test(seed=0, trials=2, depth=MIN_TRACE_TEST_DEPTH,
+                                     grid=GRID) <= 1e-8
+        with pytest.raises(ValueError, match="depth"):
+            commutator_trace_test(seed=0, trials=1, depth=MIN_TRACE_TEST_DEPTH - 1, grid=GRID)
 
     def test_multiplications_commute_exactly(self):
         x = 2.0 * np.pi * np.arange(GRID) / GRID

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from wcslab.psdo import wodzicki_residue
-from wcslab.specfiles import ParseError, load_surfaces, load_symbol, parse_sections
+from wcslab.specfiles import (
+    MAX_SYMBOL_DEPTH,
+    MAX_SYMBOL_DIM,
+    MAX_SYMBOL_GRID,
+    ParseError,
+    load_surfaces,
+    load_symbol,
+    parse_sections,
+)
 
 INVERSE_XI = """
 # leading part of (1 + Laplacian)^(-1/2), scalar
@@ -120,12 +128,39 @@ class TestLoadSymbol:
         "degree-q": ("order = 0\ndim = 1", "degree=q", 3),
         "degree-above-order": ("order = 0\ndim = 1", "degree=1", 3),
         "degree-off-ladder": ("order = 0\ndim = 1", "degree=-1/2", 3),
+        # Each cap at cap + 1 only; the grid cap also at the next power of
+        # two, since cap + 1 already fails the power-of-two rule.
+        "dim-cap": (f"order = 0\ndim = {MAX_SYMBOL_DIM + 1}", "degree=0", 2),
+        "grid-cap": (f"order = 0\ndim = 1\ngrid = {MAX_SYMBOL_GRID + 1}", "degree=0", 3),
+        "grid-cap-pow2": (f"order = 0\ndim = 1\ngrid = {2 * MAX_SYMBOL_GRID}", "degree=0", 3),
+        "depth-cap": ("order = 0\ndim = 1", f"degree=-{MAX_SYMBOL_DEPTH}", 3),
     }
 
     @pytest.mark.parametrize("top, header, line", BAD_VALUES.values(), ids=BAD_VALUES)
     def test_bad_value_carries_its_line(self, top, header, line):
         text = f"{top}\n[component {header}]\nplus = 1\nminus = 1\n"
         with pytest.raises(ParseError, match=f"^line {line}, .*expected"):
+            load_symbol(text)
+
+    def test_caps_are_inclusive(self):
+        eye = "; ".join(" ".join("1" if i == j else "0" for j in range(MAX_SYMBOL_DIM))
+                        for i in range(MAX_SYMBOL_DIM))
+        sym = load_symbol(f"order = 0\ndim = {MAX_SYMBOL_DIM}\ngrid = 16\n"
+                          f"[component degree={1 - MAX_SYMBOL_DEPTH}]\n"
+                          f"plus = {eye}\nminus = {eye}\n")
+        assert (sym.depth, sym.fiber_dim) == (MAX_SYMBOL_DEPTH, MAX_SYMBOL_DIM)
+        sym = load_symbol(f"order = 0\ndim = 1\ngrid = {MAX_SYMBOL_GRID}\n"
+                          "[component degree=0]\nplus = 1\nminus = 1\n")
+        assert sym.grid == MAX_SYMBOL_GRID
+
+    def test_second_component_of_a_degree(self):
+        text = (
+            "order = -1\ndim = 1\n"
+            "[component degree=-1]\nplus = 1\nminus = 1\n"
+            "[component degree=-2/2]\nplus = 5\nminus = 1\n"
+        )
+        with pytest.raises(ParseError, match="^line 6, .*second component of degree -1 "
+                                             r"\(the first is at line 3\)"):
             load_symbol(text)
 
     @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5"])

@@ -190,6 +190,17 @@ class TestDecide:
         assert decide_pi1(S, 1).verdict == Verdict.INCONCLUSIVE
         assert decide_pi1(S, 5).verdict == Verdict.INFINITE_ORDER
         assert decide_pi1(S, 1).integral is None
+        assert decide_pi1(S, 1).densities is None
+
+    @pytest.mark.parametrize("surface", [flat_torus(), cp2_fubini_study(), product_cp1(2, 3)],
+                             ids=lambda s: s.name)
+    def test_densities_are_the_route_comparison(self, surface):
+        for k in range(-3, 4):
+            v = decide_pi1(surface, k)
+            assert v.densities == route_comparison(surface, k)
+            if k != 0:
+                assert v.integral == v.densities.value_closed * lift_curvature(
+                    surface, k).total_volume
 
     def test_infinite_order_always_justified(self):
         surfaces = CATALOG + [generic_bounds(-16, 1.0, 1.0), generic_bounds(0, 1.0, 0.0)]
