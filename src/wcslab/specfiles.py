@@ -93,6 +93,14 @@ def _value(entry: tuple[str, int], convert, valid, expected: str):
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """A Fraction from at most 32 characters without an exponent: Fraction
+    expands 1eN into an exact power of ten, in more than linear time in N."""
+    if len(text) > 32 or "e" in text.lower():
+        raise ValueError(text)
+    return Fraction(text)
+
+
 def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int) -> np.ndarray:
     """Constant matrix plus optional cos/sin Fourier terms, sampled on the
     periodic grid."""
@@ -127,7 +135,7 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
     for key in ("order", "dim"):
         if key not in top:
             raise ParseError(f"missing top-level key {key!r}", 1)
-    order = _value(top["order"], Fraction, lambda v: True, "a rational order")
+    order = _value(top["order"], _rational, lambda v: True, "a rational order")
     dim = _value(top["dim"], int, lambda v: 1 <= v <= MAX_SYMBOL_DIM,
                  f"an integer dim in [1, {MAX_SYMBOL_DIM}]")
     if "grid" in top:
@@ -143,10 +151,10 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
         kv = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
         if "degree" not in kv:
             raise ParseError("component section needs degree=", sec.line)
-        degree = _value((kv["degree"], sec.line), Fraction,
+        degree = _value((kv["degree"], sec.line), _rational,
                         lambda v: 0 <= order - v < MAX_SYMBOL_DEPTH
                         and (order - v).denominator == 1,
-                        f"a degree {order} - j for an integer j in "
+                        f"a degree {top['order'][0]} - j for an integer j in "
                         f"[0, {MAX_SYMBOL_DEPTH - 1}]")
         if degree in by_degree:
             raise ParseError(f"second component of degree {degree} (the first "

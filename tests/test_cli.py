@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from wcslab import cli
+from wcslab import cli, leading
 from wcslab.cli import CSV_COLUMNS, main
 
 SYMBOL_FILE = """
@@ -227,6 +228,7 @@ class TestPsdoCommand:
         "order = 0\ndim = 2\n[component degree=0]\nplus = 1\nminus = 1\n",
         "order = x\ndim = 1\n[component degree=0]\nplus = 1\nminus = 1\n",
         "order = 0\ndim = 1\ngrid = 12\n[component degree=0]\nplus = 1\nminus = 1\n",
+        "order = 1e-10000\ndim = 1\n[component degree=0]\nplus = 1\nminus = 1\n",
     ])
     def test_bad_symbol_value_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.txt"
@@ -311,3 +313,20 @@ class TestVerifyProp22:
     def test_small_grid_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify-prop22", "--charge", "1", "--grid", "8")
         assert code == 2
+
+    def test_one_quadrature_per_run(self, capsys, monkeypatch):
+        calls = []
+        for fname in ("c_lo_pairing", "rhs_prop22"):
+            original = getattr(leading, fname)
+
+            def counting(*args, _name=fname, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            # Callers reach these by attribute or by name; patch every binding.
+            for name, mod in list(sys.modules.items()):
+                if name.partition(".")[0] == "wcslab" and getattr(mod, fname, None) is original:
+                    monkeypatch.setattr(mod, fname, counting)
+        code, _, _ = run(capsys, "verify-prop22", "--charge", "1", "--grid", "16")
+        assert code == 0
+        assert sorted(calls) == ["c_lo_pairing", "rhs_prop22"]

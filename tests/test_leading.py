@@ -4,11 +4,29 @@ import pytest
 from wcslab.leading import (
     LineBundleCurvature,
     MappedFamily,
-    _pullback_integral,
+    _pullback_integrals,
     c_lo_pairing,
     rhs_prop22,
     verify_prop22,
 )
+
+
+def per_angle_pullback(fam, L, theta):
+    """Reference: the pullback quadrature at one angle, as first written.  It
+    rebuilds the grid, pushes the tangent basis forward by R_theta and
+    evaluates dA(v, w) = <v x w, n> at every image point."""
+    points, t_phi, t_lam, W = fam.parameter_grid()
+    Rm = fam.rotation(theta)
+    v, w, n = (np.moveaxis(a, 0, -1) @ Rm.T for a in (t_phi, t_lam, points))
+    dA = np.einsum("ijk,ijk->ij", np.cross(v, w), n)
+    integrand = (1j / (2.0 * np.pi)) * L.coefficient * dA
+    return float(np.real(np.sum(integrand * W)))
+
+
+def per_angle_pairing(fam, L):
+    """Reference: a Python loop over the loop angles."""
+    inner = np.array([per_angle_pullback(fam, L, th) for th in fam.loop_angles])
+    return float(np.sum(inner * fam.loop_weights))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +50,7 @@ class TestQuadrature:
 class TestChargeNormalization:
     def test_chern_integral_is_integer_charge(self, fam):
         for q in range(4):
-            val = _pullback_integral(fam, LineBundleCurvature(q), 0.0)
+            val = _pullback_integrals(fam, LineBundleCurvature(q), [0.0])[0]
             assert val == pytest.approx(float(q), abs=1e-10)
 
 
@@ -86,9 +104,7 @@ class TestVerification:
         L = LineBundleCurvature(2)
         ref = c_lo_pairing(fam, L)
         phase = 0.37
-        inner = np.array(
-            [_pullback_integral(fam, L, th + phase) for th in fam.loop_angles]
-        )
+        inner = _pullback_integrals(fam, L, fam.loop_angles + phase)
         shifted = float(np.sum(inner * fam.loop_weights))
         assert shifted == pytest.approx(ref, abs=1e-10)
 
@@ -98,3 +114,23 @@ class TestVerification:
         fine = verify_prop22(MappedFamily(32, 64, 32), L)
         floor = 1e-12
         assert fine <= max(coarse, floor)
+
+
+class TestBatchedContraction:
+    @pytest.mark.parametrize("grid", [16, 32, 56])
+    def test_matches_per_angle_reference(self, grid):
+        fam = MappedFamily(grid, 2 * grid, grid)
+        for q in range(-3, 5):
+            L = LineBundleCurvature(q)
+            ref = per_angle_pairing(fam, L)
+            assert abs(c_lo_pairing(fam, L) - ref) <= 1e-13 * max(1.0, abs(ref))
+            for n0 in (0.0, 1.3):
+                ref = 2.0 * np.pi * per_angle_pullback(fam, L, n0)
+                assert abs(rhs_prop22(fam, L, n0) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_rotation_stacks_over_angles(self, fam):
+        stacked = fam.rotation(fam.loop_angles)
+        assert stacked.shape == (fam.n_loop, 3, 3)
+        for R, theta in zip(stacked, fam.loop_angles):
+            np.testing.assert_array_equal(R, fam.rotation(theta))
+        assert fam.rotation(0.0).shape == (3, 3)

@@ -292,6 +292,18 @@ class TestCommutatorTrace:
         with pytest.raises(ValueError, match="depth"):
             commutator_trace_test(seed=0, trials=1, depth=MIN_TRACE_TEST_DEPTH - 1, grid=GRID)
 
+    @pytest.mark.parametrize("seed, depth", [(0, 4), (1, 6), (3, 5)])
+    def test_residue_only_compose_matches_full_compose(self, seed, depth):
+        # Reference: the same seeded draws, composed at full depth.
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(6):
+            dim, op, oq = (int(rng.integers(lo, hi)) for lo, hi in ((1, 3), (-2, 2), (-2, 2)))
+            P = random_symbol(rng, op, depth, dim=dim, grid=GRID)
+            Q = random_symbol(rng, oq, depth, dim=dim, grid=GRID)
+            worst = max(worst, abs(wodzicki_residue(compose(P, Q) - compose(Q, P))))
+        assert commutator_trace_test(seed, 6, depth, grid=GRID) == worst
+
     def test_multiplications_commute_exactly(self):
         x = 2.0 * np.pi * np.arange(GRID) / GRID
         a = multiplication_symbol(np.cos(x)[:, None, None] * np.eye(1), GRID, depth=2)

@@ -128,6 +128,9 @@ class TestLoadSymbol:
         "degree-q": ("order = 0\ndim = 1", "degree=q", 3),
         "degree-above-order": ("order = 0\ndim = 1", "degree=1", 3),
         "degree-off-ladder": ("order = 0\ndim = 1", "degree=-1/2", 3),
+        # A decimal exponent is refused before Fraction builds its power of ten.
+        "order-1e-10000": ("order = 1e-10000\ndim = 1", "degree=0", 1),
+        "degree-1e-10000": ("order = 0\ndim = 1", "degree=1e-10000", 3),
         # Each cap at cap + 1 only; the grid cap also at the next power of
         # two, since cap + 1 already fails the power-of-two rule.
         "dim-cap": (f"order = 0\ndim = {MAX_SYMBOL_DIM + 1}", "degree=0", 2),

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wcslab.catalog import (
+    KahlerSurface,
     cp2_fubini_study,
     flat_torus,
     generic_bounds,
     product_cp1,
 )
-from wcslab.geometry import OrthonormalFrame
+from wcslab.geometry import STANDARD_J, OrthonormalFrame, RiemannTensor, pontrjagin_density
 from wcslab.sasaki import lift_curvature
 from wcslab.wcs import (
     Verdict,
@@ -213,3 +217,58 @@ class TestDecide:
                         and abs(v.integral) > 1e-9 * 2.0 * np.pi * S.volume
                     )
                     assert justified
+
+
+def kahler_curvature_basis() -> np.ndarray:
+    """Orthonormal basis, shape (dim, 4, 4, 4, 4), of the algebraic Kahler
+    curvature tensors for STANDARD_J: the null space of antisymmetry in each
+    index pair, pair symmetry, the first Bianchi identity and invariance
+    R(J., J., ., .) = R.  Besse, Einstein Manifolds, ch. 2: dim = 9."""
+    J = STANDARD_J.matrix
+    E = np.eye(256).reshape(256, 4, 4, 4, 4)  # E[n] is the n-th unit tensor
+    images = [  # image of each unit tensor under each constraint map
+        E + E.transpose(0, 2, 1, 3, 4),
+        E + E.transpose(0, 1, 2, 4, 3),
+        E - E.transpose(0, 3, 4, 1, 2),
+        E + E.transpose(0, 2, 3, 1, 4) + E.transpose(0, 3, 1, 2, 4),
+        np.einsum("ai,bj,nabkl->nijkl", J, J, E) - E,
+    ]
+    constraints = np.concatenate([im.reshape(256, 256) for im in images], axis=1).T
+    _, s, vt = np.linalg.svd(constraints)
+    return vt[np.sum(s > 1e-10):].reshape(-1, 4, 4, 4, 4)
+
+
+KAHLER_BASIS = kahler_curvature_basis()
+
+
+def kahler_surface(coefficients, volume) -> KahlerSurface:
+    """A frame-constant Kahler surface with the given curvature coordinates:
+    sigma = p1 vol / 3 and r_inf = the largest adapted-frame component."""
+    R = RiemannTensor(np.tensordot(coefficients, KAHLER_BASIS, axes=1))
+    return KahlerSurface(name="kahler", volume=volume,
+                         signature=pontrjagin_density(R) * volume / 3.0,
+                         r_inf=float(np.max(np.abs(R.comp))), curvature=R, J=STANDARD_J)
+
+
+class TestKahlerCurvatureOracle:
+    def test_basis(self):
+        assert KAHLER_BASIS.shape == (9, 4, 4, 4, 4)
+        flat = KAHLER_BASIS.reshape(9, -1)
+        np.testing.assert_allclose(flat @ flat.T, np.eye(9), atol=1e-12)
+        for surface in CATALOG:
+            comp = surface.curvature.comp.ravel()
+            assert np.max(np.abs(comp - flat.T @ (flat @ comp))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, 9, elements=st.floats(-2.0, 2.0)),
+           st.floats(0.1, 10.0), st.sampled_from([1, 2, 3]))
+    def test_routes_agree(self, coefficients, volume, k):
+        densities = decide_pi1(kahler_surface(coefficients, volume), k).densities
+        assert densities.route_agreement <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, 9, elements=st.floats(-2.0, 2.0)),
+           st.floats(0.1, 10.0), st.sampled_from([1, 2, 3]))
+    def test_prop39_implies_positive_integral(self, coefficients, volume, k):
+        v = decide_pi1(kahler_surface(coefficients, volume), k)
+        assert not v.prop39_holds or v.integral > 0.0
