@@ -30,6 +30,7 @@ from .wcs import (
     Verdict,
     WcsDensity,
     calibration_constant,
+    decide_levels,
     decide_pi1,
     density_closed_form,
     density_permutation,
@@ -63,6 +64,7 @@ __all__ = [
     "Verdict",
     "WcsDensity",
     "calibration_constant",
+    "decide_levels",
     "decide_pi1",
     "density_closed_form",
     "density_permutation",

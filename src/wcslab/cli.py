@@ -18,6 +18,7 @@ import numpy as np
 
 from . import catalog, leading, psdo, specfiles, wcs
 from .catalog import SurfaceSpecError, UnsupportedSurfaceError
+from .sasaki import LiftConsistencyError
 
 SCHEMA_VERSION = 1
 CSV_COLUMNS = [
@@ -99,11 +100,20 @@ def _requirement(stype: str) -> str:
     return f"requires {', '.join(head)} and {last}" if head else f"requires {last}"
 
 
+def _read_text(path: str) -> str:
+    # A decoding error is a ValueError, which main would report as a
+    # computation error; a file that is not text is a usage error.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _config_surfaces(args) -> dict[str, catalog.KahlerSurface]:
     if not args.config:
         return {}
-    with open(args.config) as fh:
-        return specfiles.load_surfaces(fh.read())
+    return specfiles.load_surfaces(_read_text(args.config))
 
 
 def _resolve_surface(args) -> catalog.KahlerSurface:
@@ -118,13 +128,12 @@ def _resolve_surface(args) -> catalog.KahlerSurface:
         raise UsageError(f"surface {args.surface} {_requirement(args.surface)}") from None
 
 
-def _level_row(surface: catalog.KahlerSurface, k: int) -> dict:
-    verdict = wcs.decide_pi1(surface, k)
+def _level_row(verdict: wcs.Pi1Verdict) -> dict:
     dens = verdict.densities
     return {
         "schema_version": SCHEMA_VERSION,
-        "surface": surface.name,
-        "k": k,
+        "surface": verdict.surface,
+        "k": verdict.k,
         "density_closed": None if dens is None else dens.value_closed,
         "density_perm": None if dens is None else dens.value_permutation,
         "route_agreement": None if dens is None else dens.route_agreement,
@@ -191,7 +200,7 @@ def _cmd_sweep(args, field: str | None) -> int:
         raise UnsupportedSurfaceError(
             f"surface {surface.name!r} is bounds-only; {field} unavailable"
         )
-    _emit([_level_row(surface, k) for k in ks], args.format, args.out)
+    _emit([_level_row(v) for v in wcs.decide_levels(surface, ks)], args.format, args.out)
     return EXIT_OK
 
 
@@ -199,8 +208,7 @@ def _cmd_psdo(args) -> int:
     _check_range("--trials", args.trials, 1, MAX_TRIALS)
     _check_range("--depth", args.depth, psdo.MIN_TRACE_TEST_DEPTH, MAX_DEPTH)
     seed = _seed(args)
-    with open(args.symbol_file) as fh:
-        symbol = specfiles.load_symbol(fh.read())
+    symbol = specfiles.load_symbol(_read_text(args.symbol_file))
     residue = psdo.wodzicki_residue(symbol)
     violation = psdo.commutator_trace_test(seed, args.trials, args.depth)
     B = psdo.resolvent_parametrix(None, depth=args.depth, dim=symbol.fiber_dim)
@@ -321,10 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_k_range(list(sys.argv[1:] if argv is None else argv)))
     try:
         return args.run(args)
-    except (UsageError, specfiles.ParseError, SurfaceSpecError, FileNotFoundError) as exc:
+    except (UsageError, specfiles.ParseError, SurfaceSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UnsupportedSurfaceError, psdo.SymbolError, ValueError) as exc:
+    except (UnsupportedSurfaceError, psdo.SymbolError, LiftConsistencyError,
+            ValueError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

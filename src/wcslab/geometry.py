@@ -196,10 +196,11 @@ def pontrjagin_density(R: RiemannTensor, frame: OrthonormalFrame | None = None) 
     if R.dim != 4:
         raise ShapeError("Pontrjagin density requires dim 4")
     if frame is None:
-        frame = OrthonormalFrame.standard(4)
-    if frame.dim != 4:
+        comp = R.comp  # the tensor's own frame: no rotation
+    elif frame.dim != 4:
         raise ShapeError("frame dimension must be 4")
-    comp = _rotate_tensor(R.comp, frame.vectors)
+    else:
+        comp = _rotate_tensor(R.comp, frame.vectors)
     # sum_sigma sgn(sigma) tr(E_ab E_cd) over the curvature endomorphisms
     # E_ab[l,k] = R[a,b,k,l]
     total = np.einsum("abcd,abkl,cdlk->", LEVI_CIVITA[4], comp, comp)

@@ -15,7 +15,8 @@ import numpy as np
 from .catalog import KahlerSurface
 from .geometry import RiemannTensor, symmetry_violation
 
-__all__ = ["SasakiLift", "LiftConsistencyError", "lift_curvature", "total_volume", "FIBER_LENGTH"]
+__all__ = ["SasakiLift", "LiftConsistencyError", "lift_parts", "lift_curvature",
+           "total_volume", "FIBER_LENGTH"]
 
 #: Orbit loops are parametrized by theta in [0, 2pi] at unit speed.
 FIBER_LENGTH = 2.0 * np.pi
@@ -37,41 +38,54 @@ class SasakiLift:
         return self.fiber_length * self.base.volume
 
 
-def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
-    """Assemble the full 5d curvature tensor of the level-k circle bundle.
+def _check_identities(R: RiemannTensor, what: str) -> None:
+    viol = symmetry_violation(R)
+    if viol > 1e-12:
+        raise LiftConsistencyError(
+            f"{what} violates curvature identities (max violation {viol:.3e})"
+        )
 
-    Horizontal block:
-        Rbar(X,Y,Z,W) = R(X,Y,Z,W)
-            + k^2 [-<JY,Z><JX,W> + <JX,Z><JY,W> + 2<JX,Y><JZ,W>]
-    Mixed components with a single vertical slot vanish; the two-vertical
-    pattern is Rbar(xi,X,Y,xi) = k^2 <X,Y>.
+
+def lift_parts(base: KahlerSurface) -> tuple[RiemannTensor, RiemannTensor]:
+    """The lift polynomial (R0, R1): the level-k tensor is R0 + k^2 R1.
+
+    R0 is the base tensor on the horizontal block.  R1 is the k^2 part:
+        R1(X,Y,Z,W) = -<JY,Z><JX,W> + <JX,Z><JY,W> + 2<JX,Y><JZ,W>
+    on the horizontal block and the two-vertical pattern
+    R1(xi,X,Y,xi) = <X,Y>; mixed components with a single vertical slot
+    vanish.  The curvature identities are linear, so when both parts
+    satisfy them the lift does at every k, up to the rounding of the sum.
     """
     R = base.require_curvature()
     Jm = base.J.matrix
-    k2 = float(k) ** 2
 
-    horiz = R.comp + k2 * (
+    r0 = np.zeros((5, 5, 5, 5))
+    r0[1:, 1:, 1:, 1:] = R.comp
+    r1 = np.zeros((5, 5, 5, 5))
+    r1[1:, 1:, 1:, 1:] = (
         -np.einsum("li,kj->ijkl", Jm, Jm)
         + np.einsum("ki,lj->ijkl", Jm, Jm)
         + 2.0 * np.einsum("ji,lk->ijkl", Jm, Jm)
     )
-
-    comp = np.zeros((5, 5, 5, 5))
-    comp[1:, 1:, 1:, 1:] = horiz
-    # Third identity Rbar(xi, X, Y, xi) = k^2 <X,Y> and its symmetry images.
+    # Third identity R1(xi, X, Y, xi) = <X,Y> and its symmetry images.
     for i in range(1, 5):
-        comp[0, i, i, 0] = k2
-        comp[i, 0, i, 0] = -k2
-        comp[0, i, 0, i] = -k2
-        comp[i, 0, 0, i] = k2
-    lift = SasakiLift(base=base, k=int(k), curvature5=RiemannTensor(comp))
+        r1[0, i, i, 0] = 1.0
+        r1[i, 0, i, 0] = -1.0
+        r1[0, i, 0, i] = -1.0
+        r1[i, 0, 0, i] = 1.0
+    parts = RiemannTensor(r0), RiemannTensor(r1)
+    for name, part in zip(("R0", "R1"), parts):
+        _check_identities(part, f"lift part {name} of {base.name!r}")
+    return parts
 
-    viol = symmetry_violation(lift.curvature5)
-    if viol > 1e-12:
-        raise LiftConsistencyError(
-            f"lift of {base.name!r} at k={k} violates curvature identities "
-            f"(max violation {viol:.3e})"
-        )
+
+def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
+    """The full 5d curvature tensor R0 + k^2 R1 of the level-k circle
+    bundle, from `lift_parts`."""
+    r0, r1 = lift_parts(base)
+    comp = r0.comp + float(k) ** 2 * r1.comp
+    lift = SasakiLift(base=base, k=int(k), curvature5=RiemannTensor(comp))
+    _check_identities(lift.curvature5, f"lift of {base.name!r} at k={k}")
     return lift
 
 

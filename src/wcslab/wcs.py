@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import KahlerSurface, flat_torus
 from .geometry import LEVI_CIVITA, OrthonormalFrame, RiemannTensor, pontrjagin_density
-from .sasaki import SasakiLift, lift_curvature
+from .sasaki import FIBER_LENGTH, SasakiLift, lift_curvature, lift_parts
 
 __all__ = [
     "Verdict",
@@ -34,6 +34,7 @@ __all__ = [
     "iterate_value",
     "s_scaled_density",
     "decide_pi1",
+    "decide_levels",
     "calibration_constant",
     "route_comparison",
     "CURVATURE_TERMS",
@@ -88,6 +89,16 @@ class Pi1Verdict:
     densities: WcsDensity | None
 
 
+def _closed_form_terms(R: RiemannTensor) -> tuple[float, float]:
+    """The k-independent inputs of the closed form: p1(R) and B."""
+    return pontrjagin_density(R), sum(c * R.comp[idx] for c, idx in CURVATURE_TERMS)
+
+
+def _closed_form(p1: float, B: float, k: int) -> float:
+    k = float(k)
+    return (k**2 / 30.0) * (32.0 * np.pi**2 * p1 + 32.0 * k**2 * B + 192.0 * k**4)
+
+
 def density_closed_form(lift: SasakiLift) -> float:
     """Closed-form density of the pulled-back 5-form on the frame
     (xi, e2, Je2, e3, Je3):
@@ -96,14 +107,30 @@ def density_closed_form(lift: SasakiLift) -> float:
 
     with B the five-term curvature combination of CURVATURE_TERMS.
     """
-    R = lift.base.require_curvature()
-    k = float(lift.k)
-    p1 = pontrjagin_density(R)
-    B = sum(c * R.comp[idx] for c, idx in CURVATURE_TERMS)
-    return (k**2 / 30.0) * (32.0 * np.pi**2 * p1 + 32.0 * k**2 * B + 192.0 * k**4)
+    return _closed_form(*_closed_form_terms(lift.base.require_curvature()), lift.k)
 
 
-_PERMUTATION_SUBSCRIPTS = {3: "abc,alj,bcjl->", 5: "abcde,alj,bcjk,dekl->"}
+#: The permutation sum as one Levi-Civita contraction over stacks of A and
+#: E: out[x, y(, z)] takes A from stack entry x and the E slots from
+#: entries y (and z).  The paths are the ones numpy's greedy search picks
+#: for a stack of one; fixed here, no call pays for the search, and a stack
+#: of two does not get the far slower path the search would pick for it.
+_PERMUTATION_SUBSCRIPTS = {3: "abc,xalj,ybcjl->xy", 5: "abcde,xalj,ybcjk,zdekl->xyz"}
+_PERMUTATION_PATHS = {
+    3: ["einsum_path", (0, 2), (0, 1)],
+    5: ["einsum_path", (0, 2), (1, 2), (0, 1)],
+}
+
+
+def _permutation_sums(comps: np.ndarray, vecs: np.ndarray, gdot: np.ndarray) -> np.ndarray:
+    """sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)] for every choice of
+    stack entry per slot, from a stack of curvature arrays comps[s]."""
+    dim = comps.shape[-1]
+    # A[s,a][l,j] = X_a^i gdot^m R_s[i,j,m,l];  E[s,a,b][l,k] = X_a^i X_b^j R_s[i,j,k,l]
+    A = np.einsum("ai,m,sijml->salj", vecs, gdot, comps)
+    E = np.einsum("ai,bj,sijkl->sablk", vecs, vecs, comps)
+    return np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
+                     *[E] * (dim // 2), optimize=_PERMUTATION_PATHS[dim])
 
 
 def permutation_density_raw(
@@ -133,15 +160,7 @@ def permutation_density_raw(
     if gdot.shape != (dim,):
         raise ValueError("loop speed dimension mismatch")
 
-    vecs = frame.vectors
-    comp = R.comp
-    # A[a][l,j] = X_a^i gdot^m R[i,j,m,l];  E[a,b][l,k] = X_a^i X_b^j R[i,j,k,l]
-    A = np.einsum("ai,m,ijml->alj", vecs, gdot, comp)
-    E = np.einsum("ai,bj,ijkl->ablk", vecs, vecs, comp)
-
-    # sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)]: one Levi-Civita contraction
-    total = np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
-                      *[E] * (dim // 2), optimize=True)
+    total = _permutation_sums(R.comp[None], frame.vectors, gdot).item()
     return (4.0 / factorial(dim)) * total * fiber_length
 
 
@@ -236,55 +255,82 @@ def s_scaled_density(lift: SasakiLift, s: float) -> float:
     return s * density_closed_form(lift)
 
 
-def _densities(lift: SasakiLift) -> WcsDensity:
-    return WcsDensity(
-        surface=lift.base.name,
-        k=lift.k,
-        value_closed=density_closed_form(lift),
-        value_permutation=density_permutation(lift),
-        calibration_constant=calibration_constant(),
-    )
+def _permutation_cubic(parts: tuple[RiemannTensor, RiemannTensor]) -> list[float]:
+    """Coefficients c_0 .. c_3 of the raw permutation sum along xi at the
+    lift R0 + k^2 R1, a cubic in k^2.
+
+    The sum is trilinear in the lift, so c_m sums the 2^3 slot choices
+    that take R1 in m slots and R0 in the rest.
+    """
+    sums = _permutation_sums(np.stack([part.comp for part in parts]), np.eye(5), np.eye(5)[0])
+    copies = np.indices(sums.shape).sum(axis=0)  # number of R1 slots
+    return [sums[copies == m].sum() for m in range(sums.ndim + 1)]
 
 
-def route_comparison(surface: KahlerSurface, k: int) -> WcsDensity:
-    return _densities(lift_curvature(surface, k))
+def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
+    """Whether the fiber-rotation loop has infinite order, at each level in ks.
+
+    The lift polynomial (R0, R1) is built and checked, p1 and B are read,
+    and the permutation route's cubic in k^2 is contracted once per
+    surface; each level then costs scalar arithmetic.  The closed form is
+    evaluated as `density_closed_form` evaluates it.  A bounds-only surface
+    is decided by the prop-3.9 condition, and its verdicts carry no
+    densities.
+    """
+    if surface.curvature_known:
+        c0, c1, c2, c3 = _permutation_cubic(lift_parts(surface))
+        p1, B = _closed_form_terms(surface.curvature)
+        calibration = calibration_constant()
+        total_volume = FIBER_LENGTH * surface.volume
+    verdicts = []
+    for k in ks:
+        prop_lhs, prop_holds = prop39_bound(
+            surface.signature, surface.volume, surface.r_inf, k
+        )
+        densities = integral = None
+        if surface.curvature_known:
+            k2 = float(k) ** 2
+            total = c0 + k2 * (c1 + k2 * (c2 + k2 * c3))
+            densities = WcsDensity(
+                surface=surface.name,
+                k=k,
+                value_closed=_closed_form(p1, B, k),
+                value_permutation=calibration * ((4.0 / factorial(5)) * total * FIBER_LENGTH),
+                calibration_constant=calibration,
+            )
+            integral = densities.value_closed * total_volume if k else 0.0
+        if k == 0:
+            prop_holds = infinite = False
+            rationale = ("k = 0: the invariant carries no information for the "
+                         "trivial bundle M x S^1")
+        elif densities is not None:
+            atol = VERDICT_ATOL_FACTOR * total_volume
+            infinite = abs(integral) > atol
+            rationale = (f"exact integral {integral:.6g} is nonzero (threshold {atol:.3g})"
+                         if infinite else f"exact integral vanishes within threshold {atol:.3g}")
+        else:
+            infinite = prop_holds
+            rationale = (f"bounds mode: sufficient positivity condition "
+                         f"{'holds' if prop_holds else 'fails'} (lhs = {prop_lhs:.6g})")
+        verdicts.append(Pi1Verdict(
+            surface=surface.name,
+            k=k,
+            integral=integral,
+            prop39_lhs=prop_lhs,
+            prop39_holds=prop_holds,
+            verdict=Verdict.INFINITE_ORDER if infinite else Verdict.INCONCLUSIVE,
+            rationale=rationale,
+            densities=densities,
+        ))
+    return verdicts
 
 
 def decide_pi1(surface: KahlerSurface, k: int) -> Pi1Verdict:
-    """Decide whether the fiber-rotation loop has infinite order at level k.
+    """The verdict at one level: `decide_levels` on [k]."""
+    return decide_levels(surface, [k])[0]
 
-    A curvature surface is lifted once, k = 0 included, and the verdict
-    carries both density routes of that lift; a bounds-only surface is
-    decided by the prop-3.9 condition and carries no densities.
-    """
-    prop_lhs, prop_holds = prop39_bound(
-        surface.signature, surface.volume, surface.r_inf, k
-    )
-    densities = integral = None
-    if surface.curvature_known:
-        lift = lift_curvature(surface, k)
-        densities = _densities(lift)
-        integral = densities.value_closed * lift.total_volume if k else 0.0
-    if k == 0:
-        prop_holds = infinite = False
-        rationale = ("k = 0: the invariant carries no information for the "
-                     "trivial bundle M x S^1")
-    elif densities is not None:
-        atol = VERDICT_ATOL_FACTOR * lift.total_volume
-        infinite = abs(integral) > atol
-        rationale = (f"exact integral {integral:.6g} is nonzero (threshold {atol:.3g})"
-                     if infinite else f"exact integral vanishes within threshold {atol:.3g}")
-    else:
-        infinite = prop_holds
-        rationale = (f"bounds mode: sufficient positivity condition "
-                     f"{'holds' if prop_holds else 'fails'} (lhs = {prop_lhs:.6g})")
-    return Pi1Verdict(
-        surface=surface.name,
-        k=k,
-        integral=integral,
-        prop39_lhs=prop_lhs,
-        prop39_holds=prop_holds,
-        verdict=Verdict.INFINITE_ORDER if infinite else Verdict.INCONCLUSIVE,
-        rationale=rationale,
-        densities=densities,
-    )
+
+def route_comparison(surface: KahlerSurface, k: int) -> WcsDensity:
+    """Both density routes at level k on a curvature surface."""
+    surface.require_curvature()
+    return decide_pi1(surface, k).densities

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from wcslab import cli, leading
+from wcslab.catalog import KahlerSurface
 from wcslab.cli import CSV_COLUMNS, main
+from wcslab.geometry import LEVI_CIVITA, STANDARD_J, RiemannTensor
 
 SYMBOL_FILE = """
 order = -1
@@ -125,6 +127,32 @@ class TestErrors:
             "--config", str(tmp_path / "nope.cfg"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["config dir", "symbol dir", "out dir",
+                                      "config not utf-8", "symbol not utf-8"])
+    def test_unreadable_paths_are_usage_errors(self, capsys, tmp_path, case):
+        path = tmp_path / "input"
+        if case.endswith("dir"):
+            path.mkdir()
+        else:
+            path.write_bytes(b"[surface s]\ntype = t4 \xff\xfe\n")
+        argv = {
+            "config": ("decide", "--surface", "t4", "--k", "1", "--config", str(path)),
+            "symbol": ("psdo", "--symbol-file", str(path), "--trials", "1"),
+            "out": ("decide", "--surface", "t4", "--k", "1", "--out", str(path)),
+        }[case.split()[0]]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_lift_consistency_error_is_computation_error(self, capsys, monkeypatch):
+        broken = KahlerSurface(name="broken", volume=1.0, signature=0, r_inf=1.0,
+                               curvature=RiemannTensor(LEVI_CIVITA[4]), J=STANDARD_J)
+        monkeypatch.setattr(cli, "_resolve_surface", lambda args: broken)
+        code, out, err = run(capsys, "decide", "--surface", "broken", "--k", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("computation error: lift part") and err.count("\n") == 1
 
 
 BAD_VALUES = [

@@ -124,9 +124,16 @@ class TestPontrjaginDensity:
             F = OrthonormalFrame(random_rotation(rng, 4))
             assert pontrjagin_density(R, F) == pytest.approx(ref, abs=1e-10)
 
+    def test_no_frame_is_the_standard_frame_exactly(self, rng):
+        tensors = [RiemannTensor(rng.standard_normal((4,) * 4)) for _ in range(20)]
+        for R in tensors + [cp2_fubini_study().curvature, product_cp1(2, 5).curvature]:
+            assert pontrjagin_density(R) == pontrjagin_density(R, OrthonormalFrame.standard(4))
+
     def test_wrong_dimension(self):
         with pytest.raises(ShapeError):
             pontrjagin_density(RiemannTensor.zero(5))
+        with pytest.raises(ShapeError):
+            pontrjagin_density(cp2_fubini_study().curvature, OrthonormalFrame.standard(5))
 
 
 class TestMaxAbsComponent:

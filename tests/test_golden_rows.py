@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from wcslab import sasaki, wcs
+from wcslab import geometry, sasaki, wcs
 from wcslab.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_rows.json")
@@ -184,22 +184,24 @@ def test_golden_covers_every_command():
     assert [e["argv"] for e in GOLDEN_ENTRIES] == commands()
 
 
-def test_one_lift_per_nonzero_k_row(capsys, monkeypatch):
+def test_one_lift_polynomial_per_sweep(capsys, monkeypatch):
     wcs.calibration_constant()  # its own lift is cached once per process
-    original = sasaki.lift_curvature
-    lifts = []
+    calls = []
+    for module, fname in ((sasaki, "lift_parts"), (sasaki, "lift_curvature"),
+                          (geometry, "pontrjagin_density")):
+        original = getattr(module, fname)
 
-    def counting(surface, k):
-        lifts.append(k)
-        return original(surface, k)
+        def counting(*args, _name=fname, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    # Callers import lift_curvature by name; patch every such binding.
-    for name, mod in list(sys.modules.items()):
-        if name.partition(".")[0] == "wcslab" and getattr(mod, "lift_curvature", None) is original:
-            monkeypatch.setattr(mod, "lift_curvature", counting)
+        # Callers import these by name; patch every such binding.
+        for name, mod in list(sys.modules.items()):
+            if name.partition(".")[0] == "wcslab" and getattr(mod, fname, None) is original:
+                monkeypatch.setattr(mod, fname, counting)
     assert main(["decide", "--surface", "cp2", "--k-range", "-3..3"]) == 0
-    capsys.readouterr()
-    assert sorted(k for k in lifts if k != 0) == [-3, -2, -1, 1, 2, 3]
+    assert len(json.loads(capsys.readouterr().out)) == 7
+    assert sorted(calls) == ["lift_parts", "pontrjagin_density"]
 
 
 if __name__ == "__main__":

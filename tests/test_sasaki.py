@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from wcslab.catalog import (
+    KahlerSurface,
     UnsupportedSurfaceError,
     cp2_fubini_study,
     flat_torus,
     generic_bounds,
     product_cp1,
 )
-from wcslab.geometry import symmetry_violation
-from wcslab.sasaki import FIBER_LENGTH, lift_curvature, total_volume
+from wcslab.geometry import LEVI_CIVITA, STANDARD_J, RiemannTensor, symmetry_violation
+from wcslab.sasaki import (
+    FIBER_LENGTH,
+    LiftConsistencyError,
+    lift_curvature,
+    lift_parts,
+    total_volume,
+)
+from wcslab.wcs import decide_levels
 
 
 def brute_force_lift(base, k):
@@ -111,6 +119,52 @@ class TestLiftCurvature:
     def test_bounds_only_rejected(self):
         with pytest.raises(UnsupportedSurfaceError):
             lift_curvature(generic_bounds(-16, 1.0, 1.0), 1)
+
+
+CATALOG_AND_PRODUCTS = [flat_torus(), cp2_fubini_study()] + [
+    product_cp1(a, b) for a in range(1, 7) for b in range(1, 7)
+]
+SWEEP_LEVELS = [*range(-50, 51), 10**4, -(10**4), 10**6, -(10**6)]
+
+
+class TestLiftParts:
+    @pytest.mark.parametrize("base", CATALOG_AND_PRODUCTS, ids=lambda s: f"{s.name}{s.params}")
+    def test_lift_is_the_polynomial(self, base):
+        r0, r1 = lift_parts(base)
+        for k in SWEEP_LEVELS:
+            lift = r0.comp + float(k) ** 2 * r1.comp
+            assert np.array_equal(lift, lift_curvature(base, k).curvature5.comp)
+
+    @pytest.mark.parametrize("base,k", [(cp2_fubini_study(), 2), (flat_torus(), 1),
+                                        (product_cp1(2, 3), -3), (product_cp1(1, 5), 0)])
+    def test_polynomial_equals_brute_force_closure_exactly(self, base, k):
+        r0, r1 = lift_parts(base)
+        assert np.array_equal(r0.comp + float(k) ** 2 * r1.comp, brute_force_lift(base, k))
+
+    def test_parts(self):
+        base = cp2_fubini_study()
+        r0, r1 = lift_parts(base)
+        assert np.array_equal(r0.comp[1:, 1:, 1:, 1:], base.curvature.comp)
+        assert np.array_equal(r0.comp, lift_curvature(base, 0).curvature5.comp)
+        assert np.array_equal(r1.comp, lift_curvature(flat_torus(), 1).curvature5.comp)
+        for part in (r0, r1):
+            assert symmetry_violation(part) <= 1e-12
+
+    def test_broken_first_bianchi_is_rejected(self):
+        # Antisymmetric in every pair and pair-symmetric, but the cyclic sum
+        # of the Levi-Civita symbol is three times itself.
+        broken = KahlerSurface(name="broken", volume=1.0, signature=0, r_inf=1.0,
+                               curvature=RiemannTensor(LEVI_CIVITA[4]), J=STANDARD_J)
+        with pytest.raises(LiftConsistencyError, match="broken"):
+            lift_parts(broken)
+        with pytest.raises(LiftConsistencyError, match="broken"):
+            lift_curvature(broken, 2)
+        with pytest.raises(LiftConsistencyError, match="broken"):
+            decide_levels(broken, [1, 2])
+
+    def test_bounds_only_rejected(self):
+        with pytest.raises(UnsupportedSurfaceError):
+            lift_parts(generic_bounds(-16, 1.0, 1.0))
 
 
 class TestTotalVolume:

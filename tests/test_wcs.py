@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,14 @@ from wcslab.catalog import (
     product_cp1,
 )
 from wcslab.geometry import STANDARD_J, OrthonormalFrame, RiemannTensor, pontrjagin_density
-from wcslab.sasaki import lift_curvature
+from wcslab.sasaki import LiftConsistencyError, lift_curvature
 from wcslab.wcs import (
+    VERDICT_ATOL_FACTOR,
+    Pi1Verdict,
     Verdict,
+    WcsDensity,
     calibration_constant,
+    decide_levels,
     decide_pi1,
     density_closed_form,
     density_permutation,
@@ -219,6 +225,74 @@ class TestDecide:
                     assert justified
 
 
+def per_level_reference(surface: KahlerSurface, k: int) -> Pi1Verdict:
+    """The per-level path the sweep replaced: one lift per level, both
+    routes on that lift, and the verdict rule."""
+    prop_lhs, prop_holds = prop39_bound(surface.signature, surface.volume, surface.r_inf, k)
+    densities = integral = None
+    if surface.curvature_known:
+        lift = lift_curvature(surface, k)
+        densities = WcsDensity(surface.name, k, density_closed_form(lift),
+                               density_permutation(lift), calibration_constant())
+        integral = densities.value_closed * lift.total_volume if k else 0.0
+    if k == 0:
+        prop_holds = infinite = False
+        rationale = "k = 0: the invariant carries no information for the trivial bundle M x S^1"
+    elif densities is not None:
+        atol = VERDICT_ATOL_FACTOR * lift.total_volume
+        infinite = abs(integral) > atol
+        rationale = (f"exact integral {integral:.6g} is nonzero (threshold {atol:.3g})"
+                     if infinite else f"exact integral vanishes within threshold {atol:.3g}")
+    else:
+        infinite = prop_holds
+        rationale = (f"bounds mode: sufficient positivity condition "
+                     f"{'holds' if prop_holds else 'fails'} (lhs = {prop_lhs:.6g})")
+    verdict = Verdict.INFINITE_ORDER if infinite else Verdict.INCONCLUSIVE
+    return Pi1Verdict(surface.name, k, integral, prop_lhs, prop_holds, verdict, rationale,
+                      densities)
+
+
+def reference_lift_runs(surface: KahlerSurface, k: int) -> bool:
+    try:
+        lift_curvature(surface, k)
+    except LiftConsistencyError:
+        return False
+    return True
+
+
+def assert_sweep_matches_reference(surface: KahlerSurface, ks) -> None:
+    """Every field exactly equal, except the permutation route, which the
+    sweep sums as a cubic in k^2: within 1e-13 of max(1, |value|)."""
+    for got, want in zip(decide_levels(surface, ks), map(per_level_reference, [surface] * len(ks), ks),
+                         strict=True):
+        if want.densities is not None:
+            perm = want.densities.value_permutation
+            assert abs(got.densities.value_permutation - perm) <= 1e-13 * max(1.0, abs(perm))
+            got = replace(got, densities=replace(got.densities, value_permutation=perm))
+        assert got == want
+
+
+SWEEP_SURFACES = CATALOG + [product_cp1(a, b) for a in range(1, 7) for b in range(1, 7)] + [
+    generic_bounds(-16, 1.0, 1.0), generic_bounds(0, 1.0, 0.0), generic_bounds(3, 0.25, 4.0)]
+SWEEP_LEVELS = [*range(-50, 51), 10**4, -(10**4), 10**6, -(10**6)]
+
+
+class TestDecideLevels:
+    @pytest.mark.parametrize("surface", SWEEP_SURFACES, ids=lambda s: f"{s.name}{s.params}")
+    def test_matches_per_level_path(self, surface):
+        assert_sweep_matches_reference(surface, SWEEP_LEVELS)
+
+    def test_decide_pi1_is_a_sweep_of_one(self):
+        for surface in (cp2_fubini_study(), generic_bounds(-16, 1.0, 1.0)):
+            assert decide_levels(surface, [-2, 0, 5]) == [decide_pi1(surface, k) for k in (-2, 0, 5)]
+        assert decide_levels(cp2_fubini_study(), []) == []
+
+    def test_cp2_unit_levels_stay_exactly_zero(self):
+        for v in decide_levels(cp2_fubini_study(), [-1, 0, 1]):
+            assert v.densities.value_closed == v.densities.value_permutation == 0.0
+            assert v.integral == 0.0 and v.verdict == Verdict.INCONCLUSIVE
+
+
 def kahler_curvature_basis() -> np.ndarray:
     """Orthonormal basis, shape (dim, 4, 4, 4, 4), of the algebraic Kahler
     curvature tensors for STANDARD_J: the null space of antisymmetry in each
@@ -272,3 +346,18 @@ class TestKahlerCurvatureOracle:
     def test_prop39_implies_positive_integral(self, coefficients, volume, k):
         v = decide_pi1(kahler_surface(coefficients, volume), k)
         assert not v.prop39_holds or v.integral > 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(arrays(np.float64, 9, elements=st.floats(-2.0, 2.0)), st.floats(0.1, 10.0),
+           st.lists(st.integers(-50, 50) | st.sampled_from(SWEEP_LEVELS[-4:]),
+                    min_size=1, max_size=6))
+    def test_sweep_matches_per_level_path(self, coefficients, volume, ks):
+        surface = kahler_surface(coefficients, volume)
+        decide_levels(surface, ks)  # every level, however large
+        # The reference lifts with lift_curvature, whose own check is absolute
+        # (1e-12).  These bases are not exact binary fractions, so from about
+        # |k| = 100 the rounding of R0 + k^2 R1 can exceed it and the
+        # reference raises; compare the levels it can evaluate.
+        comparable = [k for k in ks if reference_lift_runs(surface, k)]
+        assert all(k in comparable for k in ks if abs(k) <= 50)
+        assert_sweep_matches_reference(surface, comparable)
