@@ -49,6 +49,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a UsageError, so that main prints it as
+    one line; subparsers are made from the same class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _check_range(flag: str, value: int, lo: int, hi: int) -> int:
     if not lo <= value <= hi:
         raise UsageError(f"{flag} must be in [{lo}, {hi}]")
@@ -277,7 +285,13 @@ def _add_surface_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """A fresh parser for the whole command line.
+
+    `main` builds it once per process and reuses it (argparse keeps no
+    per-parse state in the parser), so it holds the `_cmd_*` handlers and
+    the `catalog.SURFACE_TYPES` flags as they were at first use.
+    """
+    parser = _Parser(
         prog="wcslab",
         description="Loop-space Chern-Simons invariants of circle bundles "
         "over Kahler surfaces",
@@ -324,17 +338,30 @@ def _join_k_range(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _one_line(exc: Exception) -> str:
+    # Messages can echo user text (an unrecognized token, a path) verbatim.
+    return " ".join(str(exc).splitlines())
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_k_range(list(sys.argv[1:] if argv is None else argv)))
+    """Run one command line and return its exit code; safe to call many
+    times in one process.  `--help` prints the help and returns 0."""
     try:
+        args = _parser().parse_args(_join_k_range(list(sys.argv[1:] if argv is None else argv)))
         return args.run(args)
+    except SystemExit as exc:  # only --help exits; argparse errors raise UsageError
+        return exc.code
     except (UsageError, specfiles.ParseError, SurfaceSpecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_USAGE
     except (UnsupportedSurfaceError, psdo.SymbolError, LiftConsistencyError,
             ValueError) as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
+        print(f"computation error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

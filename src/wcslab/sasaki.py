@@ -38,9 +38,9 @@ class SasakiLift:
         return self.fiber_length * self.base.volume
 
 
-def _check_identities(R: RiemannTensor, what: str) -> None:
+def _check_identities(R: RiemannTensor, what: str, tol: float = 1e-12) -> None:
     viol = symmetry_violation(R)
-    if viol > 1e-12:
+    if viol > tol:
         raise LiftConsistencyError(
             f"{what} violates curvature identities (max violation {viol:.3e})"
         )
@@ -81,11 +81,17 @@ def lift_parts(base: KahlerSurface) -> tuple[RiemannTensor, RiemannTensor]:
 
 def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
     """The full 5d curvature tensor R0 + k^2 R1 of the level-k circle
-    bundle, from `lift_parts`."""
+    bundle, from `lift_parts`.
+
+    The sum rounds at the scale of its largest component (about k^2), so
+    its check is relative to that: 1e-12 * max(1, max |component|).  Each
+    part was already checked against an absolute 1e-12.
+    """
     r0, r1 = lift_parts(base)
     comp = r0.comp + float(k) ** 2 * r1.comp
     lift = SasakiLift(base=base, k=int(k), curvature5=RiemannTensor(comp))
-    _check_identities(lift.curvature5, f"lift of {base.name!r} at k={k}")
+    _check_identities(lift.curvature5, f"lift of {base.name!r} at k={k}",
+                      tol=1e-12 * max(1.0, float(np.max(np.abs(comp)))))
     return lift
 
 

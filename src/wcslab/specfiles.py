@@ -76,6 +76,8 @@ def _parse_matrix(text: str, line: int, dim: int) -> np.ndarray:
         raise ParseError(f"bad matrix entry ({exc})", line) from None
     if mat.shape != (dim, dim):
         raise ParseError(f"matrix must be {dim} x {dim}", line)
+    if not np.isfinite(mat).all():
+        raise ParseError("matrix entries must be finite", line)
     return mat
 
 
@@ -109,18 +111,24 @@ def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int
     seen = False
     for key, (text, lineno) in entries.items():
         if key == prefix:
-            values += _parse_matrix(text, lineno, dim)[None, :, :]
-            seen = True
+            term = _parse_matrix(text, lineno, dim)[None, :, :]
         elif key.startswith((prefix + "_cos", prefix + "_sin")):
             try:
-                n = int(key[len(prefix) + 4:])
-            except ValueError:
+                phase = int(key[len(prefix) + 4:]) * x
+            except (ValueError, OverflowError):  # not an integer, or no float
                 raise ParseError(f"bad Fourier key {key!r}", lineno) from None
             wave = np.cos if key.startswith(prefix + "_cos") else np.sin
-            values += wave(n * x)[:, None, None] * _parse_matrix(text, lineno, dim)
-            seen = True
+            term = wave(phase)[:, None, None] * _parse_matrix(text, lineno, dim)
+        else:
+            continue
+        # Finite entries can still sum past the float range; checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values += term
+        seen = True
     if not seen:
         raise ParseError(f"component is missing a {prefix!r} matrix", line)
+    if not np.isfinite(values).all():
+        raise ParseError(f"the {prefix!r} values overflow", line)
     return values
 
 

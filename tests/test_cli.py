@@ -104,9 +104,9 @@ class TestErrors:
         assert code == 2
 
     def test_both_k_and_range_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "decide", "--surface", "t4", "--k", "1", "--k-range", "1..2")
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "decide", "--surface", "t4", "--k", "1", "--k-range", "1..2")
+        assert code == 2 and out == ""
+        assert err == "error: argument --k-range: not allowed with argument --k\n"
 
     def test_bad_k_range(self, capsys):
         code, _, err = run(capsys, "decide", "--surface", "t4", "--k-range", "3..1")
@@ -257,6 +257,8 @@ class TestPsdoCommand:
         "order = x\ndim = 1\n[component degree=0]\nplus = 1\nminus = 1\n",
         "order = 0\ndim = 1\ngrid = 12\n[component degree=0]\nplus = 1\nminus = 1\n",
         "order = 1e-10000\ndim = 1\n[component degree=0]\nplus = 1\nminus = 1\n",
+        pytest.param(SYMBOL_FILE + f"plus_cos{'9' * 400} = 1\n", id="fourier-mode-beyond-float"),
+        pytest.param(SYMBOL_FILE.replace("plus = 1", "plus = nan"), id="nan-entry"),
     ])
     def test_bad_symbol_value_is_usage_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.txt"
@@ -358,3 +360,80 @@ class TestVerifyProp22:
         code, _, _ = run(capsys, "verify-prop22", "--charge", "1", "--grid", "16")
         assert code == 0
         assert sorted(calls) == ["c_lo_pairing", "rhs_prop22"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decide", "--surface", "t4", "--k", "x"), "error: argument --k: invalid int value: 'x'"),
+    (("decide", "--k", "1"), "error: the following arguments are required: --surface"),
+    (("nope",), "error: argument command: invalid choice: 'nope'"),
+    ((), "error: the following arguments are required: command"),
+    (("catalog", "--junk"), "error: unrecognized arguments: --junk"),
+    (("catalog", "a\nb"), "error: unrecognized arguments: a b"),
+])
+def test_argparse_errors_are_one_line_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+class TestParserReuse:
+    """main builds its parser once per process; reusing it is invisible."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def run_fresh(self, capsys, monkeypatch, *argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            return run(capsys, *argv)
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        builds, original = [], cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (["catalog"], ["decide", "--surface", "t4", "--k", "1"], ["nope"],
+                     ["density", "--surface", "cp2", "--k-range", "-1..1"], ["--help"]):
+            run(capsys, *argv)
+        assert len(builds) == 1
+
+    def test_no_state_carries_over(self, capsys, monkeypatch, tmp_path):
+        sym, cfg = tmp_path / "sym.txt", tmp_path / "surfaces.cfg"
+        sym.write_text(SYMBOL_FILE)
+        cfg.write_text(CONFIG_FILE)
+        sequence = [
+            ("psdo", "--symbol-file", str(sym), "--trials", "2", "--depth", "4"),
+            ("decide", "--surface", "k3ish", "--k", "5", "--config", str(cfg)),
+            ("density", "--surface", "t4", "--k", "1", "--format", "csv"),
+            ("integral", "--surface", "cp2", "--k", "2"),
+            ("decide", "--surface", "cp2", "--k", "2"),
+            ("decide", "--surface", "cp2", "--k-range", "-1..1"),
+            ("decide", "--surface", "t4", "--k", "1", "--k-range", "1..2"),
+            ("catalog",),
+            ("verify-prop22", "--charge", "1", "--grid", "16"),
+        ]
+        reused = [run(capsys, *argv) for argv in sequence]
+        fresh = [self.run_fresh(capsys, monkeypatch, *argv) for argv in sequence]
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+        assert json.loads(reused[3][1])[0]["k"] == 2  # json, not the csv before it
+        assert reused == fresh
+
+    @pytest.mark.parametrize("argv", [("--help",), ("decide", "--help")])
+    def test_help_follows_columns(self, capsys, monkeypatch, argv):
+        run(capsys, "catalog")  # build the parser under the caller's width
+        texts = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert (code, out, err) == self.run_fresh(capsys, monkeypatch, *argv)
+            if argv == ("--help",):
+                assert out == cli.build_parser().format_help()
+            texts.append(out)
+        assert texts[0] != texts[1]

@@ -157,8 +157,9 @@ class TestLiftParts:
                                curvature=RiemannTensor(LEVI_CIVITA[4]), J=STANDARD_J)
         with pytest.raises(LiftConsistencyError, match="broken"):
             lift_parts(broken)
-        with pytest.raises(LiftConsistencyError, match="broken"):
-            lift_curvature(broken, 2)
+        for k in (0, 1, 2, 10**6):
+            with pytest.raises(LiftConsistencyError, match="broken"):
+                lift_curvature(broken, k)
         with pytest.raises(LiftConsistencyError, match="broken"):
             decide_levels(broken, [1, 2])
 

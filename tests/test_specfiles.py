@@ -109,6 +109,20 @@ class TestLoadSymbol:
                 "order = 0\ndim = 1\n[component degree=0]\nplus = zap\nminus = 1\n"
             )
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf+1j", "1e400"])
+    def test_matrix_entries_must_be_finite(self, entry):
+        text = f"order = 0\ndim = 1\n[component degree=0]\nplus = 1\nminus = {entry}\n"
+        with pytest.raises(ParseError, match="line 5.*matrix entries must be finite"):
+            load_symbol(text)
+
+    def test_values_that_overflow_are_rejected(self):
+        # Two finite matrices whose sum is beyond the float range.
+        text = ("order = 0\ndim = 1\n[component degree=0]\nplus = 1e308\n"
+                "plus_cos0 = 1e308\nminus = 1\n")
+        with np.errstate(all="raise"):  # rejected without a floating-point warning
+            with pytest.raises(ParseError, match="line 3.*the 'plus' values overflow"):
+                load_symbol(text)
+
     @pytest.mark.parametrize("matrix", ["1", "1 0 0; 0 1 0; 0 0 1", "1 0; 0 1; 1 1"])
     def test_matrix_must_be_dim_by_dim(self, matrix):
         text = f"order = 0\ndim = 2\n[component degree=0]\nplus = 1 0; 0 1\nminus = {matrix}\n"
@@ -166,7 +180,8 @@ class TestLoadSymbol:
                                              r"\(the first is at line 3\)"):
             load_symbol(text)
 
-    @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5"])
+    @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5",
+                                     pytest.param("plus_cos" + "9" * 400, id="beyond-float")])
     def test_bad_fourier_suffix(self, key):
         with pytest.raises(ParseError, match=f"line 5.*bad Fourier key '{key}'"):
             load_symbol(

@@ -13,8 +13,14 @@ from wcslab.catalog import (
     generic_bounds,
     product_cp1,
 )
-from wcslab.geometry import STANDARD_J, OrthonormalFrame, RiemannTensor, pontrjagin_density
-from wcslab.sasaki import LiftConsistencyError, lift_curvature
+from wcslab.geometry import (
+    STANDARD_J,
+    OrthonormalFrame,
+    RiemannTensor,
+    pontrjagin_density,
+    symmetry_violation,
+)
+from wcslab.sasaki import lift_curvature
 from wcslab.wcs import (
     VERDICT_ATOL_FACTOR,
     Pi1Verdict,
@@ -252,14 +258,6 @@ def per_level_reference(surface: KahlerSurface, k: int) -> Pi1Verdict:
                       densities)
 
 
-def reference_lift_runs(surface: KahlerSurface, k: int) -> bool:
-    try:
-        lift_curvature(surface, k)
-    except LiftConsistencyError:
-        return False
-    return True
-
-
 def assert_sweep_matches_reference(surface: KahlerSurface, ks) -> None:
     """Every field exactly equal, except the permutation route, which the
     sweep sums as a cubic in k^2: within 1e-13 of max(1, |value|)."""
@@ -347,17 +345,24 @@ class TestKahlerCurvatureOracle:
         v = decide_pi1(kahler_surface(coefficients, volume), k)
         assert not v.prop39_holds or v.integral > 0.0
 
+    def test_lift_check_scales_with_k(self):
+        # These entries are not exact binary fractions, so R0 + k^2 R1 rounds
+        # at the scale of k^2; an absolute 1e-12 rejected about half of them
+        # at k = 100.
+        rng = np.random.default_rng(0)
+        violations = [symmetry_violation(lift_curvature(
+            kahler_surface(rng.uniform(-2.0, 2.0, 9), 1.0), 100).curvature5) for _ in range(200)]
+        assert sum(v > 1e-12 for v in violations) >= 50
+        half_first = kahler_surface(0.5 * np.eye(9)[0], 1.0)
+        for k in (10**4, 10**6):
+            lift = lift_curvature(half_first, k)
+            assert symmetry_violation(lift.curvature5) > 1e-12  # above the old threshold
+
     @settings(max_examples=40, deadline=None)
     @given(arrays(np.float64, 9, elements=st.floats(-2.0, 2.0)), st.floats(0.1, 10.0),
            st.lists(st.integers(-50, 50) | st.sampled_from(SWEEP_LEVELS[-4:]),
                     min_size=1, max_size=6))
     def test_sweep_matches_per_level_path(self, coefficients, volume, ks):
-        surface = kahler_surface(coefficients, volume)
-        decide_levels(surface, ks)  # every level, however large
-        # The reference lifts with lift_curvature, whose own check is absolute
-        # (1e-12).  These bases are not exact binary fractions, so from about
-        # |k| = 100 the rounding of R0 + k^2 R1 can exceed it and the
-        # reference raises; compare the levels it can evaluate.
-        comparable = [k for k in ks if reference_lift_runs(surface, k)]
-        assert all(k in comparable for k in ks if abs(k) <= 50)
-        assert_sweep_matches_reference(surface, comparable)
+        # The reference lifts every level with lift_curvature, whose check
+        # scales with the lift, so levels up to 10^6 compare too.
+        assert_sweep_matches_reference(kahler_surface(coefficients, volume), ks)
