@@ -219,10 +219,10 @@ def _cmd_psdo(args) -> int:
     symbol = specfiles.load_symbol(_read_text(args.symbol_file))
     residue = psdo.wodzicki_residue(symbol)
     violation = psdo.commutator_trace_test(seed, args.trials, args.depth)
-    B = psdo.resolvent_parametrix(None, depth=args.depth, dim=symbol.fiber_dim)
     A = psdo.laplacian_plus_one_symbol(
         np.zeros((symbol.fiber_dim, symbol.fiber_dim)), depth=args.depth + 2
     )
+    B = psdo.parametrix(A, args.depth)
     defect = psdo.compose(B, A, args.depth) - psdo.identity_symbol(
         symbol.fiber_dim, depth=args.depth
     )

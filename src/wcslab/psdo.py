@@ -30,6 +30,7 @@ __all__ = [
     "derivative_symbol",
     "compose",
     "wodzicki_residue",
+    "parametrix",
     "resolvent_parametrix",
     "random_symbol",
     "commutator_trace_test",
@@ -250,14 +251,24 @@ def derivative_symbol(
     return sym.pad_zeros(depth)
 
 
+def _vanishes(c: HomogeneousComponent) -> bool:
+    """True when both cosphere values are exactly zero (the padding that
+    pad_zeros adds): every product term it enters is exactly zero."""
+    return not (c.plus.any() or c.minus.any())
+
+
 def _derivatives(components, depth: int) -> list:
     """table[q][m] = d_x^m of components[q] for q + m < depth, with the plus
-    and minus values stacked on a leading axis.  Spectral differentiation on
-    the periodic grid: one forward FFT per component."""
+    and minus values stacked on a leading axis; table[q] is None for a
+    component that vanishes.  Spectral differentiation on the periodic grid:
+    one forward FFT per nonzero component."""
     grid = components[0].grid
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer wavenumbers
     table = []
     for q, c in enumerate(components[:depth]):
+        if _vanishes(c):
+            table.append(None)
+            continue
         values = np.stack((c.plus, c.minus))
         hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
         table.append([values] + [
@@ -267,24 +278,31 @@ def _derivatives(components, depth: int) -> list:
     return table
 
 
-def _falling(a: Fraction, m: int) -> float:
-    out = 1.0
-    for t in range(m):
-        out *= float(a - t)
-    return out
-
-
 def _product_term(P_components, dQ: list, j: int) -> np.ndarray:
     """Degree order - j part of the asymptotic product, plus and minus stacked:
     the sum over p + m + q = j of ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q,
-    p ranging over P_components.  d_xi^m carries (-1)^m at xi = -1."""
-    acc = np.zeros_like(dQ[0][0])
+    p ranging over P_components.  d_xi^m carries (-1)^m at xi = -1 and the
+    falling factorial of the degree of sigma_p.  Terms that are exactly zero
+    (a vanishing sigma_p or sigma_q, or a zero falling factorial) are skipped."""
+    acc = np.zeros((2,) + P_components[0].plus.shape, dtype=complex)
     for p, cp in enumerate(P_components[: j + 1]):
+        if _vanishes(cp):
+            continue
         left = np.stack((cp.plus, cp.minus))
+        # float(degree - t) for each factor, as exact integer arithmetic
+        num, den = cp.degree.numerator, cp.degree.denominator
+        fall = 1.0
         for m in range(j - p + 1):
+            if m:
+                fall *= (num - (m - 1) * den) / den
+            if fall == 0.0:
+                break  # degree is an integer in [0, m): every later m vanishes too
+            dq = dQ[j - p - m]
+            if dq is None:
+                continue
             coeff = (-1j) ** m / factorial(m)
-            scale = coeff * _falling(cp.degree, m) * np.array([1.0, (-1.0) ** m])
-            acc += scale[:, None, None, None] * np.matmul(left, dQ[j - p - m][m])
+            scale = coeff * fall * np.array([1.0, (-1.0) ** m])
+            acc += scale[:, None, None, None] * np.matmul(left, dq[m])
     return acc
 
 
@@ -335,6 +353,39 @@ def wodzicki_residue(P: ClassicalSymbol) -> complex:
     return complex(np.mean(integrand))
 
 
+def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
+    """Left parametrix B of an elliptic symbol A, truncated at `depth`
+    components: compose(B, A) equals the identity modulo components of
+    degree <= -depth.
+
+    b_0 = a_0^{-1}; each later b_j solves the degree -j part of the product
+    for b_j a_0, so b_j = -(sum of the other terms) a_0^{-1}.  The leading
+    component a_0 must be invertible at xi = +1 and xi = -1 on every grid
+    point.
+    """
+    if depth < 1:
+        raise SymbolError("depth must be >= 1")
+    if depth > A.depth:
+        raise TruncationError(
+            f"requested depth {depth} exceeds available {A.depth} "
+            f"(deficit {depth - A.depth})"
+        )
+    lead = A.components[0]
+    inverses = []
+    for side, values in (("+1", lead.plus), ("-1", lead.minus)):
+        try:
+            inverses.append(np.linalg.inv(values))
+        except np.linalg.LinAlgError:
+            raise SymbolError(f"leading component is singular at xi = {side}") from None
+    a0inv = np.stack(inverses)
+    dA = _derivatives(A.components, depth)
+    b = [HomogeneousComponent(-A.order, *a0inv)]
+    for j in range(1, depth):
+        acc = _product_term(b, dA, j)
+        b.append(HomogeneousComponent(-A.order - j, *-np.matmul(acc, a0inv)))
+    return ClassicalSymbol(-A.order, tuple(b))
+
+
 def resolvent_parametrix(gamma=None, depth: int = 2, dim: int | None = None,
                          grid: int = DEFAULT_GRID) -> ClassicalSymbol:
     """Parametrix symbol B of 1 + D*D with D = d/dx + Gamma(x).
@@ -348,16 +399,7 @@ def resolvent_parametrix(gamma=None, depth: int = 2, dim: int | None = None,
         gamma = np.zeros((grid,) + (1 if dim is None else dim,) * 2)
     elif dim is not None:
         gamma = _as_grid_matrix(gamma, grid, dim)
-    A = laplacian_plus_one_symbol(gamma, grid=grid, depth=depth + 2)
-
-    a2 = A.components[0]
-    a2inv = np.linalg.inv(np.stack((a2.plus, a2.minus)))
-    dA = _derivatives(A.components, depth)
-    b = [HomogeneousComponent(Fraction(-2), *a2inv)]
-    for j in range(1, depth):
-        acc = _product_term(b, dA, j)
-        b.append(HomogeneousComponent(Fraction(-2 - j), *-np.matmul(acc, a2inv)))
-    return ClassicalSymbol(Fraction(-2), tuple(b))
+    return parametrix(laplacian_plus_one_symbol(gamma, grid=grid, depth=depth + 2), depth)
 
 
 def laplacian_plus_one_symbol(gamma, grid: int = DEFAULT_GRID, depth: int = 4) -> ClassicalSymbol:
@@ -376,22 +418,18 @@ def random_symbol(rng: np.random.Generator, order: int, depth: int,
                   dim: int = 2, grid: int = DEFAULT_GRID, modes: int = 3) -> ClassicalSymbol:
     """Seeded random classical symbol with band-limited x-dependence."""
     x = 2.0 * np.pi * np.arange(grid) / grid
-
-    def random_matrix_function():
-        val = np.zeros((grid, dim, dim), dtype=complex)
-        c = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        val += c
-        for n in range(1, modes + 1):
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            val += np.cos(n * x)[:, None, None] * a / n
-            val += np.sin(n * x)[:, None, None] * b / n
-        return val
-
+    # One draw for every matrix, in the order of sequential per-matrix draws:
+    # function (plus, minus per degree), term (constant, then a_n, b_n per
+    # mode), real before imaginary part.
+    draws = rng.standard_normal((2 * depth, 1 + 2 * modes, 2, dim, dim))
+    terms = draws[:, :, 0] + 1j * draws[:, :, 1]
+    values = np.zeros((2 * depth, grid, dim, dim), dtype=complex)
+    values += terms[:, None, 0]
+    for n in range(1, modes + 1):
+        values += np.cos(n * x)[:, None, None] * terms[:, None, 2 * n - 1] / n
+        values += np.sin(n * x)[:, None, None] * terms[:, None, 2 * n] / n
     comps = tuple(
-        HomogeneousComponent(
-            Fraction(order - j), random_matrix_function(), random_matrix_function()
-        )
+        HomogeneousComponent(Fraction(order - j), values[2 * j], values[2 * j + 1])
         for j in range(depth)
     )
     return ClassicalSymbol(Fraction(order), comps)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from wcslab import cli, leading
+from wcslab import cli, leading, psdo
 from wcslab.catalog import KahlerSurface
 from wcslab.cli import CSV_COLUMNS, main
 from wcslab.geometry import LEVI_CIVITA, STANDARD_J, RiemannTensor
@@ -287,6 +287,25 @@ class TestPsdoCommand:
         code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
         assert code == 2 and out == ""
         assert err == "error: WCSLAB_SEED must be an integer, got 'abc'\n"
+
+    def test_one_laplacian_per_run(self, capsys, tmp_path, monkeypatch):
+        # The parametrix and its defect share one symbol of 1 + D*D.
+        path = tmp_path / "sym.txt"
+        path.write_text(SYMBOL_FILE)
+        calls = []
+        original = psdo.laplacian_plus_one_symbol
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("depth"))
+            return original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.partition(".")[0] == "wcslab" and getattr(mod, original.__name__, None) is original:
+                monkeypatch.setattr(mod, original.__name__, counting)
+        code, _, _ = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "2",
+                         "--depth", "5")
+        assert code == 0
+        assert calls == [7]
 
 
 # Each cap is tested at cap + 1 only: the check runs before any work.

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
+from wcslab import psdo
 from wcslab.catalog import cp2_fubini_study, flat_torus, product_cp1
 from wcslab.psdo import (
     ClassicalSymbol,
@@ -22,6 +24,7 @@ from wcslab.psdo import (
     identity_symbol,
     laplacian_plus_one_symbol,
     multiplication_symbol,
+    parametrix,
     random_symbol,
     resolvent_parametrix,
     wodzicki_residue,
@@ -115,6 +118,98 @@ def compose_loop_reference(P, Q, depth):
     return comps
 
 
+def random_symbol_reference(rng, order, depth, dim=2, grid=psdo.DEFAULT_GRID, modes=3):
+    """random_symbol as it drew before the batched draw: one matrix at a time."""
+    x = 2.0 * np.pi * np.arange(grid) / grid
+
+    def random_matrix_function():
+        val = np.zeros((grid, dim, dim), dtype=complex)
+        c = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        val += c
+        for n in range(1, modes + 1):
+            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            val += np.cos(n * x)[:, None, None] * a / n
+            val += np.sin(n * x)[:, None, None] * b / n
+        return val
+
+    comps = tuple(
+        HomogeneousComponent(
+            Fraction(order - j), random_matrix_function(), random_matrix_function()
+        )
+        for j in range(depth)
+    )
+    return ClassicalSymbol(Fraction(order), comps)
+
+
+def derivatives_reference(components, depth):
+    """The product kernel's derivative table before exactly-zero components
+    were skipped: every component is transformed."""
+    grid = components[0].grid
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    table = []
+    for q, c in enumerate(components[:depth]):
+        values = np.stack((c.plus, c.minus))
+        hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
+        table.append([values] + [
+            np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
+            for m in range(1, depth - q)
+        ])
+    return table
+
+
+def product_term_reference(P_components, dQ, j):
+    """The product kernel's degree-j term before exactly-zero terms were
+    skipped: every (p, m, q) with p + m + q = j is multiplied and added."""
+
+    def falling(a, m):
+        out = 1.0
+        for t in range(m):
+            out *= float(a - t)
+        return out
+
+    acc = np.zeros_like(dQ[0][0])
+    for p, cp in enumerate(P_components[: j + 1]):
+        left = np.stack((cp.plus, cp.minus))
+        for m in range(j - p + 1):
+            coeff = (-1j) ** m / factorial(m)
+            scale = coeff * falling(cp.degree, m) * np.array([1.0, (-1.0) ** m])
+            acc += scale[:, None, None, None] * np.matmul(left, dQ[j - p - m][m])
+    return acc
+
+
+@pytest.fixture
+def reference_kernel(monkeypatch):
+    """Calls `build` twice, with the product kernel and with its reference,
+    and returns both results."""
+
+    def both(build):
+        new = build()
+        with monkeypatch.context() as m:
+            m.setattr(psdo, "_derivatives", derivatives_reference)
+            m.setattr(psdo, "_product_term", product_term_reference)
+            old = build()
+        return new, old
+
+    return both
+
+
+def assert_same_symbol(a, b):
+    assert a.order == b.order and a.depth == b.depth
+    for ca, cb in zip(a.components, b.components):
+        assert ca.degree == cb.degree
+        assert np.array_equal(ca.plus, cb.plus) and np.array_equal(ca.minus, cb.minus)
+
+
+def elliptic_order_one(rng, depth, dim, grid=GRID):
+    """Seeded random order-1 symbol whose leading part is i I plus small noise."""
+    A = random_symbol(rng, 1, depth, dim=dim, grid=grid)
+    lead = A.components[0]
+    eye = 1j * np.eye(dim)
+    new_lead = HomogeneousComponent(lead.degree, eye + 0.1 * lead.plus, -eye + 0.1 * lead.minus)
+    return ClassicalSymbol(A.order, (new_lead,) + A.components[1:])
+
+
 class TestCompose:
     def test_identity_is_neutral(self, rng):
         Q = random_symbol(rng, 1, 4, dim=2, grid=GRID)
@@ -181,6 +276,18 @@ class TestCompose:
         out = compose(P, Q, depth)
         for c, (ref_p, ref_m) in zip(out.components, compose_loop_reference(P, Q, depth)):
             assert np.array_equal(c.plus, ref_p) and np.array_equal(c.minus, ref_m)
+
+    @pytest.mark.parametrize("variable", [False, True])
+    def test_padded_products_match_reference_kernel(self, rng, reference_kernel, variable):
+        # pad_zeros leaves exactly-zero components; the kernel skips their terms.
+        x = 2.0 * np.pi * np.arange(GRID) / GRID
+        wave = np.cos(x)[:, None, None] if variable else np.ones((GRID, 1, 1))
+        gamma = wave * rng.standard_normal((2, 2))
+        D = derivative_symbol(2, GRID, gamma, depth=5)
+        Dstar = derivative_symbol(2, GRID, gamma, depth=5, adjoint=True)
+        M = multiplication_symbol(wave * rng.standard_normal((2, 2)), GRID, depth=5)
+        for P, Q in [(D, M), (M, D), (Dstar, D), (D, Dstar), (M, M)]:
+            assert_same_symbol(*reference_kernel(lambda: compose(P, Q, 5)))
 
     def test_truncation_error_reports_deficit(self, rng):
         P = random_symbol(rng, 0, 2, dim=1, grid=GRID)
@@ -280,6 +387,46 @@ class TestParametrix:
         with pytest.raises(SymbolError):
             resolvent_parametrix(None, depth=1, dim=1)
 
+    def test_laplacian_and_resolvent_match_reference_kernel(self, reference_kernel):
+        rng = np.random.default_rng(3)
+        x = 2.0 * np.pi * np.arange(GRID) / GRID
+        for dim in (1, 2, 3):
+            gamma = (rng.standard_normal((dim, dim))
+                     + np.cos(x)[:, None, None] * rng.standard_normal((dim, dim)))
+            assert_same_symbol(*reference_kernel(
+                lambda: laplacian_plus_one_symbol(gamma, grid=GRID, depth=7)))
+            assert_same_symbol(*reference_kernel(
+                lambda: resolvent_parametrix(gamma, depth=5, dim=dim, grid=GRID)))
+
+    def test_random_elliptic_order_one_symbol(self):
+        rng = np.random.default_rng(11)
+        for dim in (1, 2, 3):
+            for depth in (1, 3, 5):
+                A = elliptic_order_one(rng, depth, dim)
+                B = parametrix(A, depth)
+                assert B.order == -1 and B.depth == depth
+                defect = compose(B, A, depth) - identity_symbol(dim, GRID, depth=depth)
+                for c in defect.components:
+                    assert c.sup_norm() <= 1e-10
+
+    @pytest.mark.parametrize("side", ["+1", "-1"])
+    def test_singular_leading_component_names_its_side(self, rng, side):
+        A = elliptic_order_one(rng, 3, 2)
+        lead = A.components[0]
+        singular = lead.plus.copy() if side == "+1" else lead.minus.copy()
+        singular[5] = [[1.0, 2.0], [2.0, 4.0]]  # one grid point suffices
+        plus, minus = (singular, lead.minus) if side == "+1" else (lead.plus, singular)
+        A = ClassicalSymbol(A.order, (HomogeneousComponent(lead.degree, plus, minus),)
+                            + A.components[1:])
+        with pytest.raises(SymbolError, match=re.escape(f"singular at xi = {side}")):
+            parametrix(A, 3)
+
+    def test_depth_beyond_symbol_is_truncation_error(self, rng):
+        A = elliptic_order_one(rng, 3, 2)
+        with pytest.raises(TruncationError, match="deficit 2"):
+            parametrix(A, 5)
+        assert "parametrix" in psdo.__all__
+
 
 class TestCommutatorTrace:
     def test_random_pairs_small_run(self):
@@ -321,6 +468,23 @@ class TestCommutatorTrace:
             assert np.array_equal(ca.plus, cb.plus)
 
 
+class TestRandomSymbol:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("modes", [0, 1, 2, 3])
+    def test_batched_draw_matches_per_matrix_draws(self, dim, modes):
+        for seed in range(10):
+            for grid in (16, 64):
+                for depth in range(1, 7):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    order = seed % 4 - 2
+                    got = random_symbol(rng, order, depth, dim=dim, grid=grid, modes=modes)
+                    want = random_symbol_reference(ref_rng, order, depth, dim=dim, grid=grid,
+                                                   modes=modes)
+                    assert_same_symbol(got, want)
+                    # commutator_trace_test draws again from the same generator.
+                    assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
+
+
 class TestGridValidation:
     def test_small_grid_rejected(self):
         with pytest.raises(SymbolError):
@@ -340,6 +504,21 @@ class TestConnectionDifferenceAudit:
         lift = lift_curvature(flat_torus(), 0)
         audit = connection_difference_order_audit(lift, depth=4, grid=GRID)
         assert [order for _, order in audit] == [None] * 6
+
+    def test_flat_k0_terms_match_reference_kernel(self, reference_kernel):
+        # Every term vanishes, so the kernel skips every product.
+        lift = lift_curvature(flat_torus(), 0)
+        new, old = reference_kernel(lambda: connection_difference_terms(lift, depth=4, grid=GRID))
+        for (name, a), (ref_name, b) in zip(new, old, strict=True):
+            assert name == ref_name and a.leading_degree() is None
+            assert_same_symbol(a, b)
+
+    @pytest.mark.parametrize("base", [cp2_fubini_study(), product_cp1(2, 3)], ids=["cp2", "cp1xcp1"])
+    @pytest.mark.parametrize("k", [1, 2, -3])
+    def test_symbol_matches_reference_kernel(self, reference_kernel, base, k):
+        lift = lift_curvature(base, k)
+        assert_same_symbol(*reference_kernel(
+            lambda: connection_difference_symbol(lift, depth=6, grid=GRID)))
 
     @pytest.mark.parametrize(
         "base,k",
