@@ -177,9 +177,19 @@ def _levi_civita(n: int) -> np.ndarray:
 LEVI_CIVITA = {n: _levi_civita(n) for n in _VALID_DIMS}
 
 
-def _rotate_tensor(comp: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Components in the frame whose vectors are the rows of `basis`."""
-    return np.einsum("ijkl,ai,bj,ck,dl->abcd", comp, basis, basis, basis, basis)
+def _rotate_tensor(comp: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Components in each of a stack of frames: out[n] is `comp` in the frame
+    whose vectors are the rows of bases[n], shape (n, d, d) -> (n, d, d, d, d).
+
+    One batched matmul per tensor axis.
+    """
+    n, d = bases.shape[0], comp.shape[0]
+    B = bases[:, None]   # (n, 1, d, d): broadcast over the leading axes
+    out = bases @ comp.reshape(d, d**3)                        # a <- i
+    out = B @ out.reshape(n, d, d, d * d)                      # b <- j
+    out = B @ out.reshape(n, d * d, d, d)                      # c <- k
+    out = out.reshape(n, d**3, d) @ bases.transpose(0, 2, 1)   # e <- l
+    return out.reshape(n, d, d, d, d)
 
 
 # Sign fixed so that (1/3) * integral of p1 over CP^2 gives signature +1
@@ -200,7 +210,7 @@ def pontrjagin_density(R: RiemannTensor, frame: OrthonormalFrame | None = None) 
     elif frame.dim != 4:
         raise ShapeError("frame dimension must be 4")
     else:
-        comp = _rotate_tensor(R.comp, frame.vectors)
+        comp = _rotate_tensor(R.comp, frame.vectors[None])[0]
     # sum_sigma sgn(sigma) tr(E_ab E_cd) over the curvature endomorphisms
     # E_ab[l,k] = R[a,b,k,l]
     total = np.einsum("abcd,abkl,cdlk->", LEVI_CIVITA[4], comp, comp)
@@ -208,34 +218,53 @@ def pontrjagin_density(R: RiemannTensor, frame: OrthonormalFrame | None = None) 
     return _P1_SIGN * total / (4.0 * 8.0 * np.pi**2)
 
 
-def _plane_rotation(dim: int, i: int, j: int, angle: float) -> np.ndarray:
-    Q = np.eye(dim)
-    c, s = np.cos(angle), np.sin(angle)
-    Q[i, i] = c
-    Q[j, j] = c
-    Q[i, j] = -s
-    Q[j, i] = s
-    return Q
+def _max_abs_per_frame(rotated: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(rotated), axis=(1, 2, 3, 4))
+
+
+def _givens_stack(dim: int, step: float) -> np.ndarray:
+    """The rotations by +step and -step in every coordinate plane (i, j),
+    planes in lexicographic order, +step first: shape (2 C(dim, 2), dim, dim)."""
+    planes = list(itertools.combinations(range(dim), 2))
+    stack = np.tile(np.eye(dim), (2 * len(planes), 1, 1))
+    for m, ((i, j), angle) in enumerate(itertools.product(planes, (step, -step))):
+        c, s = np.cos(angle), np.sin(angle)
+        stack[m, i, i] = c
+        stack[m, j, j] = c
+        stack[m, i, j] = -s
+        stack[m, j, i] = s
+    return stack
 
 
 def _refine_frame(comp: np.ndarray, basis: np.ndarray, steps: int = 200) -> float:
-    """Coordinate descent over plane rotations, step halving on stall."""
+    """Coordinate descent over plane rotations, step halving on stall.
+
+    A sweep tries every rotation of the Givens stack in turn and moves to the
+    first candidate that improves on the best value.  All candidates of a
+    sweep are rotated in one call; after a move, only the candidates after
+    the accepted one are re-evaluated, from the new basis.
+    """
     dim = basis.shape[0]
-    best = float(np.max(np.abs(_rotate_tensor(comp, basis))))
+    best = float(_max_abs_per_frame(_rotate_tensor(comp, basis[None]))[0])
     step = 0.2
-    planes = list(itertools.combinations(range(dim), 2))
+    givens = _givens_stack(dim, step)
     for _ in range(steps):
+        pending = givens
         improved = False
-        for (i, j) in planes:
-            for sgn in (1.0, -1.0):
-                cand = _plane_rotation(dim, i, j, sgn * step) @ basis
-                val = float(np.max(np.abs(_rotate_tensor(comp, cand))))
-                if val > best + 1e-15:
-                    best, basis, improved = val, cand, True
+        while len(pending):
+            cands = pending @ basis
+            vals = _max_abs_per_frame(_rotate_tensor(comp, cands))
+            hits = np.flatnonzero(vals > best + 1e-15)
+            if not hits.size:
+                break
+            m = hits[0]
+            best, basis, improved = float(vals[m]), cands[m], True
+            pending = pending[m + 1:]
         if not improved:
             step *= 0.5
             if step < 1e-12:
                 break
+            givens = _givens_stack(dim, step)
     return best
 
 
@@ -243,18 +272,21 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
     """Lower-bound estimate of |R|_inf by seeded frame sampling plus refinement.
 
     Deterministic for a fixed seed and monotone nondecreasing in `samples`:
-    local refinement is rerun from every prefix-improving sample.
+    local refinement is rerun from every prefix-improving sample.  Raises
+    ValueError on a non-finite component, which no frame search can bound.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
     comp = R.comp
+    if not np.all(np.isfinite(comp)):
+        raise ValueError("curvature components must be finite")
+    rng = np.random.default_rng(seed)
     best_raw = -np.inf
     result = 0.0
     for _ in range(samples):
         A = rng.standard_normal((R.dim, R.dim))
         Q, _r = np.linalg.qr(A)
-        raw = float(np.max(np.abs(_rotate_tensor(comp, Q))))
+        raw = float(_max_abs_per_frame(_rotate_tensor(comp, Q[None]))[0])
         if raw > best_raw:
             best_raw = raw
             result = max(result, _refine_frame(comp, Q))

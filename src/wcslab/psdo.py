@@ -451,11 +451,14 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         oq = int(rng.integers(-2, 2))
         P = random_symbol(rng, op, depth, dim=dim, grid=grid)
         Q = random_symbol(rng, oq, depth, dim=dim, grid=grid)
-        # The residue reads component j only; below j = 0 it is exactly 0.
+        # The residue reads component j (degree -1) only, so only that
+        # component of the commutator is formed; below j = 0 it is exactly 0.
         j = op + oq + 1
         if j >= 0:
-            res = wodzicki_residue(compose(P, Q, j + 1) - compose(Q, P, j + 1))
-            worst = max(worst, abs(res))
+            pq = compose(P, Q, j + 1).components[j]
+            qp = compose(Q, P, j + 1).components[j]
+            diff = HomogeneousComponent(pq.degree, pq.plus - qp.plus, pq.minus - qp.minus)
+            worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(pq.degree, (diff,)))))
     return worst
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wcslab.geometry import OrthonormalFrame, RiemannTensor
+from wcslab.geometry import STANDARD_J, OrthonormalFrame, RiemannTensor
 
 
 def random_curvature_3d(rng: np.random.Generator) -> RiemannTensor:
@@ -48,6 +48,28 @@ def random_j_adapted_frame(rng: np.random.Generator) -> OrthonormalFrame:
             real[2 * a + 1, 2 * b] = q[a, b].imag
             real[2 * a + 1, 2 * b + 1] = q[a, b].real
     return OrthonormalFrame(real)
+
+
+def kahler_curvature_basis() -> np.ndarray:
+    """Orthonormal basis, shape (dim, 4, 4, 4, 4), of the algebraic Kahler
+    curvature tensors for STANDARD_J: the null space of antisymmetry in each
+    index pair, pair symmetry, the first Bianchi identity and invariance
+    R(J., J., ., .) = R.  Besse, Einstein Manifolds, ch. 2: dim = 9."""
+    J = STANDARD_J.matrix
+    E = np.eye(256).reshape(256, 4, 4, 4, 4)  # E[n] is the n-th unit tensor
+    images = [  # image of each unit tensor under each constraint map
+        E + E.transpose(0, 2, 1, 3, 4),
+        E + E.transpose(0, 1, 2, 4, 3),
+        E - E.transpose(0, 3, 4, 1, 2),
+        E + E.transpose(0, 2, 3, 1, 4) + E.transpose(0, 3, 1, 2, 4),
+        np.einsum("ai,bj,nabkl->nijkl", J, J, E) - E,
+    ]
+    constraints = np.concatenate([im.reshape(256, 256) for im in images], axis=1).T
+    _, s, vt = np.linalg.svd(constraints)
+    return vt[np.sum(s > 1e-10):].reshape(-1, 4, 4, 4, 4)
+
+
+KAHLER_BASIS = kahler_curvature_basis()
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wcslab import geometry
 from wcslab.catalog import complex_space_form, cp2_fubini_study, product_cp1
 from wcslab.geometry import (
     LEVI_CIVITA,
@@ -26,7 +27,7 @@ from wcslab.sasaki import lift_curvature
 from wcslab.catalog import flat_torus
 from wcslab.wcs import permutation_density_raw
 
-from conftest import random_curvature_3d, random_rotation
+from conftest import KAHLER_BASIS, random_curvature_3d, random_rotation
 
 
 def endomorphism_oracle(R, X, Y):
@@ -161,6 +162,156 @@ class TestMaxAbsComponent:
     def test_bad_samples(self):
         with pytest.raises(ValueError):
             max_abs_component(RiemannTensor.zero(4), samples=0)
+
+    @pytest.mark.parametrize("samples", [2.5, True, "3", None])
+    def test_samples_must_be_an_int(self, samples):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            max_abs_component(RiemannTensor.zero(4), samples=samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        R = cp2_fubini_study().curvature
+        assert max_abs_component(R, samples=np.int64(2)) == max_abs_component(R, samples=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_rejected(self, bad):
+        comp = np.array(cp2_fubini_study().curvature.comp)
+        comp[0, 1, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            max_abs_component(RiemannTensor(comp), samples=3)
+
+
+# Reference search, kept from before each sweep became one stacked
+# contraction: the 5-operand einsum rotation of one frame, and a coordinate
+# descent that rotates and tests one candidate frame at a time.
+
+
+def einsum_rotation(comp, basis):
+    return np.einsum("ijkl,ai,bj,ck,dl->abcd", comp, basis, basis, basis, basis)
+
+
+def stacked_rotation_of_one(comp, basis):
+    return geometry._rotate_tensor(comp, basis[None])[0]
+
+
+def _plane_rotation(dim, i, j, angle):
+    Q = np.eye(dim)
+    c, s = np.cos(angle), np.sin(angle)
+    Q[i, i] = c
+    Q[j, j] = c
+    Q[i, j] = -s
+    Q[j, i] = s
+    return Q
+
+
+def reference_refine(comp, basis, rotate, steps=200):
+    dim = basis.shape[0]
+    best = float(np.max(np.abs(rotate(comp, basis))))
+    step = 0.2
+    planes = list(itertools.combinations(range(dim), 2))
+    for _ in range(steps):
+        improved = False
+        for (i, j) in planes:
+            for sgn in (1.0, -1.0):
+                cand = _plane_rotation(dim, i, j, sgn * step) @ basis
+                val = float(np.max(np.abs(rotate(comp, cand))))
+                if val > best + 1e-15:
+                    best, basis, improved = val, cand, True
+        if not improved:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return best
+
+
+def reference_search(R, seed, samples, rotate=einsum_rotation):
+    """max_abs_component's value for every prefix 1..samples of the seeded
+    frames: one search of `samples` frames answers each smaller count."""
+    rng = np.random.default_rng(seed)
+    best_raw, result, prefix = -np.inf, 0.0, []
+    for _ in range(samples):
+        Q, _r = np.linalg.qr(rng.standard_normal((R.dim, R.dim)))
+        raw = float(np.max(np.abs(rotate(R.comp, Q))))
+        if raw > best_raw:
+            best_raw = raw
+            result = max(result, reference_refine(R.comp, Q, rotate))
+        prefix.append(result)
+    return prefix
+
+
+def search_case(seed):
+    """Seed s searches t4, cp2, cp1xcp1 or a random Kahler tensor (s mod 4);
+    the product's radii and the Kahler coordinates are drawn from s."""
+    rng = np.random.default_rng([seed, 4])
+    kind = seed % 4
+    if kind == 0:
+        return "t4", flat_torus().curvature
+    if kind == 1:
+        return "cp2", cp2_fubini_study().curvature
+    if kind == 2:
+        a, b = (int(x) for x in rng.integers(1, 7, size=2))
+        return f"cp1xcp1 {a} {b}", product_cp1(a, b).curvature
+    return "kahler", RiemannTensor(np.tensordot(rng.uniform(-2.0, 2.0, 9), KAHLER_BASIS, axes=1))
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_rotation_matches_einsum(self, rng, dim):
+        for _ in range(10):
+            comp = rng.standard_normal((dim,) * 4)
+            bases = np.array([random_rotation(rng, dim) for _ in range(7)])
+            stacked = geometry._rotate_tensor(comp, bases)
+            assert stacked.shape == (7,) + (dim,) * 4
+            for basis, got in zip(bases, stacked):
+                want = einsum_rotation(comp, basis)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_einsum_reference(self, seed):
+        """The einsum reference end to end, one case per surface kind: only
+        the rounding of the rotation differs, so the values agree to 1e-12."""
+        _, R = search_case(seed)
+        want = reference_search(R, seed, 3)
+        for samples in (1, 3):
+            got = max_abs_component(R, seed=seed, samples=samples)
+            assert abs(got - want[samples - 1]) <= 1e-12 * max(1.0, abs(want[samples - 1]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sweep_matches_per_candidate_descent(self, seed):
+        """With the same rotation, one contraction per sweep accepts the same
+        candidates in the same order as testing them one at a time, so the
+        values are equal, not just close."""
+        _, R = search_case(seed)
+        want = reference_search(R, seed, 3, rotate=stacked_rotation_of_one)
+        assert [max_abs_component(R, seed=seed, samples=n) for n in (1, 3)] == [want[0], want[2]]
+
+    @staticmethod
+    def count_rotations(monkeypatch):
+        """Patch the rotation to record the stack size of every call."""
+        calls = []
+        rotate = geometry._rotate_tensor
+
+        def counting(comp, bases):
+            calls.append(len(bases))
+            return rotate(comp, bases)
+
+        monkeypatch.setattr(geometry, "_rotate_tensor", counting)
+        return calls
+
+    def test_sweep_without_improvement_is_one_rotation(self, monkeypatch):
+        calls = self.count_rotations(monkeypatch)
+        # No frame improves on the zero tensor: every sweep stalls.
+        geometry._refine_frame(np.zeros((4,) * 4), np.eye(4), steps=3)
+        assert calls == [1, 12, 12, 12]  # the start frame, then one call per sweep
+
+    def test_accepted_candidate_reevaluates_only_the_rest(self, monkeypatch):
+        calls = self.count_rotations(monkeypatch)
+        R = cp2_fubini_study().curvature
+        Q, _r = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        geometry._refine_frame(R.comp, Q, steps=1)
+        # One sweep: the full stack, then each re-evaluation is a strict
+        # suffix of the one before it.
+        assert calls[:2] == [1, 12]
+        assert all(0 < b < a for a, b in zip(calls[1:], calls[2:]))
 
 
 class TestFramesAndStructures:

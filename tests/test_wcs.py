@@ -41,7 +41,7 @@ from wcslab.wcs import (
     s_scaled_density,
 )
 
-from conftest import random_curvature_3d, random_j_adapted_frame, random_rotation
+from conftest import KAHLER_BASIS, random_curvature_3d, random_j_adapted_frame, random_rotation
 
 CATALOG = [flat_torus(), cp2_fubini_study(), product_cp1(1, 1), product_cp1(2, 3)]
 
@@ -289,28 +289,6 @@ class TestDecideLevels:
         for v in decide_levels(cp2_fubini_study(), [-1, 0, 1]):
             assert v.densities.value_closed == v.densities.value_permutation == 0.0
             assert v.integral == 0.0 and v.verdict == Verdict.INCONCLUSIVE
-
-
-def kahler_curvature_basis() -> np.ndarray:
-    """Orthonormal basis, shape (dim, 4, 4, 4, 4), of the algebraic Kahler
-    curvature tensors for STANDARD_J: the null space of antisymmetry in each
-    index pair, pair symmetry, the first Bianchi identity and invariance
-    R(J., J., ., .) = R.  Besse, Einstein Manifolds, ch. 2: dim = 9."""
-    J = STANDARD_J.matrix
-    E = np.eye(256).reshape(256, 4, 4, 4, 4)  # E[n] is the n-th unit tensor
-    images = [  # image of each unit tensor under each constraint map
-        E + E.transpose(0, 2, 1, 3, 4),
-        E + E.transpose(0, 1, 2, 4, 3),
-        E - E.transpose(0, 3, 4, 1, 2),
-        E + E.transpose(0, 2, 3, 1, 4) + E.transpose(0, 3, 1, 2, 4),
-        np.einsum("ai,bj,nabkl->nijkl", J, J, E) - E,
-    ]
-    constraints = np.concatenate([im.reshape(256, 256) for im in images], axis=1).T
-    _, s, vt = np.linalg.svd(constraints)
-    return vt[np.sum(s > 1e-10):].reshape(-1, 4, 4, 4, 4)
-
-
-KAHLER_BASIS = kahler_curvature_basis()
 
 
 def kahler_surface(coefficients, volume) -> KahlerSurface:
