@@ -269,7 +269,12 @@ def _refine_frame(comp: np.ndarray, basis: np.ndarray, steps: int = 200) -> floa
 
 
 def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> float:
-    """Lower-bound estimate of |R|_inf by seeded frame sampling plus refinement.
+    """Estimate of |R|_inf by seeded frame sampling plus refinement.
+
+    Neither a lower nor an upper bound.  A search may stop below the true
+    maximum, and its basis, a running product of rotations, drifts off
+    orthonormality, so at the maximum it can round above: on cp2
+    (|R|_inf = 4), seed 5 with samples=1 returns 4.000000000000049.
 
     Deterministic for a fixed seed and monotone nondecreasing in `samples`:
     local refinement is rerun from every prefix-improving sample.  Raises

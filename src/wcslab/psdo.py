@@ -7,12 +7,16 @@ xi = +1 and xi = -1 on a uniform periodic x-grid; this storage is exact.
 
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
-with d_x by spectral differentiation and d_xi acting degree-wise.
+with d_x by spectral differentiation and d_xi acting degree-wise.  Inside
+the product kernel a component that is constant in x (every grid row equal
+to row 0) is carried as that one row, which matmul broadcasts against the
+grid, and its x-derivatives are exact zeros that are never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import factorial
 
@@ -103,6 +107,20 @@ class HomogeneousComponent:
 
     def sup_norm(self) -> float:
         return max(float(np.max(np.abs(self.plus))), float(np.max(np.abs(self.minus))))
+
+    @cached_property
+    def stacked(self) -> np.ndarray | None:
+        """plus and minus stacked on a leading axis, as the product kernel
+        reads them: shape (2, 1, d, d) when every grid row equals row 0 bit
+        for bit, (2, G, d, d) otherwise, and None when both sides are exactly
+        zero (the padding that pad_zeros adds), so every term it enters is
+        exactly zero."""
+        values = np.stack((self.plus, self.minus))
+        if not values.any():
+            return None
+        values.setflags(write=False)
+        bits = values.view(np.uint64)
+        return values[:, :1] if (bits == bits[:, :1]).all() else values
 
 
 @dataclass(frozen=True)
@@ -251,30 +269,29 @@ def derivative_symbol(
     return sym.pad_zeros(depth)
 
 
-def _vanishes(c: HomogeneousComponent) -> bool:
-    """True when both cosphere values are exactly zero (the padding that
-    pad_zeros adds): every product term it enters is exactly zero."""
-    return not (c.plus.any() or c.minus.any())
-
-
 def _derivatives(components, depth: int) -> list:
-    """table[q][m] = d_x^m of components[q] for q + m < depth, with the plus
-    and minus values stacked on a leading axis; table[q] is None for a
-    component that vanishes.  Spectral differentiation on the periodic grid:
-    one forward FFT per nonzero component."""
+    """table[q][m] = d_x^m of components[q] for q + m < depth, as stacked plus
+    and minus values (HomogeneousComponent.stacked); table[q] is None for a
+    component that vanishes.  A component constant in x keeps its one grid
+    row, and its derivatives m >= 1 are None: they are exactly zero (on
+    constant input pocketfft's non-zero frequency bins are exactly 0.0).
+    Every other component is differentiated spectrally on the periodic grid,
+    with one forward FFT."""
     grid = components[0].grid
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer wavenumbers
     table = []
     for q, c in enumerate(components[:depth]):
-        if _vanishes(c):
+        values = c.stacked
+        if values is None:
             table.append(None)
-            continue
-        values = np.stack((c.plus, c.minus))
-        hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
-        table.append([values] + [
-            np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
-            for m in range(1, depth - q)
-        ])
+        elif values.shape[1] == 1:
+            table.append([values] + [None] * (depth - q - 1))
+        else:
+            hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
+            table.append([values] + [
+                np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
+                for m in range(1, depth - q)
+            ])
     return table
 
 
@@ -283,12 +300,13 @@ def _product_term(P_components, dQ: list, j: int) -> np.ndarray:
     the sum over p + m + q = j of ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q,
     p ranging over P_components.  d_xi^m carries (-1)^m at xi = -1 and the
     falling factorial of the degree of sigma_p.  Terms that are exactly zero
-    (a vanishing sigma_p or sigma_q, or a zero falling factorial) are skipped."""
+    (a vanishing sigma_p, sigma_q or d_x^m sigma_q, or a zero falling
+    factorial) are skipped; a one-row factor broadcasts over the grid."""
     acc = np.zeros((2,) + P_components[0].plus.shape, dtype=complex)
     for p, cp in enumerate(P_components[: j + 1]):
-        if _vanishes(cp):
+        left = cp.stacked
+        if left is None:
             continue
-        left = np.stack((cp.plus, cp.minus))
         # float(degree - t) for each factor, as exact integer arithmetic
         num, den = cp.degree.numerator, cp.degree.denominator
         fall = 1.0
@@ -298,7 +316,7 @@ def _product_term(P_components, dQ: list, j: int) -> np.ndarray:
             if fall == 0.0:
                 break  # degree is an integer in [0, m): every later m vanishes too
             dq = dQ[j - p - m]
-            if dq is None:
+            if dq is None or dq[m] is None:
                 continue
             coeff = (-1j) ** m / factorial(m)
             scale = coeff * fall * np.array([1.0, (-1.0) ** m])
@@ -361,7 +379,7 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
     b_0 = a_0^{-1}; each later b_j solves the degree -j part of the product
     for b_j a_0, so b_j = -(sum of the other terms) a_0^{-1}.  The leading
     component a_0 must be invertible at xi = +1 and xi = -1 on every grid
-    point.
+    point.  A leading component constant in x is inverted once per side.
     """
     if depth < 1:
         raise SymbolError("depth must be >= 1")
@@ -370,16 +388,19 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
             f"requested depth {depth} exceeds available {A.depth} "
             f"(deficit {depth - A.depth})"
         )
-    lead = A.components[0]
+    lead = A.components[0].stacked
+    if lead is None:
+        lead = np.zeros((2, 1, A.fiber_dim, A.fiber_dim))
     inverses = []
-    for side, values in (("+1", lead.plus), ("-1", lead.minus)):
+    for side, values in zip(("+1", "-1"), lead):
         try:
             inverses.append(np.linalg.inv(values))
         except np.linalg.LinAlgError:
             raise SymbolError(f"leading component is singular at xi = {side}") from None
     a0inv = np.stack(inverses)
     dA = _derivatives(A.components, depth)
-    b = [HomogeneousComponent(-A.order, *a0inv)]
+    shape = (A.grid, A.fiber_dim, A.fiber_dim)
+    b = [HomogeneousComponent(-A.order, *(np.broadcast_to(v, shape) for v in a0inv))]
     for j in range(1, depth):
         acc = _product_term(b, dA, j)
         b.append(HomogeneousComponent(-A.order - j, *-np.matmul(acc, a0inv)))
@@ -503,11 +524,12 @@ def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
     def mult(mat):
         return multiplication_symbol(mat.astype(complex), grid, depth=depth + 2)
 
+    BD = compose(B, D)
     half = 0.5
     terms = [
-        ("resolvent[covderiv(curv(X,gdot)Y)]", -half, compose(compose(B, D), mult(E_Xg))),
+        ("resolvent[covderiv(curv(X,gdot)Y)]", -half, compose(BD, mult(E_Xg))),
         ("resolvent[curv(X,gdot)covderiv(Y)]", -half, compose(compose(B, mult(E_Xg)), D)),
-        ("resolvent[covderiv(curv(Y,gdot)X)]", -half, compose(compose(B, D), mult(N))),
+        ("resolvent[covderiv(curv(Y,gdot)X)]", -half, compose(BD, mult(N))),
         ("resolvent[curv(Y,gdot)covderiv(X)]", -half, compose(B, mult(M4))),
         ("resolvent[curv(X,covderiv(Y))gdot]", +half, compose(compose(B, mult(P_free)), D)),
         ("resolvent[curv(covderiv(X),Y)gdot]", -half, compose(B, mult(M6))),

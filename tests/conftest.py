@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -50,26 +53,70 @@ def random_j_adapted_frame(rng: np.random.Generator) -> OrthonormalFrame:
     return OrthonormalFrame(real)
 
 
+def kahler_constraints(T: np.ndarray) -> np.ndarray:
+    """Matrix whose column n is the image of the tensor T[n] under the
+    constraint maps of an algebraic Kahler curvature tensor for STANDARD_J:
+    antisymmetry in each index pair, pair symmetry, the first Bianchi
+    identity and invariance R(J., J., ., .) = R."""
+    J = STANDARD_J.matrix
+    images = [
+        T + T.transpose(0, 2, 1, 3, 4),
+        T + T.transpose(0, 1, 2, 4, 3),
+        T - T.transpose(0, 3, 4, 1, 2),
+        T + T.transpose(0, 2, 3, 1, 4) + T.transpose(0, 3, 1, 2, 4),
+        np.einsum("ai,bj,nabkl->nijkl", J, J, T) - T,
+    ]
+    return np.concatenate([im.reshape(len(T), -1) for im in images], axis=1).T
+
+
 def kahler_curvature_basis() -> np.ndarray:
     """Orthonormal basis, shape (dim, 4, 4, 4, 4), of the algebraic Kahler
-    curvature tensors for STANDARD_J: the null space of antisymmetry in each
-    index pair, pair symmetry, the first Bianchi identity and invariance
-    R(J., J., ., .) = R.  Besse, Einstein Manifolds, ch. 2: dim = 9."""
-    J = STANDARD_J.matrix
+    curvature tensors: the null space of kahler_constraints over the unit
+    tensors.  Besse, Einstein Manifolds, ch. 2: dim = 9."""
     E = np.eye(256).reshape(256, 4, 4, 4, 4)  # E[n] is the n-th unit tensor
-    images = [  # image of each unit tensor under each constraint map
-        E + E.transpose(0, 2, 1, 3, 4),
-        E + E.transpose(0, 1, 2, 4, 3),
-        E - E.transpose(0, 3, 4, 1, 2),
-        E + E.transpose(0, 2, 3, 1, 4) + E.transpose(0, 3, 1, 2, 4),
-        np.einsum("ai,bj,nabkl->nijkl", J, J, E) - E,
-    ]
-    constraints = np.concatenate([im.reshape(256, 256) for im in images], axis=1).T
-    _, s, vt = np.linalg.svd(constraints)
+    _, s, vt = np.linalg.svd(kahler_constraints(E))
     return vt[np.sum(s > 1e-10):].reshape(-1, 4, 4, 4, 4)
 
 
 KAHLER_BASIS = kahler_curvature_basis()
+
+
+def exact_kahler_basis() -> np.ndarray:
+    """A basis of the same space in exact arithmetic, shape (9, 4, 4, 4, 4).
+
+    The candidates are the 21 symmetric products of the 2-forms e_i ^ e_j,
+    which are antisymmetric and pair symmetric; the null space of
+    kahler_constraints over them comes from row reduction in Fractions.
+    Its entries are small integers, so they are exact as floats, where the
+    SVD basis above meets the constraints only to about 1e-15.
+    """
+    wedges = [np.outer(a, b) - np.outer(b, a) for a, b in combinations(np.eye(4), 2)]
+    T = np.array([np.multiply.outer(a, b) + np.multiply.outer(b, a)
+                  for a, b in combinations_with_replacement(wedges, 2)])
+    rows = [[Fraction(int(x)) for x in row] for row in kahler_constraints(T) if row.any()]
+    pivots = []
+    for col in range(len(T)):  # reduced row echelon form
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in sorted(set(range(len(T))) - set(pivots)):
+        v = np.zeros(len(T), dtype=object)
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -rows[r][free]
+        basis.append(np.tensordot(v, T.astype(object), axes=1))
+    return np.array(basis, dtype=float)
+
+
+EXACT_KAHLER_BASIS = exact_kahler_basis()
 
 
 @pytest.fixture

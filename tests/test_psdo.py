@@ -201,6 +201,25 @@ def assert_same_symbol(a, b):
         assert np.array_equal(ca.plus, cb.plus) and np.array_equal(ca.minus, cb.minus)
 
 
+def mixed_ladder(sym, kinds):
+    """sym with component j kept as drawn (kinds[j] == "b", banded in x),
+    made constant in x by repeating its row 0 ("c"), or zeroed ("0")."""
+    comps = []
+    for c, kind in zip(sym.components, kinds, strict=True):
+        if kind == "c":
+            c = HomogeneousComponent(c.degree, np.broadcast_to(c.plus[:1], c.plus.shape),
+                                     np.broadcast_to(c.minus[:1], c.minus.shape))
+        elif kind == "0":
+            c = HomogeneousComponent(c.degree, np.zeros_like(c.plus), np.zeros_like(c.minus))
+        comps.append(c)
+    return ClassicalSymbol(sym.order, tuple(comps))
+
+
+#: Ladders of constant (c), banded (b) and zero (0) components; the kernel
+#: keeps one grid row for "c" and skips "0".
+LADDERS = ["cccccc", "bbbbbb", "cbcbcb", "bcbcbc", "c0b0cb", "bc0cc0", "cbb000"]
+
+
 def elliptic_order_one(rng, depth, dim, grid=GRID):
     """Seeded random order-1 symbol whose leading part is i I plus small noise."""
     A = random_symbol(rng, 1, depth, dim=dim, grid=grid)
@@ -288,6 +307,45 @@ class TestCompose:
         M = multiplication_symbol(wave * rng.standard_normal((2, 2)), GRID, depth=5)
         for P, Q in [(D, M), (M, D), (Dstar, D), (D, Dstar), (M, M)]:
             assert_same_symbol(*reference_kernel(lambda: compose(P, Q, 5)))
+
+    @pytest.mark.parametrize("kinds_p", LADDERS)
+    @pytest.mark.parametrize("kinds_q", ["cccccc", "bcbcbc", "c0b0cb"])
+    def test_mixed_ladders_match_reference_kernel(self, rng, reference_kernel, kinds_p, kinds_q):
+        for dim, modes in ((1, 1), (3, 2)):
+            P = mixed_ladder(random_symbol(rng, 1, 6, dim=dim, grid=GRID, modes=modes), kinds_p)
+            Q = mixed_ladder(random_symbol(rng, -2, 6, dim=dim, grid=GRID, modes=modes), kinds_q)
+            # pad_zeros padding below a truncated ladder of either kind
+            P4 = ClassicalSymbol(P.order, P.components[:4]).pad_zeros(6)
+            for left, right in ((P, Q), (Q, P), (P4, Q), (Q, P4), (P, P)):
+                new, old = reference_kernel(lambda: compose(left, right, 6))
+                assert_same_symbol(new, old)
+
+    @pytest.mark.parametrize("row", [1, GRID // 2, GRID - 1])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_one_differing_row_keeps_the_grid(self, rng, reference_kernel, row, side):
+        const = mixed_ladder(random_symbol(rng, 0, 3, dim=2, grid=GRID), "ccc")
+        assert all(c.stacked.shape == (2, 1, 2, 2) for c in const.components)
+        c0 = const.components[0]
+        values = {"plus": c0.plus.copy(), "minus": c0.minus.copy()}
+        entry = values[side][row, 1, 0]  # one ulp up in one entry of one grid row
+        values[side][row, 1, 0] = complex(np.nextafter(entry.real, np.inf), entry.imag)
+        lead = HomogeneousComponent(c0.degree, values["plus"], values["minus"])
+        assert lead.stacked.shape == (2, GRID, 2, 2)
+        Q = ClassicalSymbol(const.order, (lead,) + const.components[1:])
+        P = random_symbol(rng, 1, 3, dim=2, grid=GRID)
+        assert_same_symbol(*reference_kernel(lambda: compose(P, Q, 3)))
+        assert_same_symbol(*reference_kernel(lambda: compose(Q, P, 3)))
+
+    def test_stacked_shapes(self):
+        zero = multiplication_symbol(np.zeros((2, 2)), GRID, depth=1).components[0]
+        assert zero.stacked is None
+        one = identity_symbol(2, GRID).components[0]
+        assert one.stacked.shape == (2, 1, 2, 2) and not one.stacked.flags.writeable
+        assert np.array_equal(one.stacked[0, 0], np.eye(2))
+        # Rows are compared bit for bit: a -0.0 where row 0 has 0.0 keeps the grid.
+        signed = np.broadcast_to(np.eye(2, dtype=complex), (GRID, 2, 2)).copy()
+        signed[3, 0, 1] = -0.0
+        assert HomogeneousComponent(Fraction(0), signed, signed).stacked.shape == (2, GRID, 2, 2)
 
     def test_truncation_error_reports_deficit(self, rng):
         P = random_symbol(rng, 0, 2, dim=1, grid=GRID)
@@ -398,6 +456,25 @@ class TestParametrix:
             assert_same_symbol(*reference_kernel(
                 lambda: resolvent_parametrix(gamma, depth=5, dim=dim, grid=GRID)))
 
+    @pytest.mark.parametrize("kinds", ["ccccc", "cbcbc", "cc0bb", "bcb0c", "b0000"])
+    def test_mixed_ladders_match_reference_kernel(self, reference_kernel, kinds):
+        rng = np.random.default_rng(17)
+        for dim in (1, 2, 3):
+            A = mixed_ladder(elliptic_order_one(rng, 5, dim), kinds)
+            new, old = reference_kernel(lambda: parametrix(A, 5))
+            assert_same_symbol(new, old)
+            lead = A.components[0]
+            assert np.array_equal(new.components[0].plus, np.linalg.inv(lead.plus))
+            assert np.array_equal(new.components[0].minus, np.linalg.inv(lead.minus))
+            padded = ClassicalSymbol(A.order, A.components[:2]).pad_zeros(5)
+            assert_same_symbol(*reference_kernel(lambda: parametrix(padded, 5)))
+
+    def test_zero_leading_component_is_singular(self):
+        A = derivative_symbol(2, GRID, depth=3)
+        A = ClassicalSymbol(A.order, (0.0 * A).components[:1] + A.components[1:])
+        with pytest.raises(SymbolError, match=re.escape("singular at xi = +1")):
+            parametrix(A, 3)
+
     def test_random_elliptic_order_one_symbol(self):
         rng = np.random.default_rng(11)
         for dim in (1, 2, 3):
@@ -450,6 +527,18 @@ class TestCommutatorTrace:
             Q = random_symbol(rng, oq, depth, dim=dim, grid=GRID)
             worst = max(worst, abs(wodzicki_residue(compose(P, Q) - compose(Q, P))))
         assert commutator_trace_test(seed, 6, depth, grid=GRID) == worst
+
+    @pytest.mark.parametrize("kinds", ["cccccc", "cbcbcb", "bc0cc0"])
+    def test_mixed_ladders_match_reference_kernel(self, reference_kernel, monkeypatch, kinds):
+        draw = psdo.random_symbol
+
+        def mixed_draw(rng, order, depth, **kw):
+            return mixed_ladder(draw(rng, order, depth, **kw), kinds)
+
+        monkeypatch.setattr(psdo, "random_symbol", mixed_draw)
+        for seed in range(3):
+            new, old = reference_kernel(lambda: commutator_trace_test(seed, 8, 6, grid=GRID))
+            assert new == old
 
     def test_multiplications_commute_exactly(self):
         x = 2.0 * np.pi * np.arange(GRID) / GRID
@@ -536,6 +625,27 @@ class TestConnectionDifferenceAudit:
         lift = lift_curvature(cp2_fubini_study(), 2)
         total = connection_difference_symbol(lift, depth=4, grid=GRID)
         assert total.leading_degree() == Fraction(-1)
+
+    def test_cp2_audit_runs_without_fft(self, monkeypatch):
+        # Gamma = (k/2) J and the curvature endomorphisms are constant in x,
+        # so no component is differentiated spectrally.
+        calls = []
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return transform(*args, **kwargs)
+            return call
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(name))
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        terms = connection_difference_terms(lift, depth=6, grid=GRID)
+        assert calls == []
+        assert np.fft.fft(np.ones(16))[0] == 16.0 and calls == ["fft"]  # the counter counts
+        assert [int(sym.leading_degree()) for _, sym in terms] == [-1, -1, -1, -2, -1, -2]
 
     def test_six_named_terms(self):
         lift = lift_curvature(flat_torus(), 1)

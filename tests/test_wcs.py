@@ -23,6 +23,7 @@ from wcslab.geometry import (
 from wcslab.sasaki import lift_curvature
 from wcslab.wcs import (
     VERDICT_ATOL_FACTOR,
+    _closed_form_terms,
     Pi1Verdict,
     Verdict,
     WcsDensity,
@@ -41,7 +42,13 @@ from wcslab.wcs import (
     s_scaled_density,
 )
 
-from conftest import KAHLER_BASIS, random_curvature_3d, random_j_adapted_frame, random_rotation
+from conftest import (
+    EXACT_KAHLER_BASIS,
+    KAHLER_BASIS,
+    random_curvature_3d,
+    random_j_adapted_frame,
+    random_rotation,
+)
 
 CATALOG = [flat_torus(), cp2_fubini_study(), product_cp1(1, 1), product_cp1(2, 3)]
 
@@ -344,3 +351,70 @@ class TestKahlerCurvatureOracle:
         # The reference lifts every level with lift_curvature, whose check
         # scales with the lift, so levels up to 10^6 compare too.
         assert_sweep_matches_reference(kahler_surface(coefficients, volume), ks)
+
+
+def b_plus_half_scalar(comp: np.ndarray) -> tuple[float, float]:
+    """|B + s/2| and max |component|: B is the five-term combination of the
+    closed form, s = sum_ij R(e_i, e_j, e_j, e_i) the scalar curvature."""
+    B = _closed_form_terms(RiemannTensor(comp))[1]
+    return abs(B + 0.5 * np.einsum("ijji->", comp)), float(np.max(np.abs(comp)))
+
+
+def in_frame(comp: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Components in the frame vectors[i]: one axis at a time."""
+    for _ in range(4):
+        comp = np.tensordot(comp, vectors, axes=([0], [1]))
+    return comp
+
+
+class TestScalarCurvatureIdentity:
+    """B = -s/2 on every algebraic Kahler curvature tensor: s is the only
+    U(2)-invariant linear function on that space (scalar + traceless Ricci
+    + W^-, Besse ch. 2), so the closed form depends on the curvature only
+    through p1 and s."""
+
+    def test_exact_on_integer_basis(self):
+        basis = EXACT_KAHLER_BASIS
+        assert np.array_equal(basis, np.round(basis))  # small integers: exact floats
+        flat = KAHLER_BASIS.reshape(9, -1)
+        spanned = basis.reshape(9, -1) @ flat.T @ flat
+        assert np.linalg.matrix_rank(spanned) == 9
+        assert np.max(np.abs(spanned - basis.reshape(9, -1))) <= 1e-12
+        for comp in basis:
+            B = _closed_form_terms(RiemannTensor(comp))[1]
+            assert B == -0.5 * np.einsum("ijji->", comp)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_on_svd_basis(self, n):
+        gap, size = b_plus_half_scalar(KAHLER_BASIS[n])
+        assert gap <= 1e-14 * size
+
+    def test_catalog(self):
+        assert _closed_form_terms(cp2_fubini_study().curvature)[1] == -12.0
+        for surface in CATALOG:
+            gap, size = b_plus_half_scalar(surface.curvature.comp)
+            assert gap <= 1e-14 * size
+
+    # Combinations of the integer basis: the SVD basis meets the Kahler
+    # constraints only to about 1e-15 per entry, and on its combinations
+    # B + s/2 reaches 1.2e-14 max |component| in exact arithmetic.  Tiny
+    # coefficients flush to zero: subnormal products round absolutely.
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, 9, elements=st.floats(-2.0, 2.0).map(
+               lambda c: c if abs(c) >= 1e-100 else 0.0)),
+           st.integers(0, 2**32 - 1))
+    def test_combinations_in_j_adapted_frames(self, coefficients, seed):
+        comp = np.tensordot(coefficients, EXACT_KAHLER_BASIS, axes=1)
+        frame = random_j_adapted_frame(np.random.default_rng(seed)).vectors
+        for tensor in (comp, in_frame(comp, frame)):
+            gap, size = b_plus_half_scalar(tensor)
+            assert gap <= 1e-14 * size
+
+    def test_basis_in_j_adapted_frames(self, rng):
+        # The integer basis: rotated SVD basis tensors already read up to
+        # 9.9e-15 max |component| from their own constraint defect.
+        for comp in EXACT_KAHLER_BASIS:
+            for _ in range(10):
+                rotated = in_frame(comp, random_j_adapted_frame(rng).vectors)
+                gap, size = b_plus_half_scalar(rotated)
+                assert gap <= 1e-14 * size
