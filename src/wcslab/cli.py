@@ -232,7 +232,7 @@ def _cmd_psdo(args) -> int:
         "commutator_max_violation": violation,
         "commutator_trials": args.trials,
         "parametrix_defect_sup": {
-            str(c.degree): c.sup_norm() for c in defect.components
+            str(defect.order - j): c.sup_norm() for j, c in enumerate(defect.components)
         },
         "depth": args.depth,
         "seed": seed,

@@ -1,9 +1,11 @@
 """Classical pseudodifferential symbol calculus on the circle.
 
 Matrix-valued symbols are stored as truncated ladders of homogeneous
-components with integer-stepped degrees.  On S^1 the unit cosphere fiber is
-two points, so each component is fully determined by its values at
-xi = +1 and xi = -1 on a uniform periodic x-grid; this storage is exact.
+components.  On S^1 the unit cosphere fiber is two points, so each component
+is fully determined by its values at xi = +1 and xi = -1 on a uniform
+periodic x-grid; this storage is exact.  A component holds those values as
+one (2, G, d, d) array, xi = +1 first.  It does not hold its degree: in a
+symbol of order r, component j has degree r - j.
 
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
@@ -79,68 +81,69 @@ def _as_grid_matrix(value, grid: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HomogeneousComponent:
-    """One homogeneous piece, stored at the two cosphere points xi = +-1."""
+    """One homogeneous piece, stored at the two cosphere points: values[0]
+    at xi = +1 and values[1] at xi = -1, each on the (G, d, d) grid.  Its
+    degree is its symbol's order minus its place in the ladder."""
 
-    degree: Fraction
-    plus: np.ndarray   # (G, d, d) complex, values at xi = +1
-    minus: np.ndarray  # (G, d, d) complex, values at xi = -1
+    values: np.ndarray  # (2, G, d, d) complex, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", Fraction(self.degree))
-        g, d = self.plus.shape[0], self.plus.shape[1]
+        values = np.ascontiguousarray(self.values, dtype=complex)
+        if values.ndim != 4 or values.shape[0] != 2 or values.shape[2] != values.shape[3]:
+            raise SymbolError("component values must have shape (2, G, d, d)")
+        g = values.shape[1]
         if g < 16 or (g & (g - 1)) != 0:
             raise SymbolError("grid size must be a power of two >= 16")
-        for name in ("plus", "minus"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=complex)
-            if arr.shape != (g, d, d):
-                raise SymbolError("plus/minus value shapes disagree")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def plus(self) -> np.ndarray:
+        return self.values[0]
+
+    @property
+    def minus(self) -> np.ndarray:
+        return self.values[1]
 
     @property
     def grid(self) -> int:
-        return self.plus.shape[0]
+        return self.values.shape[1]
 
     @property
     def fiber_dim(self) -> int:
-        return self.plus.shape[1]
+        return self.values.shape[2]
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(self.plus))), float(np.max(np.abs(self.minus))))
+        return float(np.max(np.abs(self.values)))
 
     @cached_property
     def stacked(self) -> np.ndarray | None:
-        """plus and minus stacked on a leading axis, as the product kernel
-        reads them: shape (2, 1, d, d) when every grid row equals row 0 bit
-        for bit, (2, G, d, d) otherwise, and None when both sides are exactly
-        zero (the padding that pad_zeros adds), so every term it enters is
-        exactly zero."""
-        values = np.stack((self.plus, self.minus))
+        """values as the product kernel reads them: shape (2, 1, d, d) when
+        every grid row equals row 0 bit for bit, (2, G, d, d) otherwise, and
+        None when both sides are exactly zero (the padding that pad_zeros
+        adds), so every term it enters is exactly zero."""
+        values = self.values
         if not values.any():
             return None
-        values.setflags(write=False)
         bits = values.view(np.uint64)
         return values[:, :1] if (bits == bits[:, :1]).all() else values
 
 
 @dataclass(frozen=True)
 class ClassicalSymbol:
-    """Truncated homogeneous expansion of a matrix-valued symbol."""
+    """Truncated homogeneous expansion of a matrix-valued symbol: component
+    j has degree order - j."""
 
     order: Fraction
     components: tuple  # HomogeneousComponent, degrees order, order-1, ...
 
     def __post_init__(self):
-        order = Fraction(self.order)
         comps = tuple(self.components)
         if not comps:
             raise SymbolError("a symbol needs at least one component")
-        for j, c in enumerate(comps):
-            if c.degree != order - j:
-                raise SymbolError("component degrees must step down by 1 from the order")
-            if c.grid != comps[0].grid or c.fiber_dim != comps[0].fiber_dim:
-                raise SymbolError("components disagree on grid or fiber dimension")
-        object.__setattr__(self, "order", order)
+        if any(c.values.shape != comps[0].values.shape for c in comps):
+            raise SymbolError("components disagree on grid or fiber dimension")
+        object.__setattr__(self, "order", Fraction(self.order))
         object.__setattr__(self, "components", comps)
 
     @property
@@ -174,18 +177,14 @@ class ClassicalSymbol:
         """
         if depth <= self.depth:
             return self
-        zero = np.zeros((self.grid, self.fiber_dim, self.fiber_dim), dtype=complex)
-        extra = tuple(
-            HomogeneousComponent(self.order - j, zero, zero)
-            for j in range(self.depth, depth)
-        )
-        return ClassicalSymbol(self.order, self.components + extra)
+        zero = HomogeneousComponent(np.zeros_like(self.components[0].values))
+        return ClassicalSymbol(self.order, self.components + (zero,) * (depth - self.depth))
 
     def leading_degree(self, tol: float = 1e-11):
         """Highest degree with a component above tol; None if all vanish."""
-        for c in self.components:
+        for j, c in enumerate(self.components):
             if c.sup_norm() > tol:
-                return c.degree
+                return self.order - j
         return None
 
     def _binary(self, other, f):
@@ -193,22 +192,18 @@ class ClassicalSymbol:
             return NotImplemented
         if other.fiber_dim != self.fiber_dim or other.grid != self.grid:
             raise FiberMismatchError("fiber dimension or grid mismatch")
-        shift = self.order - other.order
-        if shift.denominator != 1:
+        if (self.order - other.order).denominator != 1:
             raise SymbolError("orders must differ by an integer to combine")
         order = max(self.order, other.order)
-        floor = max(self.floor_degree, other.floor_degree)
-        zero = np.zeros((self.grid, self.fiber_dim, self.fiber_dim), dtype=complex)
-        comps = []
-        deg = order
-        while deg >= floor:
-            a = self.component(deg)
-            b = other.component(deg)
-            ap, am = (a.plus, a.minus) if a is not None else (zero, zero)
-            bp, bm = (b.plus, b.minus) if b is not None else (zero, zero)
-            comps.append(HomogeneousComponent(deg, f(ap, bp), f(am, bm)))
-            deg -= 1
-        return ClassicalSymbol(order, tuple(comps))
+        depth = int(order - max(self.floor_degree, other.floor_degree)) + 1
+        zero = np.zeros_like(self.components[0].values)
+
+        def ladder(sym):  # sym's values at the result's places 0 .. depth - 1
+            return ([zero] * int(order - sym.order) + [c.values for c in sym.components])[:depth]
+
+        return ClassicalSymbol(order, tuple(
+            HomogeneousComponent(f(a, b)) for a, b in zip(ladder(self), ladder(other))
+        ))
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -219,11 +214,7 @@ class ClassicalSymbol:
     def __rmul__(self, scalar):
         scalar = complex(scalar)
         return ClassicalSymbol(
-            self.order,
-            tuple(
-                HomogeneousComponent(c.degree, scalar * c.plus, scalar * c.minus)
-                for c in self.components
-            ),
+            self.order, tuple(HomogeneousComponent(scalar * c.values) for c in self.components)
         )
 
 
@@ -238,7 +229,7 @@ def multiplication_symbol(value, grid: int = DEFAULT_GRID, depth: int = 1) -> Cl
         value = value.reshape(1, 1)
     dim = value.shape[-1]
     arr = _as_grid_matrix(value, grid, dim)
-    sym = ClassicalSymbol(Fraction(0), (HomogeneousComponent(Fraction(0), arr, arr),))
+    sym = ClassicalSymbol(Fraction(0), (HomogeneousComponent(np.stack((arr, arr))),))
     return sym.pad_zeros(depth)
 
 
@@ -253,30 +244,27 @@ def derivative_symbol(
     eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid, dim, dim))
     g = (np.zeros((grid, dim, dim), dtype=complex) if gamma is None
          else _as_grid_matrix(gamma, grid, dim))
+    lead = -1j if adjoint else 1j
     if adjoint:
-        lead_p, lead_m = -1j * eye, 1j * eye
-        g0 = np.conjugate(np.transpose(g, (0, 2, 1)))
-    else:
-        lead_p, lead_m = 1j * eye, -1j * eye
-        g0 = g
+        g = np.conjugate(np.transpose(g, (0, 2, 1)))
     sym = ClassicalSymbol(
         Fraction(1),
         (
-            HomogeneousComponent(Fraction(1), lead_p, lead_m),
-            HomogeneousComponent(Fraction(0), g0, g0),
+            HomogeneousComponent(np.stack((lead * eye, -lead * eye))),
+            HomogeneousComponent(np.stack((g, g))),
         ),
     )
     return sym.pad_zeros(depth)
 
 
 def _derivatives(components, depth: int) -> list:
-    """table[q][m] = d_x^m of components[q] for q + m < depth, as stacked plus
-    and minus values (HomogeneousComponent.stacked); table[q] is None for a
-    component that vanishes.  A component constant in x keeps its one grid
-    row, and its derivatives m >= 1 are None: they are exactly zero (on
-    constant input pocketfft's non-zero frequency bins are exactly 0.0).
-    Every other component is differentiated spectrally on the periodic grid,
-    with one forward FFT."""
+    """table[q][m] = d_x^m of components[q] for q + m < depth, in the shape of
+    HomogeneousComponent.stacked; table[q] is None for a component that
+    vanishes.  A component constant in x keeps its one grid row, and its
+    derivatives m >= 1 are None: they are exactly zero (on constant input
+    pocketfft's non-zero frequency bins are exactly 0.0).  Every other
+    component is differentiated spectrally on the periodic grid, with one
+    forward FFT."""
     grid = components[0].grid
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer wavenumbers
     table = []
@@ -295,20 +283,22 @@ def _derivatives(components, depth: int) -> list:
     return table
 
 
-def _product_term(P_components, dQ: list, j: int) -> np.ndarray:
-    """Degree order - j part of the asymptotic product, plus and minus stacked:
-    the sum over p + m + q = j of ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q,
-    p ranging over P_components.  d_xi^m carries (-1)^m at xi = -1 and the
-    falling factorial of the degree of sigma_p.  Terms that are exactly zero
-    (a vanishing sigma_p, sigma_q or d_x^m sigma_q, or a zero falling
-    factorial) are skipped; a one-row factor broadcasts over the grid."""
-    acc = np.zeros((2,) + P_components[0].plus.shape, dtype=complex)
+def _product_term(order: Fraction, P_components, dQ: list, j: int) -> np.ndarray:
+    """Component j of the asymptotic product, as (2, G, d, d) values: the sum
+    over p + m + q = j of ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q, p ranging
+    over P_components, a ladder of order `order`.  d_xi^m carries (-1)^m at
+    xi = -1 and the falling factorial of the degree order - p of sigma_p.
+    Terms that are exactly zero (a vanishing sigma_p, sigma_q or d_x^m sigma_q,
+    or a zero falling factorial) are skipped; a one-row factor broadcasts over
+    the grid."""
+    acc = np.zeros(P_components[0].values.shape, dtype=complex)
+    den = order.denominator
     for p, cp in enumerate(P_components[: j + 1]):
         left = cp.stacked
         if left is None:
             continue
-        # float(degree - t) for each factor, as exact integer arithmetic
-        num, den = cp.degree.numerator, cp.degree.denominator
+        # float(order - p - t) for each factor, as exact integer arithmetic
+        num = order.numerator - p * den
         fall = 1.0
         for m in range(j - p + 1):
             if m:
@@ -345,8 +335,7 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) ->
     order = P.order + Q.order
     dQ = _derivatives(Q.components, depth)
     comps = tuple(
-        HomogeneousComponent(order - j, *_product_term(P.components, dQ, j))
-        for j in range(depth)
+        HomogeneousComponent(_product_term(P.order, P.components, dQ, j)) for j in range(depth)
     )
     return ClassicalSymbol(order, comps)
 
@@ -365,9 +354,7 @@ def wodzicki_residue(P: ClassicalSymbol) -> complex:
                 f"degree -1 lies below the truncation floor {P.floor_degree}"
             )
         return 0.0 + 0.0j
-    integrand = np.trace(comp.plus, axis1=1, axis2=2) + np.trace(
-        comp.minus, axis1=1, axis2=2
-    )
+    integrand = np.trace(comp.values, axis1=2, axis2=3).sum(axis=0)  # plus + minus
     return complex(np.mean(integrand))
 
 
@@ -399,11 +386,9 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
             raise SymbolError(f"leading component is singular at xi = {side}") from None
     a0inv = np.stack(inverses)
     dA = _derivatives(A.components, depth)
-    shape = (A.grid, A.fiber_dim, A.fiber_dim)
-    b = [HomogeneousComponent(-A.order, *(np.broadcast_to(v, shape) for v in a0inv))]
+    b = [HomogeneousComponent(np.broadcast_to(a0inv, A.components[0].values.shape))]
     for j in range(1, depth):
-        acc = _product_term(b, dA, j)
-        b.append(HomogeneousComponent(-A.order - j, *-np.matmul(acc, a0inv)))
+        b.append(HomogeneousComponent(-np.matmul(_product_term(-A.order, b, dA, j), a0inv)))
     return ClassicalSymbol(-A.order, tuple(b))
 
 
@@ -449,10 +434,7 @@ def random_symbol(rng: np.random.Generator, order: int, depth: int,
     for n in range(1, modes + 1):
         values += np.cos(n * x)[:, None, None] * terms[:, None, 2 * n - 1] / n
         values += np.sin(n * x)[:, None, None] * terms[:, None, 2 * n] / n
-    comps = tuple(
-        HomogeneousComponent(Fraction(order - j), values[2 * j], values[2 * j + 1])
-        for j in range(depth)
-    )
+    comps = tuple(HomogeneousComponent(v) for v in values.reshape(depth, 2, grid, dim, dim))
     return ClassicalSymbol(Fraction(order), comps)
 
 
@@ -478,8 +460,8 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         if j >= 0:
             pq = compose(P, Q, j + 1).components[j]
             qp = compose(Q, P, j + 1).components[j]
-            diff = HomogeneousComponent(pq.degree, pq.plus - qp.plus, pq.minus - qp.minus)
-            worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(pq.degree, (diff,)))))
+            diff = HomogeneousComponent(pq.values - qp.values)
+            worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(-1, (diff,)))))
     return worst
 
 

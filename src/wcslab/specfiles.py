@@ -103,19 +103,23 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int) -> np.ndarray:
-    """Constant matrix plus optional cos/sin Fourier terms, sampled on the
-    periodic grid."""
+def _component_values(entries: dict, prefix: str, values: np.ndarray, line: int) -> None:
+    """Add the constant matrix and the optional cos/sin Fourier terms, sampled
+    on the periodic grid, to the zero (G, d, d) array `values`.  A Fourier
+    mode is written in ASCII decimal digits only."""
+    grid, dim = values.shape[:2]
     x = 2.0 * np.pi * np.arange(grid) / grid
-    values = np.zeros((grid, dim, dim), dtype=complex)
     seen = False
     for key, (text, lineno) in entries.items():
         if key == prefix:
             term = _parse_matrix(text, lineno, dim)[None, :, :]
         elif key.startswith((prefix + "_cos", prefix + "_sin")):
+            digits = key[len(prefix) + 4:]
             try:
-                phase = int(key[len(prefix) + 4:]) * x
-            except (ValueError, OverflowError):  # not an integer, or no float
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(digits)
+                phase = int(digits) * x
+            except (ValueError, OverflowError):  # not digits, too long, or no float
                 raise ParseError(f"bad Fourier key {key!r}", lineno) from None
             wave = np.cos if key.startswith(prefix + "_cos") else np.sin
             term = wave(phase)[:, None, None] * _parse_matrix(text, lineno, dim)
@@ -129,7 +133,6 @@ def _component_values(entries: dict, prefix: str, dim: int, grid: int, line: int
         raise ParseError(f"component is missing a {prefix!r} matrix", line)
     if not np.isfinite(values).all():
         raise ParseError(f"the {prefix!r} values overflow", line)
-    return values
 
 
 def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
@@ -137,7 +140,8 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
 
     Top level: order, dim, optional grid.  Each `[component degree=D]`
     section gives plus/minus matrices with optional `_cos<n>` / `_sin<n>`
-    Fourier terms.
+    Fourier terms; D = order - j puts it at place j of the ladder, and
+    places without a section are zero.
     """
     top, sections = parse_sections(text)
     for key in ("order", "dim"):
@@ -151,7 +155,7 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
                       lambda v: 16 <= v <= MAX_SYMBOL_GRID and v & (v - 1) == 0,
                       f"a power-of-two grid in [16, {MAX_SYMBOL_GRID}]")
 
-    by_degree: dict[Fraction, Section] = {}
+    by_place: dict[int, Section] = {}  # component j has degree order - j
     for sec in sections:
         parts = sec.header.split()
         if parts[0] != "component":
@@ -164,30 +168,19 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
                         and (order - v).denominator == 1,
                         f"a degree {top['order'][0]} - j for an integer j in "
                         f"[0, {MAX_SYMBOL_DEPTH - 1}]")
-        if degree in by_degree:
+        j = int(order - degree)
+        if j in by_place:
             raise ParseError(f"second component of degree {degree} (the first "
-                             f"is at line {by_degree[degree].line})", sec.line)
-        by_degree[degree] = sec
+                             f"is at line {by_place[j].line})", sec.line)
+        by_place[j] = sec
 
-    if not by_degree:
+    if not by_place:
         raise ParseError("no components defined", 1)
-    depth = int(order - min(by_degree)) + 1
-    zero = np.zeros((grid, dim, dim), dtype=complex)
-    comps = []
-    for j in range(depth):
-        degree = order - j
-        sec = by_degree.get(degree)
-        if sec is None:
-            comps.append(HomogeneousComponent(degree, zero, zero))
-        else:
-            comps.append(
-                HomogeneousComponent(
-                    degree,
-                    _component_values(sec.entries, "plus", dim, grid, sec.line),
-                    _component_values(sec.entries, "minus", dim, grid, sec.line),
-                )
-            )
-    return ClassicalSymbol(order, tuple(comps))
+    values = np.zeros((max(by_place) + 1, 2, grid, dim, dim), dtype=complex)
+    for j, sec in sorted(by_place.items()):
+        for prefix, side in zip(("plus", "minus"), values[j]):
+            _component_values(sec.entries, prefix, side, sec.line)
+    return ClassicalSymbol(order, tuple(HomogeneousComponent(v) for v in values))
 
 
 def load_surfaces(text: str) -> dict[str, catalog.KahlerSurface]:

@@ -149,8 +149,7 @@ def test_09_residue_trace_property():
     b = multiplication_symbol(np.array([[0.0, 1.0], [1.0, 0.0]]), depth=2)
     ok = ok and wodzicki_residue(compose(a, b, 2) - compose(b, a, 2)) == 0.0
 
-    one = np.ones((64, 1, 1), dtype=complex)
-    inv_xi = ClassicalSymbol(-1, (HomogeneousComponent(-1, one, one),))
+    inv_xi = ClassicalSymbol(-1, (HomogeneousComponent(np.ones((2, 64, 1, 1))),))
     ok = ok and abs(wodzicki_residue(inv_xi) - 2.0) <= 1e-10
     report(9, ok, f"residue is a trace, 200 trials, worst commutator {violation:.3e}")
 

@@ -267,11 +267,12 @@ class TestPsdoCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: line ") and err.count("\n") == 1
 
-    def test_bad_fourier_key_is_usage_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key", ["plus_cosx", "plus_cos1_0", "plus_cos\u0662"])
+    def test_bad_fourier_key_is_usage_error(self, capsys, tmp_path, key):
         path = tmp_path / "bad.txt"
-        path.write_text(SYMBOL_FILE + "plus_cosx = 1\n")
+        path.write_text(SYMBOL_FILE + f"{key} = 1\n", encoding="utf-8")
         code, _, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
-        assert code == 2 and "bad Fourier key 'plus_cosx'" in err
+        assert code == 2 and f"bad Fourier key {key!r}" in err
 
     def test_seed_from_environment(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "sym.txt"

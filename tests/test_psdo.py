@@ -37,10 +37,9 @@ GRID = 32
 def constant_symbol(order, mats, grid=GRID):
     """x-independent ladder from a list of (plus, minus) matrix pairs."""
     comps = []
-    for j, (p, m) in enumerate(mats):
-        p = np.broadcast_to(np.asarray(p, dtype=complex), (grid, *np.shape(p)))
-        m = np.broadcast_to(np.asarray(m, dtype=complex), (grid, *np.shape(m)))
-        comps.append(HomogeneousComponent(Fraction(order) - j, p, m))
+    for p, m in mats:
+        pm = np.asarray((p, m), dtype=complex)
+        comps.append(HomogeneousComponent(np.broadcast_to(pm[:, None], (2, grid, *pm.shape[1:]))))
     return ClassicalSymbol(Fraction(order), tuple(comps))
 
 
@@ -58,7 +57,7 @@ def compose_constant_oracle(P, Q, depth):
                 continue
             acc_p += np.matmul(P.components[p].plus, Q.components[q].plus)
             acc_m += np.matmul(P.components[p].minus, Q.components[q].minus)
-        comps.append(HomogeneousComponent(P.order + Q.order - j, acc_p, acc_m))
+        comps.append(HomogeneousComponent(np.stack((acc_p, acc_m))))
     return ClassicalSymbol(P.order + Q.order, tuple(comps))
 
 
@@ -110,7 +109,7 @@ def compose_loop_reference(P, Q, depth):
                 cq = Q.components[j - p - m]
                 fall = 1.0
                 for t in range(m):
-                    fall *= float(cp.degree - t)
+                    fall *= float(P.order - p - t)
                 coeff = (-1j) ** m / factorial(m)
                 acc_p += coeff * fall * np.matmul(cp.plus, dx(cq.plus, m))
                 acc_m += coeff * fall * (-1.0) ** m * np.matmul(cp.minus, dx(cq.minus, m))
@@ -134,10 +133,8 @@ def random_symbol_reference(rng, order, depth, dim=2, grid=psdo.DEFAULT_GRID, mo
         return val
 
     comps = tuple(
-        HomogeneousComponent(
-            Fraction(order - j), random_matrix_function(), random_matrix_function()
-        )
-        for j in range(depth)
+        HomogeneousComponent(np.stack((random_matrix_function(), random_matrix_function())))
+        for _ in range(depth)
     )
     return ClassicalSymbol(Fraction(order), comps)
 
@@ -149,7 +146,7 @@ def derivatives_reference(components, depth):
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)
     table = []
     for q, c in enumerate(components[:depth]):
-        values = np.stack((c.plus, c.minus))
+        values = c.values
         hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
         table.append([values] + [
             np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
@@ -158,7 +155,7 @@ def derivatives_reference(components, depth):
     return table
 
 
-def product_term_reference(P_components, dQ, j):
+def product_term_reference(order, P_components, dQ, j):
     """The product kernel's degree-j term before exactly-zero terms were
     skipped: every (p, m, q) with p + m + q = j is multiplied and added."""
 
@@ -170,10 +167,10 @@ def product_term_reference(P_components, dQ, j):
 
     acc = np.zeros_like(dQ[0][0])
     for p, cp in enumerate(P_components[: j + 1]):
-        left = np.stack((cp.plus, cp.minus))
+        left = cp.values
         for m in range(j - p + 1):
             coeff = (-1j) ** m / factorial(m)
-            scale = coeff * falling(cp.degree, m) * np.array([1.0, (-1.0) ** m])
+            scale = coeff * falling(order - p, m) * np.array([1.0, (-1.0) ** m])
             acc += scale[:, None, None, None] * np.matmul(left, dQ[j - p - m][m])
     return acc
 
@@ -197,7 +194,6 @@ def reference_kernel(monkeypatch):
 def assert_same_symbol(a, b):
     assert a.order == b.order and a.depth == b.depth
     for ca, cb in zip(a.components, b.components):
-        assert ca.degree == cb.degree
         assert np.array_equal(ca.plus, cb.plus) and np.array_equal(ca.minus, cb.minus)
 
 
@@ -207,10 +203,9 @@ def mixed_ladder(sym, kinds):
     comps = []
     for c, kind in zip(sym.components, kinds, strict=True):
         if kind == "c":
-            c = HomogeneousComponent(c.degree, np.broadcast_to(c.plus[:1], c.plus.shape),
-                                     np.broadcast_to(c.minus[:1], c.minus.shape))
+            c = HomogeneousComponent(np.broadcast_to(c.values[:, :1], c.values.shape))
         elif kind == "0":
-            c = HomogeneousComponent(c.degree, np.zeros_like(c.plus), np.zeros_like(c.minus))
+            c = HomogeneousComponent(np.zeros_like(c.values))
         comps.append(c)
     return ClassicalSymbol(sym.order, tuple(comps))
 
@@ -225,7 +220,7 @@ def elliptic_order_one(rng, depth, dim, grid=GRID):
     A = random_symbol(rng, 1, depth, dim=dim, grid=grid)
     lead = A.components[0]
     eye = 1j * np.eye(dim)
-    new_lead = HomogeneousComponent(lead.degree, eye + 0.1 * lead.plus, -eye + 0.1 * lead.minus)
+    new_lead = HomogeneousComponent(np.stack((eye + 0.1 * lead.plus, -eye + 0.1 * lead.minus)))
     return ClassicalSymbol(A.order, (new_lead,) + A.components[1:])
 
 
@@ -326,10 +321,11 @@ class TestCompose:
         const = mixed_ladder(random_symbol(rng, 0, 3, dim=2, grid=GRID), "ccc")
         assert all(c.stacked.shape == (2, 1, 2, 2) for c in const.components)
         c0 = const.components[0]
-        values = {"plus": c0.plus.copy(), "minus": c0.minus.copy()}
-        entry = values[side][row, 1, 0]  # one ulp up in one entry of one grid row
-        values[side][row, 1, 0] = complex(np.nextafter(entry.real, np.inf), entry.imag)
-        lead = HomogeneousComponent(c0.degree, values["plus"], values["minus"])
+        values = c0.values.copy()
+        at = ("plus", "minus").index(side), row, 1, 0
+        entry = values[at]  # one ulp up in one entry of one grid row
+        values[at] = complex(np.nextafter(entry.real, np.inf), entry.imag)
+        lead = HomogeneousComponent(values)
         assert lead.stacked.shape == (2, GRID, 2, 2)
         Q = ClassicalSymbol(const.order, (lead,) + const.components[1:])
         P = random_symbol(rng, 1, 3, dim=2, grid=GRID)
@@ -345,7 +341,7 @@ class TestCompose:
         # Rows are compared bit for bit: a -0.0 where row 0 has 0.0 keeps the grid.
         signed = np.broadcast_to(np.eye(2, dtype=complex), (GRID, 2, 2)).copy()
         signed[3, 0, 1] = -0.0
-        assert HomogeneousComponent(Fraction(0), signed, signed).stacked.shape == (2, GRID, 2, 2)
+        assert HomogeneousComponent(np.stack((signed, signed))).stacked.shape == (2, GRID, 2, 2)
 
     def test_truncation_error_reports_deficit(self, rng):
         P = random_symbol(rng, 0, 2, dim=1, grid=GRID)
@@ -364,10 +360,7 @@ class TestCompose:
 
 class TestResidue:
     def test_inverse_absolute_value(self):
-        one = np.ones((GRID, 1, 1), dtype=complex)
-        P = ClassicalSymbol(
-            Fraction(-1), (HomogeneousComponent(Fraction(-1), one, one),)
-        )
+        P = ClassicalSymbol(Fraction(-1), (HomogeneousComponent(np.ones((2, GRID, 1, 1))),))
         assert wodzicki_residue(P) == pytest.approx(2.0, abs=1e-10)
 
     def test_multiplication_operator_is_traceless(self):
@@ -493,7 +486,7 @@ class TestParametrix:
         singular = lead.plus.copy() if side == "+1" else lead.minus.copy()
         singular[5] = [[1.0, 2.0], [2.0, 4.0]]  # one grid point suffices
         plus, minus = (singular, lead.minus) if side == "+1" else (lead.plus, singular)
-        A = ClassicalSymbol(A.order, (HomogeneousComponent(lead.degree, plus, minus),)
+        A = ClassicalSymbol(A.order, (HomogeneousComponent(np.stack((plus, minus))),)
                             + A.components[1:])
         with pytest.raises(SymbolError, match=re.escape(f"singular at xi = {side}")):
             parametrix(A, 3)
@@ -576,16 +569,113 @@ class TestRandomSymbol:
 
 class TestGridValidation:
     def test_small_grid_rejected(self):
-        with pytest.raises(SymbolError):
-            HomogeneousComponent(
-                Fraction(0), np.zeros((8, 1, 1), complex), np.zeros((8, 1, 1), complex)
-            )
+        with pytest.raises(SymbolError, match="power of two"):
+            HomogeneousComponent(np.zeros((2, 8, 1, 1), complex))
 
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(SymbolError):
-            HomogeneousComponent(
-                Fraction(0), np.zeros((24, 1, 1), complex), np.zeros((24, 1, 1), complex)
-            )
+        with pytest.raises(SymbolError, match="power of two"):
+            HomogeneousComponent(np.zeros((2, 24, 1, 1), complex))
+
+
+class TestChecks:
+    @pytest.mark.parametrize("shape", [
+        (GRID, 2, 2),        # one side only
+        (1, GRID, 2, 2),
+        (3, GRID, 2, 2),
+        (2, GRID, 2, 3),     # not square
+        (2, GRID, 2),
+        (2, 2, GRID, 2, 2),
+    ])
+    def test_values_shape(self, shape):
+        with pytest.raises(SymbolError, match=re.escape("shape (2, G, d, d)")):
+            HomogeneousComponent(np.zeros(shape, complex))
+
+    @pytest.mark.parametrize("grid, dim", [(16, 2), (GRID, 1), (GRID, 3)])
+    @pytest.mark.parametrize("place", [0, 1])
+    def test_ladder_disagrees_on_grid_or_dim(self, grid, dim, place):
+        comps = [HomogeneousComponent(np.zeros((2, GRID, 2, 2), complex))] * 2
+        comps.insert(place + 1, HomogeneousComponent(np.zeros((2, grid, dim, dim), complex)))
+        with pytest.raises(SymbolError, match="disagree on grid or fiber dimension"):
+            ClassicalSymbol(0, tuple(comps))
+
+    def test_grid_values_of_another_grid(self):
+        with pytest.raises(SymbolError, match=re.escape(f"shape ({GRID},2,2)")):
+            multiplication_symbol(np.zeros((16, 2, 2)), GRID)
+
+    def test_empty_ladder(self):
+        with pytest.raises(SymbolError, match="at least one component"):
+            ClassicalSymbol(0, ())
+
+    def test_orders_off_by_a_non_integer(self, rng):
+        P = random_symbol(rng, 0, 3, dim=2, grid=GRID)
+        Q = ClassicalSymbol(Fraction(1, 2), random_symbol(rng, 0, 3, dim=2, grid=GRID).components)
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            for a, b in ((P, Q), (Q, P)):
+                with pytest.raises(SymbolError, match="differ by an integer"):
+                    combine(a, b)
+
+
+def binary_reference(P, Q, f):
+    """P (f) Q degree by degree, each side looked up with component(degree):
+    (order, [(plus, minus) per degree]) from the higher order down to the
+    higher truncation floor."""
+    zero = np.zeros((P.grid, P.fiber_dim, P.fiber_dim), complex)
+    order, floor = max(P.order, Q.order), max(P.floor_degree, Q.floor_degree)
+    out = []
+    for j in range(int(order - floor) + 1):
+        a, b = P.component(order - j), Q.component(order - j)
+        out.append(tuple(
+            f(zero if a is None else getattr(a, side), zero if b is None else getattr(b, side))
+            for side in ("plus", "minus")
+        ))
+    return order, out
+
+
+class TestLadderArithmetic:
+    """+, - and scalar * on ladders whose orders are rational and shifted,
+    against binary_reference."""
+
+    PAIRS = [("1/2", 3, "-3/2", 4), ("0", 2, "-2", 5), ("1", 5, "-1", 2),
+             ("-1/3", 4, "2/3", 1), ("5/2", 1, "-1/2", 6), ("3/4", 3, "3/4", 5)]
+
+    @staticmethod
+    def draw(rng, order, depth):
+        return ClassicalSymbol(Fraction(order), random_symbol(rng, 0, depth, grid=GRID).components)
+
+    @pytest.mark.parametrize("op, f", [("+", lambda a, b: a + b), ("-", lambda a, b: a - b)])
+    @pytest.mark.parametrize("oa, da, ob, db", PAIRS)
+    def test_add_and_subtract(self, rng, op, f, oa, da, ob, db):
+        P, Q = self.draw(rng, oa, da), self.draw(rng, ob, db)
+        for a, b in ((P, Q), (Q, P)):
+            got = f(a, b)
+            order, want = binary_reference(a, b, f)
+            assert got.order == order and got.depth == len(want)
+            for c, (plus, minus) in zip(got.components, want):
+                assert np.array_equal(c.plus, plus) and np.array_equal(c.minus, minus)
+            assert got.leading_degree() == order
+
+    @pytest.mark.parametrize("order", ["1/2", "-3/2", "0", "-7/3"])
+    def test_scalar_multiple(self, rng, order):
+        P = self.draw(rng, order, 3)
+        for scalar in (2.5, -1j, 0.5 - 2j):
+            got = scalar * P
+            assert got.order == P.order and got.depth == P.depth
+            for j, c in enumerate(got.components):
+                ref = P.component(P.order - j)
+                assert np.array_equal(c.plus, complex(scalar) * ref.plus)
+                assert np.array_equal(c.minus, complex(scalar) * ref.minus)
+
+    def test_leading_degree_is_order_minus_place(self, rng):
+        P = self.draw(rng, "1/2", 4)
+        zero = HomogeneousComponent(np.zeros_like(P.components[0].values))
+        for place in range(4):
+            comps = (zero,) * place + P.components[place:]
+            assert ClassicalSymbol(P.order, comps).leading_degree() == Fraction(1, 2) - place
+        assert ClassicalSymbol(P.order, (zero,) * 4).leading_degree() is None
+        assert (P - P).leading_degree() is None
+        # Subtracting the top component leaves the next one leading.
+        top = ClassicalSymbol(P.order, P.components[:1]).pad_zeros(4)
+        assert (P - top).leading_degree() == Fraction(-1, 2)
 
 
 class TestConnectionDifferenceAudit:

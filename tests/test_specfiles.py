@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -180,10 +182,14 @@ class TestLoadSymbol:
                                              r"\(the first is at line 3\)"):
             load_symbol(text)
 
-    @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5",
-                                     pytest.param("plus_cos" + "9" * 400, id="beyond-float")])
+    # A mode is ASCII decimal digits: int() alone would read "1_0" as 10,
+    # the Arabic-Indic digit two as 2, and accept a sign.
+    @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5", "plus_cos1_0",
+                                     "plus_cos\u0662", "minus_sin-1", "plus_cos+1",
+                                     pytest.param("plus_cos" + "9" * 400, id="beyond-float"),
+                                     pytest.param("plus_cos" + "9" * 5000, id="beyond-int")])
     def test_bad_fourier_suffix(self, key):
-        with pytest.raises(ParseError, match=f"line 5.*bad Fourier key '{key}'"):
+        with pytest.raises(ParseError, match=f"line 5.*bad Fourier key {re.escape(repr(key))}"):
             load_symbol(
                 f"order = 0\ndim = 1\n[component degree=0]\nplus = 1\n{key} = 1\nminus = 1\n"
             )
