@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -222,9 +223,13 @@ def _max_abs_per_frame(rotated: np.ndarray) -> np.ndarray:
     return np.max(np.abs(rotated), axis=(1, 2, 3, 4))
 
 
+@cache
 def _givens_stack(dim: int, step: float) -> np.ndarray:
     """The rotations by +step and -step in every coordinate plane (i, j),
-    planes in lexicographic order, +step first: shape (2 C(dim, 2), dim, dim)."""
+    planes in lexicographic order, +step first: shape (2 C(dim, 2), dim, dim).
+
+    Read-only and built once per (dim, step): every search halves its step
+    through the same floats 0.2 * 2**-n, at most 38 of them."""
     planes = list(itertools.combinations(range(dim), 2))
     stack = np.tile(np.eye(dim), (2 * len(planes), 1, 1))
     for m, ((i, j), angle) in enumerate(itertools.product(planes, (step, -step))):
@@ -233,6 +238,7 @@ def _givens_stack(dim: int, step: float) -> np.ndarray:
         stack[m, j, j] = c
         stack[m, i, j] = -s
         stack[m, j, i] = s
+    stack.setflags(write=False)
     return stack
 
 

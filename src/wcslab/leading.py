@@ -4,11 +4,15 @@ The family is the map S^2 -> L S^2 sending x to the loop theta -> R_theta x
 (rotation about the z-axis), paired against a degree-q line bundle on the
 target sphere.  Both sides of the identity reduce to vol(S^1) * q, but the
 left side is computed by honest pullback quadrature over the family.
+
+The quadrature over the parameter sphere reduces to one moment tensor,
+which a family builds once (`MappedFamily.moment`) and both sides read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +63,20 @@ class MappedFamily:
     def parameter_grid(self):
         return _sphere_quadrature(self.n_colat, self.n_long)
 
+    @cached_property
+    def moment(self) -> np.ndarray:
+        """M_ijk = sum over the parameter grid of W t_phi_i t_lambda_j x_k
+        (a pairwise sum on the grid axis), read-only, built on first use.
+
+        The area form dA(Rv, Rw, Rn) = eps_abc (Rv)_a (Rw)_b (Rn)_c is
+        trilinear in (v, w, n), so the grid reduces once, for every angle
+        and every charge, to this (3, 3, 3) tensor."""
+        points, t_phi, t_lam, W = self.parameter_grid()
+        M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
+        M = M.reshape(3, 3, 3, -1).sum(axis=-1)
+        M.setflags(write=False)
+        return M
+
     @staticmethod
     def rotation(theta) -> np.ndarray:
         """Rotation about the z-axis by each angle: shape theta.shape + (3, 3)."""
@@ -81,14 +99,8 @@ class LineBundleCurvature:
 
 def _pullback_integrals(fam: MappedFamily, L: LineBundleCurvature, thetas) -> np.ndarray:
     """Per-angle integral over the parameter sphere of (u_theta)^* (i/2pi) tr(Omega)."""
-    points, t_phi, t_lam, W = fam.parameter_grid()
-    # The area form dA(Rv, Rw, Rn) = eps_abc (Rv)_a (Rw)_b (Rn)_c is trilinear
-    # in (v, w, n), so the grid reduces once, for all angles, to the moment
-    # M_ijk = sum W t_phi_i t_lambda_j x_k (a pairwise sum on the last axis).
-    M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
-    M = M.reshape(3, 3, 3, -1).sum(axis=-1)
     R = fam.rotation(thetas)
-    dA = np.einsum("abc,tai,tbj,tck,ijk->t", LEVI_CIVITA[3], R, R, R, M, optimize=True)
+    dA = np.einsum("abc,tai,tbj,tck,ijk->t", LEVI_CIVITA[3], R, R, R, fam.moment, optimize=True)
     return np.real((1j / (2.0 * np.pi)) * L.coefficient * dA)
 
 

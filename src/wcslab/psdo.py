@@ -4,21 +4,30 @@ Matrix-valued symbols are stored as truncated ladders of homogeneous
 components.  On S^1 the unit cosphere fiber is two points, so each component
 is fully determined by its values at xi = +1 and xi = -1 on a uniform
 periodic x-grid; this storage is exact.  A component holds those values as
-one (2, G, d, d) array, xi = +1 first.  It does not hold its degree: in a
-symbol of order r, component j has degree r - j.
+one read-only (2, G, d, d) array, xi = +1 first.  It does not hold its
+degree: in a symbol of order r, component j has degree r - j.  A component
+never changes once built: it copies an argument that could still be written.
+
+A component constant in x is stored as its one grid row: `values` is then a
+read-only view of that row with stride 0 on the grid axis, so it still has
+the shape (2, G, d, d).  Multiplication symbols of a constant matrix, the
+derivative symbol of a constant connection, and every sum, multiple and
+product of such symbols are built on the row alone.
 
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
 with d_x by spectral differentiation and d_xi acting degree-wise.  Inside
-the product kernel a component that is constant in x (every grid row equal
-to row 0) is carried as that one row, which matmul broadcasts against the
-grid, and its x-derivatives are exact zeros that are never formed.
+the product kernel a component that is constant in x (stored as one row, or
+a full array whose grid rows all equal row 0 bit for bit) is carried as that
+one row, which matmul broadcasts against the grid, and its x-derivatives are
+exact zeros that are never formed.  A degree whose every term is one row is
+summed on one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from math import factorial
 
@@ -71,30 +80,72 @@ class InsufficientDepthError(SymbolError):
 
 
 def _as_grid_matrix(value, grid: int, dim: int) -> np.ndarray:
+    """A matrix function on the grid, (grid, d, d); a constant (d, d) matrix
+    becomes its one row, (1, d, d), a shape that is also accepted as is."""
     arr = np.asarray(value, dtype=complex)
     if arr.shape == (dim, dim):
-        arr = np.broadcast_to(arr, (grid, dim, dim))
-    if arr.shape != (grid, dim, dim):
-        raise SymbolError(f"component values must have shape ({grid},{dim},{dim})")
+        arr = arr[None]
+    if arr.shape not in ((1, dim, dim), (grid, dim, dim)):
+        raise SymbolError(f"component values must have shape ({grid},{dim},{dim}) "
+                          f"or ({dim},{dim})")
     return np.ascontiguousarray(arr)
+
+
+def _frozen(arr: np.ndarray) -> bool:
+    """True when neither arr nor the array that owns its memory can be
+    written, so no one can change it later."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
+def _spread(row: np.ndarray, grid: int) -> np.ndarray:
+    """A C-contiguous (2, 1, d, d) row as a (2, grid, d, d) view with stride 0
+    on the grid axis, read-only when the row is.  (A direct ndarray over the
+    row's buffer: np.broadcast_to costs several times more per call.)"""
+    s0, _, s2, s3 = row.strides
+    return np.ndarray((2, grid) + row.shape[2:], complex, buffer=row, strides=(s0, 0, s2, s3))
+
+
+def _component(values: np.ndarray, grid: int) -> "HomogeneousComponent":
+    """A component over an array this module has just made and holds no
+    other reference to: frozen in place, so the constructor keeps it without
+    a copy, and a (2, 1, d, d) row is spread over the grid."""
+    values = np.ascontiguousarray(values)
+    values.setflags(write=False)
+    if values.shape[1] == 1:
+        values = _spread(values, grid)
+    return HomogeneousComponent(values)
 
 
 @dataclass(frozen=True)
 class HomogeneousComponent:
     """One homogeneous piece, stored at the two cosphere points: values[0]
     at xi = +1 and values[1] at xi = -1, each on the (G, d, d) grid.  Its
-    degree is its symbol's order minus its place in the ladder."""
+    degree is its symbol's order minus its place in the ladder.
+
+    values is read-only and never changes.  An argument that could still be
+    written (it, or the array owning its memory, is writeable) is copied, so
+    the caller's array stays writeable and later writes to it do not reach
+    the component.  An argument with stride 0 on the grid axis (one row seen
+    G times, as np.broadcast_to makes) is kept as that one row."""
 
     values: np.ndarray  # (2, G, d, d) complex, read-only
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=complex)
+        values = np.asarray(self.values, dtype=complex)
         if values.ndim != 4 or values.shape[0] != 2 or values.shape[2] != values.shape[3]:
             raise SymbolError("component values must have shape (2, G, d, d)")
         g = values.shape[1]
         if g < 16 or (g & (g - 1)) != 0:
             raise SymbolError("grid size must be a power of two >= 16")
-        values.setflags(write=False)
+        stored = values[:, :1] if values.strides[1] == 0 else values
+        if not (stored.flags.c_contiguous and _frozen(values)):
+            stored = stored.copy()
+            stored.setflags(write=False)
+            values = _spread(stored, g) if stored.shape[1] == 1 else stored
         object.__setattr__(self, "values", values)
 
     @property
@@ -113,18 +164,28 @@ class HomogeneousComponent:
     def fiber_dim(self) -> int:
         return self.values.shape[2]
 
+    @property
+    def stored(self) -> np.ndarray:
+        """The values held: the one row (2, 1, d, d) of a component stored as
+        a row, values itself otherwise.  Broadcasts as values does."""
+        values = self.values
+        return values[:, :1] if values.strides[1] == 0 else values
+
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.max(np.abs(self.stored)))
 
     @cached_property
     def stacked(self) -> np.ndarray | None:
         """values as the product kernel reads them: shape (2, 1, d, d) when
-        every grid row equals row 0 bit for bit, (2, G, d, d) otherwise, and
-        None when both sides are exactly zero (the padding that pad_zeros
-        adds), so every term it enters is exactly zero."""
-        values = self.values
+        the component is stored as one row or every grid row equals row 0 bit
+        for bit, (2, G, d, d) otherwise, and None when both sides are exactly
+        zero (the padding that pad_zeros adds), so every term it enters is
+        exactly zero."""
+        values = self.stored
         if not values.any():
             return None
+        if values.shape[1] == 1:
+            return values
         bits = values.view(np.uint64)
         return values[:, :1] if (bits == bits[:, :1]).all() else values
 
@@ -143,7 +204,8 @@ class ClassicalSymbol:
             raise SymbolError("a symbol needs at least one component")
         if any(c.values.shape != comps[0].values.shape for c in comps):
             raise SymbolError("components disagree on grid or fiber dimension")
-        object.__setattr__(self, "order", Fraction(self.order))
+        if not isinstance(self.order, Fraction):
+            object.__setattr__(self, "order", Fraction(self.order))
         object.__setattr__(self, "components", comps)
 
     @property
@@ -177,7 +239,7 @@ class ClassicalSymbol:
         """
         if depth <= self.depth:
             return self
-        zero = HomogeneousComponent(np.zeros_like(self.components[0].values))
+        zero = _component(np.zeros((2, 1) + (self.fiber_dim,) * 2, dtype=complex), self.grid)
         return ClassicalSymbol(self.order, self.components + (zero,) * (depth - self.depth))
 
     def leading_degree(self, tol: float = 1e-11):
@@ -196,13 +258,13 @@ class ClassicalSymbol:
             raise SymbolError("orders must differ by an integer to combine")
         order = max(self.order, other.order)
         depth = int(order - max(self.floor_degree, other.floor_degree)) + 1
-        zero = np.zeros_like(self.components[0].values)
+        zero = np.zeros((2, 1) + (self.fiber_dim,) * 2, dtype=complex)
 
-        def ladder(sym):  # sym's values at the result's places 0 .. depth - 1
-            return ([zero] * int(order - sym.order) + [c.values for c in sym.components])[:depth]
+        def ladder(sym):  # sym's stored values at the result's places 0 .. depth - 1
+            return ([zero] * int(order - sym.order) + [c.stored for c in sym.components])[:depth]
 
         return ClassicalSymbol(order, tuple(
-            HomogeneousComponent(f(a, b)) for a, b in zip(ladder(self), ladder(other))
+            _component(f(a, b), self.grid) for a, b in zip(ladder(self), ladder(other))
         ))
 
     def __add__(self, other):
@@ -214,7 +276,7 @@ class ClassicalSymbol:
     def __rmul__(self, scalar):
         scalar = complex(scalar)
         return ClassicalSymbol(
-            self.order, tuple(HomogeneousComponent(scalar * c.values) for c in self.components)
+            self.order, tuple(_component(scalar * c.stored, self.grid) for c in self.components)
         )
 
 
@@ -229,7 +291,7 @@ def multiplication_symbol(value, grid: int = DEFAULT_GRID, depth: int = 1) -> Cl
         value = value.reshape(1, 1)
     dim = value.shape[-1]
     arr = _as_grid_matrix(value, grid, dim)
-    sym = ClassicalSymbol(Fraction(0), (HomogeneousComponent(np.stack((arr, arr))),))
+    sym = ClassicalSymbol(Fraction(0), (_component(np.stack((arr, arr)), grid),))
     return sym.pad_zeros(depth)
 
 
@@ -241,8 +303,8 @@ def derivative_symbol(
     adjoint: bool = False,
 ) -> ClassicalSymbol:
     """Symbol of D = d/dx + Gamma(x), or of its formal adjoint."""
-    eye = np.broadcast_to(np.eye(dim, dtype=complex), (grid, dim, dim))
-    g = (np.zeros((grid, dim, dim), dtype=complex) if gamma is None
+    eye = np.eye(dim, dtype=complex)[None]
+    g = (np.zeros((1, dim, dim), dtype=complex) if gamma is None
          else _as_grid_matrix(gamma, grid, dim))
     lead = -1j if adjoint else 1j
     if adjoint:
@@ -250,8 +312,8 @@ def derivative_symbol(
     sym = ClassicalSymbol(
         Fraction(1),
         (
-            HomogeneousComponent(np.stack((lead * eye, -lead * eye))),
-            HomogeneousComponent(np.stack((g, g))),
+            _component(np.stack((lead * eye, -lead * eye)), grid),
+            _component(np.stack((g, g)), grid),
         ),
     )
     return sym.pad_zeros(depth)
@@ -265,8 +327,6 @@ def _derivatives(components, depth: int) -> list:
     pocketfft's non-zero frequency bins are exactly 0.0).  Every other
     component is differentiated spectrally on the periodic grid, with one
     forward FFT."""
-    grid = components[0].grid
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer wavenumbers
     table = []
     for q, c in enumerate(components[:depth]):
         values = c.stacked
@@ -276,6 +336,7 @@ def _derivatives(components, depth: int) -> list:
             table.append([values] + [None] * (depth - q - 1))
         else:
             hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
+            freqs = _wavenumbers(c.grid)
             table.append([values] + [
                 np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
                 for m in range(1, depth - q)
@@ -284,14 +345,16 @@ def _derivatives(components, depth: int) -> list:
 
 
 def _product_term(order: Fraction, P_components, dQ: list, j: int) -> np.ndarray:
-    """Component j of the asymptotic product, as (2, G, d, d) values: the sum
-    over p + m + q = j of ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q, p ranging
-    over P_components, a ladder of order `order`.  d_xi^m carries (-1)^m at
-    xi = -1 and the falling factorial of the degree order - p of sigma_p.
-    Terms that are exactly zero (a vanishing sigma_p, sigma_q or d_x^m sigma_q,
-    or a zero falling factorial) are skipped; a one-row factor broadcasts over
-    the grid."""
-    acc = np.zeros(P_components[0].values.shape, dtype=complex)
+    """Component j of the asymptotic product: the sum over p + m + q = j of
+    ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q, p ranging over P_components, a
+    ladder of order `order`.  d_xi^m carries (-1)^m at xi = -1 and the falling
+    factorial of the degree order - p of sigma_p.  Terms that are exactly zero
+    (a vanishing sigma_p, sigma_q or d_x^m sigma_q, or a zero falling
+    factorial) are skipped; a one-row factor broadcasts over the grid.  The
+    sum is one row, (2, 1, d, d), while every term is, and (2, G, d, d) from
+    the first full-grid term on; every grid row gets the same additions in
+    the same order as a full-grid sum."""
+    acc = np.zeros((2, 1) + P_components[0].values.shape[2:], dtype=complex)
     den = order.denominator
     for p, cp in enumerate(P_components[: j + 1]):
         left = cp.stacked
@@ -310,8 +373,20 @@ def _product_term(order: Fraction, P_components, dQ: list, j: int) -> np.ndarray
                 continue
             coeff = (-1j) ** m / factorial(m)
             scale = coeff * fall * np.array([1.0, (-1.0) ** m])
-            acc += scale[:, None, None, None] * np.matmul(left, dq[m])
+            term = scale[:, None, None, None] * np.matmul(left, dq[m])
+            if term.shape[1] > acc.shape[1]:
+                acc = acc + term
+            else:
+                acc += term
     return acc
+
+
+@cache
+def _wavenumbers(grid: int) -> np.ndarray:
+    """The integer wavenumbers of a periodic grid, in FFT order (read-only)."""
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+    freqs.setflags(write=False)
+    return freqs
 
 
 def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) -> ClassicalSymbol:
@@ -335,7 +410,7 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) ->
     order = P.order + Q.order
     dQ = _derivatives(Q.components, depth)
     comps = tuple(
-        HomogeneousComponent(_product_term(P.order, P.components, dQ, j)) for j in range(depth)
+        _component(_product_term(P.order, P.components, dQ, j), P.grid) for j in range(depth)
     )
     return ClassicalSymbol(order, comps)
 
@@ -366,7 +441,8 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
     b_0 = a_0^{-1}; each later b_j solves the degree -j part of the product
     for b_j a_0, so b_j = -(sum of the other terms) a_0^{-1}.  The leading
     component a_0 must be invertible at xi = +1 and xi = -1 on every grid
-    point.  A leading component constant in x is inverted once per side.
+    point.  A leading component constant in x is inverted once per side,
+    and each b_j whose terms are all constant in x is built on one row.
     """
     if depth < 1:
         raise SymbolError("depth must be >= 1")
@@ -386,9 +462,9 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
             raise SymbolError(f"leading component is singular at xi = {side}") from None
     a0inv = np.stack(inverses)
     dA = _derivatives(A.components, depth)
-    b = [HomogeneousComponent(np.broadcast_to(a0inv, A.components[0].values.shape))]
+    b = [_component(a0inv, A.grid)]
     for j in range(1, depth):
-        b.append(HomogeneousComponent(-np.matmul(_product_term(-A.order, b, dA, j), a0inv)))
+        b.append(_component(-np.matmul(_product_term(-A.order, b, dA, j), a0inv), A.grid))
     return ClassicalSymbol(-A.order, tuple(b))
 
 
@@ -402,7 +478,7 @@ def resolvent_parametrix(gamma=None, depth: int = 2, dim: int | None = None,
     if depth < 2:
         raise SymbolError("depth must be >= 2")
     if gamma is None:
-        gamma = np.zeros((grid,) + (1 if dim is None else dim,) * 2)
+        gamma = np.zeros((1 if dim is None else dim,) * 2)
     elif dim is not None:
         gamma = _as_grid_matrix(gamma, grid, dim)
     return parametrix(laplacian_plus_one_symbol(gamma, grid=grid, depth=depth + 2), depth)
@@ -434,6 +510,7 @@ def random_symbol(rng: np.random.Generator, order: int, depth: int,
     for n in range(1, modes + 1):
         values += np.cos(n * x)[:, None, None] * terms[:, None, 2 * n - 1] / n
         values += np.sin(n * x)[:, None, None] * terms[:, None, 2 * n] / n
+    values.setflags(write=False)  # so each component keeps its slice without a copy
     comps = tuple(HomogeneousComponent(v) for v in values.reshape(depth, 2, grid, dim, dim))
     return ClassicalSymbol(Fraction(order), comps)
 
@@ -460,7 +537,7 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         if j >= 0:
             pq = compose(P, Q, j + 1).components[j]
             qp = compose(Q, P, j + 1).components[j]
-            diff = HomogeneousComponent(pq.values - qp.values)
+            diff = _component(pq.stored - qp.stored, grid)
             worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(-1, (diff,)))))
     return worst
 

@@ -180,6 +180,7 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
     for j, sec in sorted(by_place.items()):
         for prefix, side in zip(("plus", "minus"), values[j]):
             _component_values(sec.entries, prefix, side, sec.line)
+    values.setflags(write=False)  # so each component keeps its slice without a copy
     return ClassicalSymbol(order, tuple(HomogeneousComponent(v) for v in values))
 
 

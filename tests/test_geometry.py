@@ -314,6 +314,31 @@ class TestStackedSearch:
         assert all(0 < b < a for a, b in zip(calls[1:], calls[2:]))
 
 
+class TestGivensCache:
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_cached_stacks_are_read_only_loop_builds(self, dim):
+        step = 0.2
+        for _ in range(40):
+            stack = geometry._givens_stack(dim, step)
+            assert not stack.flags.writeable
+            assert geometry._givens_stack(dim, step) is stack
+            want = [_plane_rotation(dim, i, j, sgn * step)
+                    for i, j in itertools.combinations(range(dim), 2) for sgn in (1.0, -1.0)]
+            assert np.array_equal(stack, np.array(want))
+            step *= 0.5
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_search_equals_reference_exactly(self, seed):
+        """The cached stacks change nothing: every catalog search, with the
+        cache cold or warm, equals the reference descent bit for bit."""
+        for R in (flat_torus().curvature, cp2_fubini_study().curvature,
+                  product_cp1(2, 3).curvature):
+            want = reference_search(R, seed, 1, rotate=stacked_rotation_of_one)[0]
+            geometry._givens_stack.cache_clear()
+            assert max_abs_component(R, seed=seed, samples=1) == want
+            assert max_abs_component(R, seed=seed, samples=1) == want
+
+
 class TestFramesAndStructures:
     def test_non_orthonormal_frame_rejected(self):
         with pytest.raises(ValueError):

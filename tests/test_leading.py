@@ -1,6 +1,11 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from wcslab import cli
+from wcslab.geometry import LEVI_CIVITA
 from wcslab.leading import (
     LineBundleCurvature,
     MappedFamily,
@@ -134,3 +139,43 @@ class TestBatchedContraction:
         for R, theta in zip(stacked, fam.loop_angles):
             np.testing.assert_array_equal(R, fam.rotation(theta))
         assert fam.rotation(0.0).shape == (3, 3)
+
+
+def per_side_pullback_integrals(fam, L, thetas):
+    """Reference: the pullback integrals as each side built them before the
+    family held its moment: the grid and the moment rebuilt on every call."""
+    points, t_phi, t_lam, W = fam.parameter_grid()
+    M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
+    M = M.reshape(3, 3, 3, -1).sum(axis=-1)
+    R = fam.rotation(thetas)
+    dA = np.einsum("abc,tai,tbj,tck,ijk->t", LEVI_CIVITA[3], R, R, R, M, optimize=True)
+    return np.real((1j / (2.0 * np.pi)) * L.coefficient * dA)
+
+
+class TestMomentOncePerFamily:
+    @pytest.mark.parametrize("grid", [16, 32, 56])
+    def test_sides_equal_per_side_build_exactly(self, grid):
+        fam = MappedFamily(grid, 2 * grid, grid)
+        for q in range(-3, 4):
+            L = LineBundleCurvature(q)
+            lhs = float(np.sum(per_side_pullback_integrals(fam, L, fam.loop_angles)
+                               * fam.loop_weights))
+            rhs = 2.0 * np.pi * float(per_side_pullback_integrals(fam, L, [0.0])[0])
+            assert c_lo_pairing(fam, L) == lhs
+            assert rhs_prop22(fam, L) == rhs
+
+    def test_moment_is_read_only_and_cached(self, fam):
+        assert fam.moment is fam.moment and not fam.moment.flags.writeable
+
+    def test_one_grid_per_verify_prop22(self, monkeypatch):
+        calls = []
+        build = MappedFamily.parameter_grid
+
+        def counted(self):
+            calls.append(self)
+            return build(self)
+
+        monkeypatch.setattr(MappedFamily, "parameter_grid", counted)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["verify-prop22", "--charge", "3", "--grid", "16"]) == 0
+        assert len(calls) == 1 and '"pass": true' in out.getvalue()

@@ -678,6 +678,156 @@ class TestLadderArithmetic:
         assert (P - top).leading_degree() == Fraction(-1, 2)
 
 
+def full_grid_copy(sym):
+    """sym with every component stored as a full (2, G, d, d) array."""
+    return ClassicalSymbol(sym.order, tuple(
+        HomogeneousComponent(np.array(c.values)) for c in sym.components))
+
+
+def assert_same_bits(a, b):
+    """Equal orders and depths, and equal component values, compared both
+    as numbers and as C-order bytes (which also tells 0.0 from -0.0)."""
+    assert a.order == b.order and a.depth == b.depth
+    for ca, cb in zip(a.components, b.components):
+        assert np.array_equal(ca.values, cb.values)
+        assert (np.ascontiguousarray(ca.values).tobytes()
+                == np.ascontiguousarray(cb.values).tobytes())
+
+
+def one_row(c):
+    return c.values.strides[1] == 0
+
+
+class TestOneRowStorage:
+    """Components constant in x are stored as one row, and the operations on
+    them give the values that the same operations give on full grids."""
+
+    #: constant (c), banded (b) and zero (0) places, as in LADDERS
+    ROW_LADDERS = ["cccccc", "c0c0cc", "cbcbcb", "bcc0cc"]
+
+    @staticmethod
+    def draw(rng, order, kinds, dim=2):
+        return mixed_ladder(random_symbol(rng, order, len(kinds), dim=dim, grid=GRID), kinds)
+
+    @pytest.mark.parametrize("kinds_p", ROW_LADDERS)
+    @pytest.mark.parametrize("kinds_q", ROW_LADDERS)
+    def test_compose(self, rng, reference_kernel, kinds_p, kinds_q):
+        P, Q = self.draw(rng, 1, kinds_p), self.draw(rng, -2, kinds_q)
+        assert all(one_row(c) for c, k in zip(P.components, kinds_p) if k == "c")
+        Pf, Qf = full_grid_copy(P), full_grid_copy(Q)
+        assert not any(one_row(c) for c in Pf.components + Qf.components)
+        new, old = reference_kernel(lambda: (compose(P, Q), compose(Q, P)))
+        _, full = reference_kernel(lambda: (compose(Pf, Qf), compose(Qf, Pf)))
+        for got, ref, want in zip(new, old, full):
+            assert_same_bits(got, ref)
+            assert_same_bits(got, want)
+        if "b" not in kinds_p + kinds_q:
+            assert all(one_row(c) for c in new[0].components + new[1].components)
+
+    @pytest.mark.parametrize("kinds", ["ccccc", "cc0cc", "cbcbc", "c0bb0"])
+    def test_parametrix(self, reference_kernel, kinds):
+        rng = np.random.default_rng(23)
+        for dim in (1, 2, 3):
+            A = mixed_ladder(elliptic_order_one(rng, 5, dim), kinds)
+            new, old = reference_kernel(lambda: parametrix(A, 5))
+            _, full = reference_kernel(lambda: parametrix(full_grid_copy(A), 5))
+            assert_same_bits(new, old)
+            assert_same_bits(new, full)
+            if "b" not in kinds:
+                assert all(one_row(c) for c in new.components)
+
+    @pytest.mark.parametrize("kinds_p, kinds_q", [("cccc", "cc0c"), ("cbcb", "c0cc"),
+                                                  ("bbbb", "cccc")])
+    def test_ladder_arithmetic(self, rng, kinds_p, kinds_q):
+        P, Q = self.draw(rng, 1, kinds_p), self.draw(rng, -1, kinds_q)
+        Pf, Qf = full_grid_copy(P), full_grid_copy(Q)
+        for a, b, af, bf in ((P, Q, Pf, Qf), (Q, P, Qf, Pf)):
+            assert_same_bits(a + b, af + bf)
+            assert_same_bits(a - b, af - bf)
+        for scalar in (2.5, -1j, 0.5 - 2j):
+            assert_same_bits(scalar * P, scalar * Pf)
+        assert_same_bits(P.pad_zeros(7), Pf.pad_zeros(7))
+        assert all(one_row(c) for c in (P + Q).components[len(kinds_p):])  # padding
+
+    def test_constant_constructors_keep_one_row(self):
+        gamma = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        for sym in (identity_symbol(2, GRID, depth=3),
+                    multiplication_symbol(gamma, GRID, depth=3),
+                    derivative_symbol(2, GRID, gamma, depth=3),
+                    derivative_symbol(2, GRID, gamma, depth=3, adjoint=True),
+                    resolvent_parametrix(gamma, depth=3, dim=2, grid=GRID),
+                    resolvent_parametrix(None, depth=3, dim=2, grid=GRID)):
+            assert all(one_row(c) and not c.values.flags.writeable for c in sym.components)
+        wide = np.broadcast_to(gamma, (GRID, 2, 2))
+        assert_same_bits(multiplication_symbol(gamma, GRID), multiplication_symbol(wide, GRID))
+        assert_same_bits(derivative_symbol(2, GRID, gamma, depth=3),
+                         derivative_symbol(2, GRID, wide, depth=3))
+
+    def test_audit_takes_the_one_row_path(self):
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        for _, sym in connection_difference_terms(lift, depth=6, grid=GRID):
+            assert all(c.values.strides[1] == 0 for c in sym.components)
+
+    def test_audit_symbol_does_not_depend_on_the_grid(self):
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        coarse = connection_difference_symbol(lift, depth=6, grid=16)
+        fine = connection_difference_symbol(lift, depth=6, grid=256)
+        assert coarse.order == fine.order and coarse.depth == fine.depth
+        for a, b in zip(coarse.components, fine.components):
+            assert a.values[:, 0].tobytes() == b.values[:, 0].tobytes()
+
+
+class TestComponentsDoNotChange:
+    def test_later_write_to_the_base_does_not_reach_the_component(self):
+        base = np.zeros((3, 2, 32, 1, 1), complex)
+        c = HomogeneousComponent(base[0])
+        base[0, 0, 5] = 1
+        assert not c.values.any() and c.stacked is None
+
+    def test_caller_array_stays_writeable(self):
+        arr = np.zeros((2, GRID, 2, 2), complex)
+        c = HomogeneousComponent(arr)
+        arr[0, 3] = 1.0
+        assert arr.flags.writeable and not c.values.any()
+        assert not c.values.flags.writeable
+
+    def test_broadcast_row_is_copied_as_one_row(self):
+        row = np.zeros((2, 1, 2, 2), complex)
+        c = HomogeneousComponent(np.broadcast_to(row, (2, GRID, 2, 2)))
+        row[1, 0, 0, 1] = 1.0
+        assert not c.values.any() and c.stacked is None
+        assert c.values.shape == (2, GRID, 2, 2) and c.values.strides[1] == 0
+        assert c.stored.nbytes == row.nbytes
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        arr = np.zeros((2, GRID, 1, 1), complex)
+        view = arr[:]
+        view.setflags(write=False)
+        c = HomogeneousComponent(view)
+        arr[0, 0] = 1.0
+        assert not c.values.any()
+
+    def test_library_producers_hand_over_without_a_copy(self, rng):
+        P = random_symbol(rng, 0, 3, dim=2, grid=GRID)
+        bases = {id(c.values.base) for c in P.components}
+        assert len(bases) == 1 and P.components[0].values.base is not None
+        frozen = np.zeros((2, GRID, 1, 1), complex)
+        frozen.setflags(write=False)
+        assert HomogeneousComponent(frozen).values is frozen
+
+    def test_fraction_order_is_kept(self, rng):
+        order = Fraction(1, 2)
+        P = ClassicalSymbol(order, random_symbol(rng, 0, 2, grid=GRID).components)
+        assert P.order is order
+        assert ClassicalSymbol(1, P.components).order == Fraction(1)
+
+    def test_no_wavenumbers_without_an_fft(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(psdo, "_wavenumbers", lambda grid: calls.append(grid))
+        compose(identity_symbol(2, GRID, depth=4), derivative_symbol(2, GRID, depth=4))
+        assert calls == []
+
+
 class TestConnectionDifferenceAudit:
     def test_flat_k0_all_terms_vanish(self):
         lift = lift_curvature(flat_torus(), 0)
