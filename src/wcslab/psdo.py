@@ -91,6 +91,11 @@ def _as_grid_matrix(value, grid: int, dim: int) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+def _check_grid(grid: int) -> None:
+    if grid < 16 or (grid & (grid - 1)) != 0:
+        raise SymbolError("grid size must be a power of two >= 16")
+
+
 def _frozen(arr: np.ndarray) -> bool:
     """True when neither arr nor the array that owns its memory can be
     written, so no one can change it later."""
@@ -139,8 +144,7 @@ class HomogeneousComponent:
         if values.ndim != 4 or values.shape[0] != 2 or values.shape[2] != values.shape[3]:
             raise SymbolError("component values must have shape (2, G, d, d)")
         g = values.shape[1]
-        if g < 16 or (g & (g - 1)) != 0:
-            raise SymbolError("grid size must be a power of two >= 16")
+        _check_grid(g)
         stored = values[:, :1] if values.strides[1] == 0 else values
         if not (stored.flags.c_contiguous and _frozen(values)):
             stored = stored.copy()
@@ -496,48 +500,70 @@ def laplacian_plus_one_symbol(gamma, grid: int = DEFAULT_GRID, depth: int = 4) -
     return A + one
 
 
-def random_symbol(rng: np.random.Generator, order: int, depth: int,
-                  dim: int = 2, grid: int = DEFAULT_GRID, modes: int = 3) -> ClassicalSymbol:
-    """Seeded random classical symbol with band-limited x-dependence."""
+def _symbol_draws(rng: np.random.Generator, depth: int, dim: int, modes: int = 3) -> np.ndarray:
+    """Every normal a random symbol of `depth` components reads, in one draw
+    and in the order of sequential per-matrix draws: row (plus, minus per
+    degree), term (constant, then a_n, b_n per mode), real before imaginary
+    part."""
+    return rng.standard_normal((2 * depth, 1 + 2 * modes, 2, dim, dim))
+
+
+def _band_limited_symbol(draws: np.ndarray, order: int, grid: int) -> ClassicalSymbol:
+    """The symbol of the given order whose components are built from the
+    draw rows in pairs (plus, minus).  Each row is built on its own, so the
+    first 2k rows give, bit for bit, the first k components of all of them."""
+    rows, _, _, dim, _ = draws.shape
+    modes = (draws.shape[1] - 1) // 2
     x = 2.0 * np.pi * np.arange(grid) / grid
-    # One draw for every matrix, in the order of sequential per-matrix draws:
-    # function (plus, minus per degree), term (constant, then a_n, b_n per
-    # mode), real before imaginary part.
-    draws = rng.standard_normal((2 * depth, 1 + 2 * modes, 2, dim, dim))
     terms = draws[:, :, 0] + 1j * draws[:, :, 1]
-    values = np.zeros((2 * depth, grid, dim, dim), dtype=complex)
+    values = np.zeros((rows, grid, dim, dim), dtype=complex)
     values += terms[:, None, 0]
     for n in range(1, modes + 1):
         values += np.cos(n * x)[:, None, None] * terms[:, None, 2 * n - 1] / n
         values += np.sin(n * x)[:, None, None] * terms[:, None, 2 * n] / n
     values.setflags(write=False)  # so each component keeps its slice without a copy
-    comps = tuple(HomogeneousComponent(v) for v in values.reshape(depth, 2, grid, dim, dim))
+    comps = tuple(HomogeneousComponent(v) for v in values.reshape(rows // 2, 2, grid, dim, dim))
     return ClassicalSymbol(Fraction(order), comps)
+
+
+def random_symbol(rng: np.random.Generator, order: int, depth: int,
+                  dim: int = 2, grid: int = DEFAULT_GRID, modes: int = 3) -> ClassicalSymbol:
+    """Seeded random classical symbol with band-limited x-dependence."""
+    return _band_limited_symbol(_symbol_draws(rng, depth, dim, modes), order, grid)
 
 
 def commutator_trace_test(seed: int, trials: int, depth: int = 6,
                           grid: int = DEFAULT_GRID) -> float:
     """Max |res[P, Q]| over seeded random symbol pairs; the residue is a
-    trace, so the exact value is 0 for every pair."""
+    trace, so the exact value is 0 for every pair.
+
+    Each trial draws every normal of two random symbols of `depth`
+    components, so the generator's stream does not depend on what is read.
+    The residue reads component j = op + oq + 1 (degree -1) of [P, Q] only,
+    and that reads components 0..j of P and Q: only those are built, and
+    only component j of PQ and of QP is formed.  Below j = 0 the residue is
+    exactly 0 and nothing is built.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if depth < MIN_TRACE_TEST_DEPTH:
         raise ValueError(f"depth must be >= {MIN_TRACE_TEST_DEPTH}")
+    _check_grid(grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         dim = int(rng.integers(1, 3))
         op = int(rng.integers(-2, 2))
         oq = int(rng.integers(-2, 2))
-        P = random_symbol(rng, op, depth, dim=dim, grid=grid)
-        Q = random_symbol(rng, oq, depth, dim=dim, grid=grid)
-        # The residue reads component j (degree -1) only, so only that
-        # component of the commutator is formed; below j = 0 it is exactly 0.
+        p_draws = _symbol_draws(rng, depth, dim)
+        q_draws = _symbol_draws(rng, depth, dim)
         j = op + oq + 1
         if j >= 0:
-            pq = compose(P, Q, j + 1).components[j]
-            qp = compose(Q, P, j + 1).components[j]
-            diff = _component(pq.stored - qp.stored, grid)
+            P = _band_limited_symbol(p_draws[: 2 * (j + 1)], op, grid)
+            Q = _band_limited_symbol(q_draws[: 2 * (j + 1)], oq, grid)
+            pq = _product_term(P.order, P.components, _derivatives(Q.components, j + 1), j)
+            qp = _product_term(Q.order, Q.components, _derivatives(P.components, j + 1), j)
+            diff = _component(pq - qp, grid)
             worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(-1, (diff,)))))
     return worst
 

@@ -139,6 +139,27 @@ def random_symbol_reference(rng, order, depth, dim=2, grid=psdo.DEFAULT_GRID, mo
     return ClassicalSymbol(Fraction(order), comps)
 
 
+def commutator_trace_reference(seed, trials, depth, grid=psdo.DEFAULT_GRID):
+    """commutator_trace_test as it was before it built only what the residue
+    reads: both random symbols at full depth, and components 0..j of each
+    product."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        dim = int(rng.integers(1, 3))
+        op = int(rng.integers(-2, 2))
+        oq = int(rng.integers(-2, 2))
+        P = random_symbol(rng, op, depth, dim=dim, grid=grid)
+        Q = random_symbol(rng, oq, depth, dim=dim, grid=grid)
+        j = op + oq + 1
+        if j >= 0:
+            pq = compose(P, Q, j + 1).components[j]
+            qp = compose(Q, P, j + 1).components[j]
+            diff = psdo._component(pq.stored - qp.stored, grid)
+            worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(-1, (diff,)))))
+    return worst
+
+
 def derivatives_reference(components, depth):
     """The product kernel's derivative table before exactly-zero components
     were skipped: every component is transformed."""
@@ -523,15 +544,72 @@ class TestCommutatorTrace:
 
     @pytest.mark.parametrize("kinds", ["cccccc", "cbcbcb", "bc0cc0"])
     def test_mixed_ladders_match_reference_kernel(self, reference_kernel, monkeypatch, kinds):
-        draw = psdo.random_symbol
+        # Every symbol, built in full or only up to component j, is built here:
+        # random_symbol builds through the same function.
+        build = psdo._band_limited_symbol
+        built = []
 
-        def mixed_draw(rng, order, depth, **kw):
-            return mixed_ladder(draw(rng, order, depth, **kw), kinds)
+        def mixed_build(draws, order, grid):
+            built.append(draws.shape[0] // 2)
+            return mixed_ladder(build(draws, order, grid), kinds[: draws.shape[0] // 2])
 
-        monkeypatch.setattr(psdo, "random_symbol", mixed_draw)
+        monkeypatch.setattr(psdo, "_band_limited_symbol", mixed_build)
         for seed in range(3):
             new, old = reference_kernel(lambda: commutator_trace_test(seed, 8, 6, grid=GRID))
             assert new == old
+            assert new == commutator_trace_reference(seed, 8, 6, grid=GRID)
+        assert max(built) == 6 and min(built) <= 4  # full builds and builds up to j
+
+    @pytest.mark.parametrize("depth", [4, 5, 6, 9, 32])
+    def test_matches_full_build_exactly(self, depth):
+        for seed in range(40):
+            for trials in (1, 8):
+                assert (commutator_trace_test(seed, trials, depth)
+                        == commutator_trace_reference(seed, trials, depth))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("grid", [24, 8])
+    def test_grid_checked_when_nothing_is_built(self, seed, grid):
+        # The first trial of seeds 2 and 3 has j = -2 and -3: no symbol is built.
+        assert commutator_trace_test(seed, 1, 4, grid=GRID) == 0.0
+        with pytest.raises(SymbolError, match="grid size must be a power of two >= 16"):
+            commutator_trace_test(seed, 1, 4, grid=grid)
+
+    def test_builds_only_what_the_residue_reads(self, monkeypatch):
+        calls = {"build": [], "derivatives": 0, "compose": 0}
+        build, derivatives = psdo._band_limited_symbol, psdo._derivatives
+
+        def counted_build(draws, order, grid):
+            sym = build(draws, order, grid)
+            calls["build"].append(sym)
+            return sym
+
+        def counted_derivatives(components, depth):
+            calls["derivatives"] += 1
+            return derivatives(components, depth)
+
+        def counted_compose(*args, **kw):
+            calls["compose"] += 1
+
+        monkeypatch.setattr(psdo, "_band_limited_symbol", counted_build)
+        monkeypatch.setattr(psdo, "_derivatives", counted_derivatives)
+        monkeypatch.setattr(psdo, "compose", counted_compose)
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            _, op, oq = (int(rng.integers(lo, hi)) for lo, hi in ((1, 3), (-2, 2), (-2, 2)))
+            j = op + oq + 1
+            seen.add(j)
+            calls["build"].clear()
+            calls["derivatives"] = 0
+            worst = commutator_trace_test(seed, 1, 6, grid=GRID)
+            if j < 0:
+                assert calls["build"] == [] and calls["derivatives"] == 0 and worst == 0.0
+            else:
+                assert [(s.order, s.depth) for s in calls["build"]] == [(op, j + 1), (oq, j + 1)]
+                assert calls["derivatives"] == 2
+        assert seen == set(range(-3, 4))
+        assert calls["compose"] == 0
 
     def test_multiplications_commute_exactly(self):
         x = 2.0 * np.pi * np.arange(GRID) / GRID
@@ -565,6 +643,20 @@ class TestRandomSymbol:
                     assert_same_symbol(got, want)
                     # commutator_trace_test draws again from the same generator.
                     assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("modes", [0, 1, 2, 3])
+    def test_prefix_build_matches_random_symbol(self, dim, modes):
+        for grid in (16, 64):
+            for depth in range(1, 7):
+                draws = psdo._symbol_draws(np.random.default_rng(depth), depth, dim, modes)
+                full = random_symbol(np.random.default_rng(depth), -1, depth, dim=dim, grid=grid,
+                                     modes=modes)
+                for k in range(1, depth + 1):
+                    part = psdo._band_limited_symbol(draws[: 2 * k], -1, grid)
+                    assert part.depth == k
+                    for a, b in zip(part.components, full.components[:k], strict=True):
+                        assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestGridValidation:
