@@ -220,7 +220,7 @@ def _cmd_psdo(args) -> int:
     residue = psdo.wodzicki_residue(symbol)
     violation = psdo.commutator_trace_test(seed, args.trials, args.depth)
     A = psdo.laplacian_plus_one_symbol(
-        np.zeros((symbol.fiber_dim, symbol.fiber_dim)), depth=args.depth + 2
+        np.zeros((symbol.fiber_dim, symbol.fiber_dim)), depth=args.depth
     )
     B = psdo.parametrix(A, args.depth)
     defect = psdo.compose(B, A, args.depth) - psdo.identity_symbol(

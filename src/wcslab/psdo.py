@@ -3,31 +3,38 @@
 Matrix-valued symbols are stored as truncated ladders of homogeneous
 components.  On S^1 the unit cosphere fiber is two points, so each component
 is fully determined by its values at xi = +1 and xi = -1 on a uniform
-periodic x-grid; this storage is exact.  A component holds those values as
-one read-only (2, G, d, d) array, xi = +1 first.  It does not hold its
-degree: in a symbol of order r, component j has degree r - j.  A component
-never changes once built: it copies an argument that could still be written.
+periodic x-grid; this storage is exact.  A symbol holds its whole ladder as
+one read-only array, `stored`: component j (degree order - j) at place j,
+xi = +1 first.  A symbol never changes once built: it copies an argument
+that could still be written.
 
-A component constant in x is stored as its one grid row: `values` is then a
-read-only view of that row with stride 0 on the grid axis, so it still has
-the shape (2, G, d, d).  Multiplication symbols of a constant matrix, the
-derivative symbol of a constant connection, and every sum, multiple and
-product of such symbols are built on the row alone.
+A ladder whose every component is constant in x or zero is stored as one
+grid row, (depth, 2, 1, d, d); otherwise `stored` is (depth, 2, G, d, d).
+`ladder` has the full shape either way (a view with stride 0 on the grid
+axis for a row), and `components` gives per-component views
+(HomogeneousComponent); both are built on first use.  Multiplication
+symbols of a constant matrix, the derivative symbol of a constant
+connection, and every sum, multiple and product of such symbols are built
+on the row alone.  +, -, scalar *, pad_zeros, leading_degree and the
+residue act on the whole array.
 
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
-with d_x by spectral differentiation and d_xi acting degree-wise.  Inside
-the product kernel a component that is constant in x (stored as one row, or
-a full array whose grid rows all equal row 0 bit for bit) is carried as that
-one row, which matmul broadcasts against the grid, and its x-derivatives are
-exact zeros that are never formed.  A degree whose every term is one row is
-summed on one row.
+with d_x by spectral differentiation and d_xi acting degree-wise.  One
+kernel serves compose, parametrix and the commutator trace test: for each
+(p, m) in lexicographic order it multiplies sigma_p by d_x^m of the whole Q
+ladder in one batched matmul and adds the products into output rows p + m
+onward, so every output degree gets its terms in the order p, then m, from
++0.  The x-derivatives of a ladder take one forward FFT and one inverse FFT
+per m.  Terms that are exactly zero are skipped: those of a vanishing
+component, d_x^m (m >= 1) of a component whose grid rows are all equal bit
+for bit, and those of a zero falling factorial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from math import factorial
 
@@ -106,23 +113,26 @@ def _frozen(arr: np.ndarray) -> bool:
     return arr is None
 
 
-def _spread(row: np.ndarray, grid: int) -> np.ndarray:
-    """A C-contiguous (2, 1, d, d) row as a (2, grid, d, d) view with stride 0
-    on the grid axis, read-only when the row is.  (A direct ndarray over the
-    row's buffer: np.broadcast_to costs several times more per call.)"""
-    s0, _, s2, s3 = row.strides
-    return np.ndarray((2, grid) + row.shape[2:], complex, buffer=row, strides=(s0, 0, s2, s3))
+def _spread(rows: np.ndarray, grid: int) -> np.ndarray:
+    """A C-contiguous array whose grid axis (third from last) has length 1 as
+    a view of `grid` rows with stride 0 on that axis, read-only when rows is.
+    (A direct ndarray over the buffer: np.broadcast_to costs several times
+    more per call.)"""
+    strides = rows.strides[:-3] + (0,) + rows.strides[-2:]
+    return np.ndarray(rows.shape[:-3] + (grid,) + rows.shape[-2:], complex,
+                      buffer=rows, strides=strides)
 
 
-def _component(values: np.ndarray, grid: int) -> "HomogeneousComponent":
-    """A component over an array this module has just made and holds no
-    other reference to: frozen in place, so the constructor keeps it without
-    a copy, and a (2, 1, d, d) row is spread over the grid."""
-    values = np.ascontiguousarray(values)
-    values.setflags(write=False)
-    if values.shape[1] == 1:
-        values = _spread(values, grid)
-    return HomogeneousComponent(values)
+def _held(values: np.ndarray, grid_axis: int) -> np.ndarray:
+    """values, or its one row when it has stride 0 on the grid axis, as a
+    C-contiguous array that no one can write: the array itself when it
+    already is one, a copy otherwise."""
+    stored = values[(slice(None),) * grid_axis + (slice(0, 1),)] \
+        if values.strides[grid_axis] == 0 else values
+    if not (stored.flags.c_contiguous and _frozen(values)):
+        stored = stored.copy()
+        stored.setflags(write=False)
+    return stored
 
 
 @dataclass(frozen=True)
@@ -145,12 +155,8 @@ class HomogeneousComponent:
             raise SymbolError("component values must have shape (2, G, d, d)")
         g = values.shape[1]
         _check_grid(g)
-        stored = values[:, :1] if values.strides[1] == 0 else values
-        if not (stored.flags.c_contiguous and _frozen(values)):
-            stored = stored.copy()
-            stored.setflags(write=False)
-            values = _spread(stored, g) if stored.shape[1] == 1 else stored
-        object.__setattr__(self, "values", values)
+        stored = _held(values, 1)
+        object.__setattr__(self, "values", _spread(stored, g) if stored.shape[1] == 1 else stored)
 
     @property
     def plus(self) -> np.ndarray:
@@ -178,55 +184,100 @@ class HomogeneousComponent:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.stored)))
 
-    @cached_property
-    def stacked(self) -> np.ndarray | None:
-        """values as the product kernel reads them: shape (2, 1, d, d) when
-        the component is stored as one row or every grid row equals row 0 bit
-        for bit, (2, G, d, d) otherwise, and None when both sides are exactly
-        zero (the padding that pad_zeros adds), so every term it enters is
-        exactly zero."""
-        values = self.stored
-        if not values.any():
-            return None
-        if values.shape[1] == 1:
-            return values
-        bits = values.view(np.uint64)
-        return values[:, :1] if (bits == bits[:, :1]).all() else values
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassicalSymbol:
-    """Truncated homogeneous expansion of a matrix-valued symbol: component
-    j has degree order - j."""
+    """Truncated homogeneous expansion of a matrix-valued symbol: ladder[j],
+    shape (2, G, d, d), is the component of degree order - j.
+
+    Built from a sequence of HomogeneousComponent, or with from_ladder from
+    one (depth, 2, G, d, d) array.  `stored` holds the ladder, read-only: its
+    one grid row (depth, 2, 1, d, d) when every component is stored as a row
+    or is exactly zero, all of it otherwise."""
 
     order: Fraction
-    components: tuple  # HomogeneousComponent, degrees order, order-1, ...
+    stored: np.ndarray  # (depth, 2, 1, d, d) or (depth, 2, G, d, d) complex, read-only
+    grid: int
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, order, components):
+        comps = tuple(components)
         if not comps:
             raise SymbolError("a symbol needs at least one component")
-        if any(c.values.shape != comps[0].values.shape for c in comps):
+        shape = comps[0].values.shape
+        if any(c.values.shape != shape for c in comps):
             raise SymbolError("components disagree on grid or fiber dimension")
-        if not isinstance(self.order, Fraction):
-            object.__setattr__(self, "order", Fraction(self.order))
-        object.__setattr__(self, "components", comps)
+        rows = all(c.values.strides[1] == 0 or not c.stored.any() for c in comps)
+        self._hold(order, np.stack([c.stored[:, :1] if rows else c.values for c in comps]),
+                   shape[1])
+
+    def _hold(self, order, stored: np.ndarray, grid: int) -> None:
+        """Keep a C-contiguous ladder that no one else can write, frozen in
+        place."""
+        stored.setflags(write=False)
+        object.__setattr__(self, "order", order if isinstance(order, Fraction) else Fraction(order))
+        object.__setattr__(self, "stored", stored)
+        object.__setattr__(self, "grid", grid)
+
+    @classmethod
+    def _of(cls, order, stored: np.ndarray, grid: int) -> "ClassicalSymbol":
+        """A symbol over a ladder this module has just made and holds no
+        other reference to: kept without a copy or a check."""
+        sym = object.__new__(cls)
+        sym._hold(order, stored, grid)
+        return sym
+
+    @classmethod
+    def from_ladder(cls, order, ladder) -> "ClassicalSymbol":
+        """The symbol whose component of degree order - j is ladder[j], a
+        (depth, 2, G, d, d) array.  The array is kept as HomogeneousComponent
+        keeps its values: without a copy when no one can write it, as its
+        one row when it has stride 0 on the grid axis."""
+        values = np.asarray(ladder, dtype=complex)
+        if values.ndim != 5 or values.shape[1] != 2 or values.shape[3] != values.shape[4]:
+            raise SymbolError("ladder must have shape (depth, 2, G, d, d)")
+        if not values.shape[0]:
+            raise SymbolError("a symbol needs at least one component")
+        _check_grid(values.shape[2])
+        return cls._of(order, _held(values, 2), values.shape[2])
+
+    @cached_property
+    def ladder(self) -> np.ndarray:
+        """The whole ladder, (depth, 2, G, d, d), read-only: a view with
+        stride 0 on the grid axis when it is stored as one row."""
+        stored = self.stored
+        return _spread(stored, self.grid) if stored.shape[2] == 1 else stored
 
     @property
     def depth(self) -> int:
-        return len(self.components)
-
-    @property
-    def grid(self) -> int:
-        return self.components[0].grid
+        return self.stored.shape[0]
 
     @property
     def fiber_dim(self) -> int:
-        return self.components[0].fiber_dim
+        return self.stored.shape[3]
 
     @property
     def floor_degree(self) -> Fraction:
         return self.order - self.depth + 1
+
+    @cached_property
+    def components(self) -> tuple:
+        """HomogeneousComponent views of the ladder, degrees order, order - 1, ..."""
+        return tuple(HomogeneousComponent(values) for values in self.ladder)
+
+    @cached_property
+    def _live(self) -> tuple:
+        """(nonzero, varying): the places of the components with a nonzero
+        value, and of those whose grid rows differ from row 0 (bit for bit,
+        so a -0.0 where row 0 has 0.0 counts).  The product kernel skips every
+        term of a vanishing component, and the x-derivatives, exactly zero,
+        of one that does not vary."""
+        stored = self.stored
+        nonzero = np.flatnonzero(stored.reshape(self.depth, -1).any(axis=1)).tolist()
+        if stored.shape[2] == 1:
+            return nonzero, []
+        bits = stored.view(np.uint64)
+        return nonzero, np.flatnonzero((bits != bits[:, :, :1]).reshape(self.depth, -1)
+                                       .any(axis=1)).tolist()
 
     def component(self, degree) -> HomogeneousComponent | None:
         degree = Fraction(degree)
@@ -243,33 +294,39 @@ class ClassicalSymbol:
         """
         if depth <= self.depth:
             return self
-        zero = _component(np.zeros((2, 1) + (self.fiber_dim,) * 2, dtype=complex), self.grid)
-        return ClassicalSymbol(self.order, self.components + (zero,) * (depth - self.depth))
+        stored = self.stored
+        zeros = np.zeros((depth - self.depth,) + stored.shape[1:], dtype=complex)
+        return ClassicalSymbol._of(self.order, np.concatenate((stored, zeros)), self.grid)
 
     def leading_degree(self, tol: float = 1e-11):
         """Highest degree with a component above tol; None if all vanish."""
-        for j, c in enumerate(self.components):
-            if c.sup_norm() > tol:
-                return self.order - j
-        return None
+        sup = np.abs(self.stored).reshape(self.depth, -1).max(axis=1)
+        above = np.flatnonzero(sup > tol)
+        return self.order - int(above[0]) if above.size else None
 
     def _binary(self, other, f):
         if not isinstance(other, ClassicalSymbol):
             return NotImplemented
         if other.fiber_dim != self.fiber_dim or other.grid != self.grid:
             raise FiberMismatchError("fiber dimension or grid mismatch")
-        if (self.order - other.order).denominator != 1:
+        shift = self.order - other.order
+        if shift.denominator != 1:
             raise SymbolError("orders must differ by an integer to combine")
-        order = max(self.order, other.order)
-        depth = int(order - max(self.floor_degree, other.floor_degree)) + 1
-        zero = np.zeros((2, 1) + (self.fiber_dim,) * 2, dtype=complex)
+        # The result starts at the higher order and ends at the higher floor.
+        tops = (max(-int(shift), 0), max(int(shift), 0))
+        depth = min(tops[0] + self.depth, tops[1] + other.depth)
 
-        def ladder(sym):  # sym's stored values at the result's places 0 .. depth - 1
-            return ([zero] * int(order - sym.order) + [c.stored for c in sym.components])[:depth]
+        def ladder(sym, top):  # sym's stored values at the result's places 0 .. depth - 1
+            stored = sym.stored[: max(depth - top, 0)]
+            if top == 0 and len(stored) == depth:
+                return stored
+            out = np.zeros((depth,) + stored.shape[1:], dtype=complex)
+            out[top: top + len(stored)] = stored
+            return out
 
-        return ClassicalSymbol(order, tuple(
-            _component(f(a, b), self.grid) for a, b in zip(ladder(self), ladder(other))
-        ))
+        order = self.order if shift >= 0 else other.order
+        return ClassicalSymbol._of(order, f(ladder(self, tops[0]), ladder(other, tops[1])),
+                                   self.grid)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -278,10 +335,7 @@ class ClassicalSymbol:
         return self._binary(other, lambda a, b: a - b)
 
     def __rmul__(self, scalar):
-        scalar = complex(scalar)
-        return ClassicalSymbol(
-            self.order, tuple(_component(scalar * c.stored, self.grid) for c in self.components)
-        )
+        return ClassicalSymbol._of(self.order, complex(scalar) * self.stored, self.grid)
 
 
 def identity_symbol(dim: int = 1, grid: int = DEFAULT_GRID, depth: int = 1) -> ClassicalSymbol:
@@ -293,10 +347,10 @@ def multiplication_symbol(value, grid: int = DEFAULT_GRID, depth: int = 1) -> Cl
     value = np.asarray(value, dtype=complex)
     if value.ndim == 0:
         value = value.reshape(1, 1)
-    dim = value.shape[-1]
-    arr = _as_grid_matrix(value, grid, dim)
-    sym = ClassicalSymbol(Fraction(0), (_component(np.stack((arr, arr)), grid),))
-    return sym.pad_zeros(depth)
+    arr = _as_grid_matrix(value, grid, value.shape[-1])
+    ladder = np.zeros((max(depth, 1), 2) + arr.shape, dtype=complex)
+    ladder[0] = arr
+    return ClassicalSymbol._of(Fraction(0), ladder, grid)
 
 
 def derivative_symbol(
@@ -313,76 +367,10 @@ def derivative_symbol(
     lead = -1j if adjoint else 1j
     if adjoint:
         g = np.conjugate(np.transpose(g, (0, 2, 1)))
-    sym = ClassicalSymbol(
-        Fraction(1),
-        (
-            _component(np.stack((lead * eye, -lead * eye)), grid),
-            _component(np.stack((g, g)), grid),
-        ),
-    )
-    return sym.pad_zeros(depth)
-
-
-def _derivatives(components, depth: int) -> list:
-    """table[q][m] = d_x^m of components[q] for q + m < depth, in the shape of
-    HomogeneousComponent.stacked; table[q] is None for a component that
-    vanishes.  A component constant in x keeps its one grid row, and its
-    derivatives m >= 1 are None: they are exactly zero (on constant input
-    pocketfft's non-zero frequency bins are exactly 0.0).  Every other
-    component is differentiated spectrally on the periodic grid, with one
-    forward FFT."""
-    table = []
-    for q, c in enumerate(components[:depth]):
-        values = c.stacked
-        if values is None:
-            table.append(None)
-        elif values.shape[1] == 1:
-            table.append([values] + [None] * (depth - q - 1))
-        else:
-            hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
-            freqs = _wavenumbers(c.grid)
-            table.append([values] + [
-                np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
-                for m in range(1, depth - q)
-            ])
-    return table
-
-
-def _product_term(order: Fraction, P_components, dQ: list, j: int) -> np.ndarray:
-    """Component j of the asymptotic product: the sum over p + m + q = j of
-    ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q, p ranging over P_components, a
-    ladder of order `order`.  d_xi^m carries (-1)^m at xi = -1 and the falling
-    factorial of the degree order - p of sigma_p.  Terms that are exactly zero
-    (a vanishing sigma_p, sigma_q or d_x^m sigma_q, or a zero falling
-    factorial) are skipped; a one-row factor broadcasts over the grid.  The
-    sum is one row, (2, 1, d, d), while every term is, and (2, G, d, d) from
-    the first full-grid term on; every grid row gets the same additions in
-    the same order as a full-grid sum."""
-    acc = np.zeros((2, 1) + P_components[0].values.shape[2:], dtype=complex)
-    den = order.denominator
-    for p, cp in enumerate(P_components[: j + 1]):
-        left = cp.stacked
-        if left is None:
-            continue
-        # float(order - p - t) for each factor, as exact integer arithmetic
-        num = order.numerator - p * den
-        fall = 1.0
-        for m in range(j - p + 1):
-            if m:
-                fall *= (num - (m - 1) * den) / den
-            if fall == 0.0:
-                break  # degree is an integer in [0, m): every later m vanishes too
-            dq = dQ[j - p - m]
-            if dq is None or dq[m] is None:
-                continue
-            coeff = (-1j) ** m / factorial(m)
-            scale = coeff * fall * np.array([1.0, (-1.0) ** m])
-            term = scale[:, None, None, None] * np.matmul(left, dq[m])
-            if term.shape[1] > acc.shape[1]:
-                acc = acc + term
-            else:
-                acc += term
-    return acc
+    ladder = np.zeros((max(depth, 2), 2) + g.shape, dtype=complex)
+    ladder[0] = np.stack((lead * eye, -lead * eye))
+    ladder[1] = g
+    return ClassicalSymbol._of(Fraction(1), ladder, grid)
 
 
 @cache
@@ -391,6 +379,85 @@ def _wavenumbers(grid: int) -> np.ndarray:
     freqs = np.fft.fftfreq(grid, d=1.0 / grid)
     freqs.setflags(write=False)
     return freqs
+
+
+def _derivatives(Q: ClassicalSymbol, depth: int) -> list:
+    """table[m] = (d_x^m of components 0 .. depth - 1 - m of Q, live), where
+    live lists the places q whose terms are not exactly zero: the nonzero
+    components for m = 0, the components that vary in x for m >= 1 (on
+    constant input pocketfft's non-zero frequency bins are exactly 0.0).  The
+    table ends after the last m with a live place.  The varying components
+    are differentiated spectrally on the periodic grid, with one forward FFT
+    of the ladder down to the last of them and one inverse FFT per m."""
+    stored = Q.stored[:depth]
+    nonzero, varying = Q._live
+    table = [(stored, [q for q in nonzero if q < depth])]
+    varying = [q for q in varying if q < depth - 1]
+    if varying:
+        top = varying[-1] + 1
+        hat = np.fft.fft(stored[:top], axis=2)
+        freqs = _wavenumbers(Q.grid)
+        for m in range(1, depth - varying[0]):
+            rows = min(top, depth - m)
+            table.append((np.fft.ifft(hat[:rows] * ((1j * freqs) ** m)[:, None, None], axis=2),
+                          [q for q in varying if q < rows]))
+    return table
+
+
+@lru_cache(maxsize=1024)
+def _scale(m: int, fall: float) -> np.ndarray:
+    """((-i)^m / m!) times the falling factorial `fall` and the sign of d_xi^m
+    at xi = +1 and xi = -1, shaped to broadcast over (2, G, d, d) (read-only)."""
+    scale = ((-1j) ** m / factorial(m) * fall * np.array([1.0, (-1.0) ** m]))[:, None, None, None]
+    scale.setflags(write=False)
+    return scale
+
+
+def _add_products(acc: np.ndarray, lo: int, order: Fraction, left: np.ndarray, first: int,
+                  dQ: list) -> None:
+    """The product kernel.  Adds to acc[j - lo], for lo <= j < lo + len(acc),
+    the terms ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q with p + m + q = j,
+    for sigma_p = left[p - first], components first, first + 1, ... of a
+    ladder of order `order`, and d_x^m sigma_q from the table of
+    `_derivatives`.  d_xi^m carries (-1)^m at xi = -1 and the falling
+    factorial of the degree order - p.  For each (p, m) in lexicographic
+    order the live q of every row in range are one batched matmul.  Terms
+    that are exactly zero are skipped: those of a vanishing sigma_p, of a
+    place that is not live, and of a zero falling factorial."""
+    den = order.denominator
+    rows = len(acc)
+    nonzero = left.reshape(len(left), -1).any(axis=1).tolist()
+    for p, sigma in enumerate(left, start=first):
+        if not nonzero[p - first]:
+            continue
+        # float(order - p - t) for each factor, as exact integer arithmetic
+        num = order.numerator - p * den
+        fall = 1.0
+        for m, (dq, live) in enumerate(dQ):
+            if m:
+                fall *= (num - (m - 1) * den) / den
+            if fall == 0.0:
+                break  # degree is an integer in [0, m): every later m vanishes too
+            shift = p + m - lo  # output row of q = 0
+            q = [q for q in live if -shift <= q < rows - shift]
+            if not q:
+                continue
+            if q[-1] - q[0] == len(q) - 1:
+                q = slice(q[0], q[-1] + 1)
+                out = slice(q.start + shift, q.stop + shift)
+            else:
+                out = [i + shift for i in q]
+            acc[out] += _scale(m, fall) * np.matmul(sigma, dq[q])
+
+
+def _product(P: ClassicalSymbol, Q: ClassicalSymbol, lo: int, hi: int) -> np.ndarray:
+    """Components lo .. hi - 1 of the asymptotic product PQ, one array: one
+    grid row when both ladders are, (hi - lo, 2, G, d, d) otherwise."""
+    dQ = _derivatives(Q, hi)
+    grid = max(P.stored.shape[2], dQ[0][0].shape[2])
+    acc = np.zeros((hi - lo, 2, grid) + (P.fiber_dim,) * 2, dtype=complex)
+    _add_products(acc, lo, P.order, P.stored[:hi], 0, dQ)
+    return acc
 
 
 def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) -> ClassicalSymbol:
@@ -411,12 +478,7 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) ->
             f"requested depth {depth} exceeds available {available} "
             f"(deficit {depth - available})"
         )
-    order = P.order + Q.order
-    dQ = _derivatives(Q.components, depth)
-    comps = tuple(
-        _component(_product_term(P.order, P.components, dQ, j), P.grid) for j in range(depth)
-    )
-    return ClassicalSymbol(order, comps)
+    return ClassicalSymbol._of(P.order + Q.order, _product(P, Q, 0, depth), P.grid)
 
 
 def wodzicki_residue(P: ClassicalSymbol) -> complex:
@@ -425,15 +487,14 @@ def wodzicki_residue(P: ClassicalSymbol) -> complex:
     The cosphere fiber contributes the two points xi = +-1; the x-integral
     is the trapezoid rule, spectrally exact on the periodic grid.
     """
-    comp = P.component(Fraction(-1))
-    if comp is None:
-        representable = (P.order + 1).denominator == 1 and P.order >= -1
-        if representable and P.floor_degree > -1:
+    j = P.order + 1  # the place of degree -1
+    if j.denominator != 1 or j < 0 or j >= P.depth:
+        if j.denominator == 1 and j >= 0 and P.floor_degree > -1:
             raise InsufficientDepthError(
                 f"degree -1 lies below the truncation floor {P.floor_degree}"
             )
         return 0.0 + 0.0j
-    integrand = np.trace(comp.values, axis1=2, axis2=3).sum(axis=0)  # plus + minus
+    integrand = np.trace(P.ladder[int(j)], axis1=2, axis2=3).sum(axis=0)  # plus + minus
     return complex(np.mean(integrand))
 
 
@@ -445,8 +506,9 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
     b_0 = a_0^{-1}; each later b_j solves the degree -j part of the product
     for b_j a_0, so b_j = -(sum of the other terms) a_0^{-1}.  The leading
     component a_0 must be invertible at xi = +1 and xi = -1 on every grid
-    point.  A leading component constant in x is inverted once per side,
-    and each b_j whose terms are all constant in x is built on one row.
+    point.  As soon as b_j is known its terms are added to every later
+    degree, so each degree gets its terms in the order of compose.  A ladder
+    stored as one row is inverted and solved on that row.
     """
     if depth < 1:
         raise SymbolError("depth must be >= 1")
@@ -455,21 +517,21 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
             f"requested depth {depth} exceeds available {A.depth} "
             f"(deficit {depth - A.depth})"
         )
-    lead = A.components[0].stacked
-    if lead is None:
-        lead = np.zeros((2, 1, A.fiber_dim, A.fiber_dim))
+    dA = _derivatives(A, depth)
     inverses = []
-    for side, values in zip(("+1", "-1"), lead):
+    for side, values in zip(("+1", "-1"), dA[0][0][0]):  # a_0, as the kernel reads it
         try:
             inverses.append(np.linalg.inv(values))
         except np.linalg.LinAlgError:
             raise SymbolError(f"leading component is singular at xi = {side}") from None
     a0inv = np.stack(inverses)
-    dA = _derivatives(A.components, depth)
-    b = [_component(a0inv, A.grid)]
+    order = -A.order
+    b = np.zeros((depth,) + a0inv.shape, dtype=complex)  # the other terms, then b_j
+    b[0] = a0inv
     for j in range(1, depth):
-        b.append(_component(-np.matmul(_product_term(-A.order, b, dA, j), a0inv), A.grid))
-    return ClassicalSymbol(-A.order, tuple(b))
+        _add_products(b[j:], j, order, b[j - 1: j], j - 1, dA)  # the terms of b_{j-1}
+        b[j] = -np.matmul(b[j], a0inv)
+    return ClassicalSymbol._of(order, b, A.grid)
 
 
 def resolvent_parametrix(gamma=None, depth: int = 2, dim: int | None = None,
@@ -485,7 +547,7 @@ def resolvent_parametrix(gamma=None, depth: int = 2, dim: int | None = None,
         gamma = np.zeros((1 if dim is None else dim,) * 2)
     elif dim is not None:
         gamma = _as_grid_matrix(gamma, grid, dim)
-    return parametrix(laplacian_plus_one_symbol(gamma, grid=grid, depth=depth + 2), depth)
+    return parametrix(laplacian_plus_one_symbol(gamma, grid=grid, depth=depth), depth)
 
 
 def laplacian_plus_one_symbol(gamma, grid: int = DEFAULT_GRID, depth: int = 4) -> ClassicalSymbol:
@@ -521,9 +583,8 @@ def _band_limited_symbol(draws: np.ndarray, order: int, grid: int) -> ClassicalS
     for n in range(1, modes + 1):
         values += np.cos(n * x)[:, None, None] * terms[:, None, 2 * n - 1] / n
         values += np.sin(n * x)[:, None, None] * terms[:, None, 2 * n] / n
-    values.setflags(write=False)  # so each component keeps its slice without a copy
-    comps = tuple(HomogeneousComponent(v) for v in values.reshape(rows // 2, 2, grid, dim, dim))
-    return ClassicalSymbol(Fraction(order), comps)
+    values.setflags(write=False)  # so the components view the ladder without a copy
+    return ClassicalSymbol._of(Fraction(order), values.reshape(rows // 2, 2, grid, dim, dim), grid)
 
 
 def random_symbol(rng: np.random.Generator, order: int, depth: int,
@@ -541,7 +602,7 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
     components, so the generator's stream does not depend on what is read.
     The residue reads component j = op + oq + 1 (degree -1) of [P, Q] only,
     and that reads components 0..j of P and Q: only those are built, and
-    only component j of PQ and of QP is formed.  Below j = 0 the residue is
+    only row j of PQ and of QP is formed.  Below j = 0 the residue is
     exactly 0 and nothing is built.
     """
     if trials < 1:
@@ -561,10 +622,9 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         if j >= 0:
             P = _band_limited_symbol(p_draws[: 2 * (j + 1)], op, grid)
             Q = _band_limited_symbol(q_draws[: 2 * (j + 1)], oq, grid)
-            pq = _product_term(P.order, P.components, _derivatives(Q.components, j + 1), j)
-            qp = _product_term(Q.order, Q.components, _derivatives(P.components, j + 1), j)
-            diff = _component(pq - qp, grid)
-            worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(-1, (diff,)))))
+            diff = _product(P, Q, j, j + 1) - _product(Q, P, j, j + 1)
+            residue = wodzicki_residue(ClassicalSymbol._of(Fraction(-1), diff, grid))
+            worst = max(worst, abs(residue))
     return worst
 
 
@@ -603,11 +663,13 @@ def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
     # Z -> R(Z0, Z) gdot
     M6 = np.einsum("i,a,ijal->lj", Z0, gdot, comp5)
 
+    # Every product below is truncated at `depth`, so D and the
+    # multiplications are built at that depth too.
     B = resolvent_parametrix(Gamma.astype(complex), depth=depth, dim=5, grid=grid)
-    D = derivative_symbol(5, grid, Gamma.astype(complex), depth=depth + 2)
+    D = derivative_symbol(5, grid, Gamma.astype(complex), depth=depth)
 
     def mult(mat):
-        return multiplication_symbol(mat.astype(complex), grid, depth=depth + 2)
+        return multiplication_symbol(mat.astype(complex), grid, depth=depth)
 
     BD = compose(B, D)
     half = 0.5

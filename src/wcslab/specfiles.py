@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog
-from .psdo import ClassicalSymbol, HomogeneousComponent
+from .psdo import ClassicalSymbol
 
 __all__ = ["ParseError", "parse_sections", "load_symbol", "load_surfaces"]
 
@@ -180,8 +180,8 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
     for j, sec in sorted(by_place.items()):
         for prefix, side in zip(("plus", "minus"), values[j]):
             _component_values(sec.entries, prefix, side, sec.line)
-    values.setflags(write=False)  # so each component keeps its slice without a copy
-    return ClassicalSymbol(order, tuple(HomogeneousComponent(v) for v in values))
+    values.setflags(write=False)  # so the symbol keeps the ladder without a copy
+    return ClassicalSymbol.from_ladder(order, values)
 
 
 def load_surfaces(text: str) -> dict[str, catalog.KahlerSurface]:

@@ -122,15 +122,21 @@ _PERMUTATION_PATHS = {
 }
 
 
-def _permutation_sums(comps: np.ndarray, vecs: np.ndarray, gdot: np.ndarray) -> np.ndarray:
+def _contract(A: np.ndarray, E: np.ndarray) -> np.ndarray:
     """sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)] for every choice of
-    stack entry per slot, from a stack of curvature arrays comps[s]."""
-    dim = comps.shape[-1]
+    stack entry per slot, from stacks A[s, a] and E[s, a, b] of matrices."""
+    dim = A.shape[-1]
+    return np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
+                     *[E] * (dim // 2), optimize=_PERMUTATION_PATHS[dim])
+
+
+def _permutation_sums(comps: np.ndarray, vecs: np.ndarray, gdot: np.ndarray) -> np.ndarray:
+    """The permutation sums of a stack of curvature arrays comps[s] in the
+    frame `vecs` along gdot."""
     # A[s,a][l,j] = X_a^i gdot^m R_s[i,j,m,l];  E[s,a,b][l,k] = X_a^i X_b^j R_s[i,j,k,l]
     A = np.einsum("ai,m,sijml->salj", vecs, gdot, comps)
     E = np.einsum("ai,bj,sijkl->sablk", vecs, vecs, comps)
-    return np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
-                     *[E] * (dim // 2), optimize=_PERMUTATION_PATHS[dim])
+    return _contract(A, E)
 
 
 def permutation_density_raw(
@@ -255,16 +261,23 @@ def s_scaled_density(lift: SasakiLift, s: float) -> float:
     return s * density_closed_form(lift)
 
 
+#: The slot choices of the cubic's 2 x 2 x 2 sums that take R1 in m slots,
+#: one mask per power m of k^2.
+_CUBIC_MASKS = tuple(np.indices((2, 2, 2)).sum(axis=0) == m for m in range(4))
+
+
 def _permutation_cubic(parts: tuple[RiemannTensor, RiemannTensor]) -> list[float]:
     """Coefficients c_0 .. c_3 of the raw permutation sum along xi at the
     lift R0 + k^2 R1, a cubic in k^2.
 
     The sum is trilinear in the lift, so c_m sums the 2^3 slot choices
-    that take R1 in m slots and R0 in the rest.
+    that take R1 in m slots and R0 in the rest.  In the identity frame
+    along xi = e_0, A and E are views of the stack (R0, R1).
     """
-    sums = _permutation_sums(np.stack([part.comp for part in parts]), np.eye(5), np.eye(5)[0])
-    copies = np.indices(sums.shape).sum(axis=0)  # number of R1 slots
-    return [sums[copies == m].sum() for m in range(sums.ndim + 1)]
+    comps = np.stack([part.comp for part in parts])
+    # A[s,a][l,j] = R_s[a,j,0,l];  E[s,a,b][l,k] = R_s[a,b,k,l]
+    sums = _contract(comps[:, :, :, 0, :].transpose(0, 1, 3, 2), comps.transpose(0, 1, 2, 4, 3))
+    return [sums[mask].sum() for mask in _CUBIC_MASKS]
 
 
 def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:

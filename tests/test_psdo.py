@@ -155,30 +155,27 @@ def commutator_trace_reference(seed, trials, depth, grid=psdo.DEFAULT_GRID):
         if j >= 0:
             pq = compose(P, Q, j + 1).components[j]
             qp = compose(Q, P, j + 1).components[j]
-            diff = psdo._component(pq.stored - qp.stored, grid)
+            diff = HomogeneousComponent(pq.values - qp.values)
             worst = max(worst, abs(wodzicki_residue(ClassicalSymbol(-1, (diff,)))))
     return worst
 
 
-def derivatives_reference(components, depth):
-    """The product kernel's derivative table before exactly-zero components
-    were skipped: every component is transformed."""
-    grid = components[0].grid
-    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+def derivatives_reference(Q, depth):
+    """The product kernel's derivative table term by term: every component
+    transformed on its own, on the full grid, and every place live."""
+    freqs = np.fft.fftfreq(Q.grid, d=1.0 / Q.grid)
     table = []
-    for q, c in enumerate(components[:depth]):
-        values = c.values
-        hat = np.fft.fft(values, axis=1) if depth - q > 1 else None
-        table.append([values] + [
-            np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=1)
-            for m in range(1, depth - q)
-        ])
+    for m in range(depth):
+        rows = [c.values if m == 0 else np.fft.ifft(
+                    np.fft.fft(c.values, axis=1) * ((1j * freqs) ** m)[:, None, None], axis=1)
+                for c in Q.components[: depth - m]]
+        table.append((np.array(rows), np.arange(len(rows))))
     return table
 
 
-def product_term_reference(order, P_components, dQ, j):
-    """The product kernel's degree-j term before exactly-zero terms were
-    skipped: every (p, m, q) with p + m + q = j is multiplied and added."""
+def add_products_reference(acc, lo, order, left, first, dQ):
+    """The product kernel term by term: every (p, m, q) with p + m + q in
+    range is multiplied and added on its own, exactly-zero terms included."""
 
     def falling(a, m):
         out = 1.0
@@ -186,27 +183,37 @@ def product_term_reference(order, P_components, dQ, j):
             out *= float(a - t)
         return out
 
-    acc = np.zeros_like(dQ[0][0])
-    for p, cp in enumerate(P_components[: j + 1]):
-        left = cp.values
-        for m in range(j - p + 1):
-            coeff = (-1j) ** m / factorial(m)
-            scale = coeff * falling(order - p, m) * np.array([1.0, (-1.0) ** m])
-            acc += scale[:, None, None, None] * np.matmul(left, dQ[j - p - m][m])
-    return acc
+    for p, sigma in enumerate(left, start=first):
+        for m, (dq, _) in enumerate(dQ):
+            for q, dx in enumerate(dq):
+                if lo <= p + m + q < lo + len(acc):
+                    coeff = (-1j) ** m / factorial(m)
+                    scale = coeff * falling(order - p, m) * np.array([1.0, (-1.0) ** m])
+                    acc[p + m + q - lo] += scale[:, None, None, None] * np.matmul(sigma, dx)
 
 
 @pytest.fixture
 def reference_kernel(monkeypatch):
-    """Calls `build` twice, with the product kernel and with its reference,
-    and returns both results."""
+    """Calls `build` twice, with the product kernel and with its term-by-term
+    reference, and returns both results.  The reference build must call both
+    reference functions, so a comparison is never between two runs of the
+    same kernel."""
+    calls = set()
+
+    def counted(fn):
+        def call(*args):
+            calls.add(fn)
+            return fn(*args)
+        return call
 
     def both(build):
         new = build()
+        calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(psdo, "_derivatives", derivatives_reference)
-            m.setattr(psdo, "_product_term", product_term_reference)
+            m.setattr(psdo, "_derivatives", counted(derivatives_reference))
+            m.setattr(psdo, "_add_products", counted(add_products_reference))
             old = build()
+        assert calls == {derivatives_reference, add_products_reference}
         return new, old
 
     return both
@@ -340,29 +347,33 @@ class TestCompose:
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_one_differing_row_keeps_the_grid(self, rng, reference_kernel, row, side):
         const = mixed_ladder(random_symbol(rng, 0, 3, dim=2, grid=GRID), "ccc")
-        assert all(c.stacked.shape == (2, 1, 2, 2) for c in const.components)
+        assert one_row_ladder(const)
         c0 = const.components[0]
         values = c0.values.copy()
         at = ("plus", "minus").index(side), row, 1, 0
         entry = values[at]  # one ulp up in one entry of one grid row
         values[at] = complex(np.nextafter(entry.real, np.inf), entry.imag)
         lead = HomogeneousComponent(values)
-        assert lead.stacked.shape == (2, GRID, 2, 2)
         Q = ClassicalSymbol(const.order, (lead,) + const.components[1:])
+        assert not one_row_ladder(Q) and Q._live[1] == [0]
         P = random_symbol(rng, 1, 3, dim=2, grid=GRID)
         assert_same_symbol(*reference_kernel(lambda: compose(P, Q, 3)))
         assert_same_symbol(*reference_kernel(lambda: compose(Q, P, 3)))
 
-    def test_stacked_shapes(self):
-        zero = multiplication_symbol(np.zeros((2, 2)), GRID, depth=1).components[0]
-        assert zero.stacked is None
-        one = identity_symbol(2, GRID).components[0]
-        assert one.stacked.shape == (2, 1, 2, 2) and not one.stacked.flags.writeable
-        assert np.array_equal(one.stacked[0, 0], np.eye(2))
-        # Rows are compared bit for bit: a -0.0 where row 0 has 0.0 keeps the grid.
+    def test_live_flags(self):
+        zero = multiplication_symbol(np.zeros((2, 2)), GRID, depth=2)
+        assert zero._live == ([], [])
+        one = identity_symbol(2, GRID, depth=2)
+        assert one.stored.shape == (2, 2, 1, 2, 2) and not one.stored.flags.writeable
+        assert one._live == ([0], [])
+        assert np.array_equal(one.stored[0, 0, 0], np.eye(2))
+        # Rows are compared bit for bit: a -0.0 where row 0 has 0.0 varies.
         signed = np.broadcast_to(np.eye(2, dtype=complex), (GRID, 2, 2)).copy()
         signed[3, 0, 1] = -0.0
-        assert HomogeneousComponent(np.stack((signed, signed))).stacked.shape == (2, GRID, 2, 2)
+        flat = np.broadcast_to(np.eye(2, dtype=complex), (GRID, 2, 2)).copy()
+        for values, varies in ((signed, True), (flat, False)):
+            sym = ClassicalSymbol(0, (HomogeneousComponent(np.stack((values, values))),))
+            assert sym.stored.shape == (1, 2, GRID, 2, 2) and sym._live[1] == ([0] if varies else [])
 
     def test_truncation_error_reports_deficit(self, rng):
         P = random_symbol(rng, 0, 2, dim=1, grid=GRID)
@@ -790,6 +801,10 @@ def one_row(c):
     return c.values.strides[1] == 0
 
 
+def one_row_ladder(sym):
+    return sym.ladder.strides[2] == 0
+
+
 class TestOneRowStorage:
     """Components constant in x are stored as one row, and the operations on
     them give the values that the same operations give on full grids."""
@@ -805,9 +820,9 @@ class TestOneRowStorage:
     @pytest.mark.parametrize("kinds_q", ROW_LADDERS)
     def test_compose(self, rng, reference_kernel, kinds_p, kinds_q):
         P, Q = self.draw(rng, 1, kinds_p), self.draw(rng, -2, kinds_q)
-        assert all(one_row(c) for c, k in zip(P.components, kinds_p) if k == "c")
+        assert one_row_ladder(P) == ("b" not in kinds_p)
         Pf, Qf = full_grid_copy(P), full_grid_copy(Q)
-        assert not any(one_row(c) for c in Pf.components + Qf.components)
+        assert not one_row_ladder(Pf) and not one_row_ladder(Qf)
         new, old = reference_kernel(lambda: (compose(P, Q), compose(Q, P)))
         _, full = reference_kernel(lambda: (compose(Pf, Qf), compose(Qf, Pf)))
         for got, ref, want in zip(new, old, full):
@@ -839,7 +854,7 @@ class TestOneRowStorage:
         for scalar in (2.5, -1j, 0.5 - 2j):
             assert_same_bits(scalar * P, scalar * Pf)
         assert_same_bits(P.pad_zeros(7), Pf.pad_zeros(7))
-        assert all(one_row(c) for c in (P + Q).components[len(kinds_p):])  # padding
+        assert one_row_ladder(P + Q) == ("b" not in kinds_p + kinds_q)
 
     def test_constant_constructors_keep_one_row(self):
         gamma = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -858,6 +873,7 @@ class TestOneRowStorage:
     def test_audit_takes_the_one_row_path(self):
         lift = lift_curvature(cp2_fubini_study(), 2)
         for _, sym in connection_difference_terms(lift, depth=6, grid=GRID):
+            assert sym.stored.shape == (6, 2, 1, 5, 5) and one_row_ladder(sym)
             assert all(c.values.strides[1] == 0 for c in sym.components)
 
     def test_audit_symbol_does_not_depend_on_the_grid(self):
@@ -873,8 +889,9 @@ class TestComponentsDoNotChange:
     def test_later_write_to_the_base_does_not_reach_the_component(self):
         base = np.zeros((3, 2, 32, 1, 1), complex)
         c = HomogeneousComponent(base[0])
+        sym = ClassicalSymbol(0, (c,))
         base[0, 0, 5] = 1
-        assert not c.values.any() and c.stacked is None
+        assert not c.values.any() and not sym.ladder.any()
 
     def test_caller_array_stays_writeable(self):
         arr = np.zeros((2, GRID, 2, 2), complex)
@@ -887,7 +904,7 @@ class TestComponentsDoNotChange:
         row = np.zeros((2, 1, 2, 2), complex)
         c = HomogeneousComponent(np.broadcast_to(row, (2, GRID, 2, 2)))
         row[1, 0, 0, 1] = 1.0
-        assert not c.values.any() and c.stacked is None
+        assert not c.values.any()
         assert c.values.shape == (2, GRID, 2, 2) and c.values.strides[1] == 0
         assert c.stored.nbytes == row.nbytes
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -296,6 +297,48 @@ class TestDecideLevels:
         for v in decide_levels(cp2_fubini_study(), [-1, 0, 1]):
             assert v.densities.value_closed == v.densities.value_permutation == 0.0
             assert v.integral == 0.0 and v.verdict == Verdict.INCONCLUSIVE
+
+
+#: (surface, m, n) with c1.[w] = pi m and [w]^2 = pi^2 n in the catalog's
+#: normalization (CP2_LINE_PERIOD = pi); n is None where it is not rational.
+CLASS_NUMBERS = [(flat_torus(), 0, None), (cp2_fubini_study(), 3, 1)] + [
+    (product_cp1(a, b), 8 * (a + b), 32 * a * b) for a in range(1, 7) for b in range(1, 7)]
+RATIONAL_CLASSES = [c for c in CLASS_NUMBERS if c[2] is not None]
+
+
+def class_id(case) -> str:
+    return f"{case[0].name}{case[0].params}"
+
+
+class TestCohomologicalIntegral:
+    """The exact integral from three cohomological numbers:
+    I(k) = (2 pi k^2 / 30)(96 pi^2 sigma - 64 pi k^2 c1.[w] + 192 k^4 vol)."""
+
+    LEVELS = range(-50, 51)
+
+    @pytest.mark.parametrize("surface, m, n", CLASS_NUMBERS, ids=map(class_id, CLASS_NUMBERS))
+    def test_integrals_match_the_class_formula(self, surface, m, n):
+        # Relative to the size of the three summands, since on cp2 they
+        # cancel to 0 at k = +-1.
+        for v in decide_levels(surface, self.LEVELS):
+            k2 = float(v.k) ** 2
+            terms = (96 * np.pi**2 * surface.signature, -64 * np.pi * k2 * (np.pi * m),
+                     192 * k2**2 * surface.volume)
+            exact = (2 * np.pi * k2 / 30) * sum(terms)
+            size = (2 * np.pi * k2 / 30) * sum(abs(t) for t in terms)
+            assert abs(v.integral - exact) <= 1e-13 * size
+
+    @pytest.mark.parametrize("surface, m, n", RATIONAL_CLASSES,
+                             ids=map(class_id, RATIONAL_CLASSES))
+    def test_inconclusive_exactly_where_the_class_polynomial_vanishes(self, surface, m, n):
+        # I(k) = (2 pi^3 k^2 / 30) 32 (3 sigma - 2 m k^2 + 3 n k^4), decided in rationals.
+        seen = set()
+        for v in decide_levels(surface, self.LEVELS):
+            k = Fraction(v.k)
+            vanishes = k == 0 or 3 * surface.signature - 2 * m * k**2 + 3 * n * k**4 == 0
+            assert (v.verdict == Verdict.INCONCLUSIVE) == vanishes
+            seen.add(vanishes and k != 0)
+        assert (True in seen) == (surface.name == "cp2")  # cp2's (k^2 - 1)^2 at k = +-1
 
 
 def kahler_surface(coefficients, volume) -> KahlerSurface:
