@@ -708,6 +708,18 @@ class TestChecks:
     def test_empty_ladder(self):
         with pytest.raises(SymbolError, match="at least one component"):
             ClassicalSymbol(0, ())
+        with pytest.raises(SymbolError, match="at least one component"):
+            ClassicalSymbol.from_ladder(0, np.zeros((0, 2, GRID, 2, 2), complex))
+
+    @pytest.mark.parametrize("shape", [(2, GRID, 2, 2), (3, 1, GRID, 2, 2), (3, 2, GRID, 2, 3)])
+    def test_from_ladder_shape(self, shape):
+        with pytest.raises(SymbolError, match=re.escape("shape (depth, 2, G, d, d)")):
+            ClassicalSymbol.from_ladder(0, np.zeros(shape, complex))
+
+    @pytest.mark.parametrize("grid", [8, 24])
+    def test_from_ladder_grid(self, grid):
+        with pytest.raises(SymbolError, match="power of two"):
+            ClassicalSymbol.from_ladder(0, np.zeros((2, 2, grid, 1, 1), complex))
 
     def test_orders_off_by_a_non_integer(self, rng):
         P = random_symbol(rng, 0, 3, dim=2, grid=GRID)
@@ -923,6 +935,19 @@ class TestComponentsDoNotChange:
         frozen = np.zeros((2, GRID, 1, 1), complex)
         frozen.setflags(write=False)
         assert HomogeneousComponent(frozen).values is frozen
+
+    def test_from_ladder_keeps_what_no_one_can_write(self):
+        arr = np.zeros((3, 2, GRID, 2, 2), complex)
+        sym = ClassicalSymbol.from_ladder(Fraction(1, 2), arr)
+        arr[1, 0, 3] = 1.0  # a writeable argument is copied
+        assert arr.flags.writeable and not sym.ladder.any() and not sym.stored.flags.writeable
+        arr.setflags(write=False)
+        assert ClassicalSymbol.from_ladder(0, arr).stored is arr
+        row = np.ones((3, 2, 1, 2, 2), complex)
+        sym = ClassicalSymbol.from_ladder(0, np.broadcast_to(row, (3, 2, GRID, 2, 2)))
+        row[0] = 5.0
+        assert sym.stored.shape == (3, 2, 1, 2, 2) and one_row_ladder(sym)
+        assert (sym.ladder == 1.0).all() and sym.order == 0 and sym.grid == GRID
 
     def test_fraction_order_is_kept(self, rng):
         order = Fraction(1, 2)
