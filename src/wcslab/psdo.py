@@ -8,7 +8,7 @@ one read-only array, `stored`: component j (degree order - j) at place j,
 xi = +1 first.  A symbol never changes once built: it copies an argument
 that could still be written.
 
-A ladder whose every component is constant in x or zero is stored as one
+A ladder whose every component is one grid row or zero is stored as one
 grid row, (depth, 2, 1, d, d); otherwise `stored` is (depth, 2, G, d, d).
 `ladder` has the full shape either way (a view with stride 0 on the grid
 axis for a row), and `components` gives per-component views
