@@ -232,7 +232,7 @@ def _cmd_psdo(args) -> int:
         "commutator_max_violation": violation,
         "commutator_trials": args.trials,
         "parametrix_defect_sup": {
-            str(defect.order - j): c.sup_norm() for j, c in enumerate(defect.components)
+            str(defect.order - j): sup for j, sup in enumerate(defect.sup_norms().tolist())
         },
         "depth": args.depth,
         "seed": seed,

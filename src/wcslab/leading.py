@@ -6,13 +6,16 @@ target sphere.  Both sides of the identity reduce to vol(S^1) * q, but the
 left side is computed by honest pullback quadrature over the family.
 
 The quadrature over the parameter sphere reduces to one moment tensor,
-which a family builds once (`MappedFamily.moment`) and both sides read.
+which both sides read (`MappedFamily.moment`).  A process builds the moment
+once per (n_colat, n_long) and the contraction path once per angle count,
+so a repeated check at the same grid skips the Gauss-Legendre rule and the
+einsum path search; a cold call costs what it did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -40,17 +43,49 @@ def _sphere_quadrature(n_colat: int, n_long: int):
     return points, t_phi, t_lam, W
 
 
+@cache
+def _moment(n_colat: int, n_long: int) -> np.ndarray:
+    """M_ijk = sum over the parameter grid of W t_phi_i t_lambda_j x_k
+    (a pairwise sum on the grid axis), read-only.  The rule itself is not
+    kept: a grid's cache entry is these 27 floats."""
+    points, t_phi, t_lam, W = _sphere_quadrature(n_colat, n_long)
+    M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
+    M = M.reshape(3, 3, 3, -1).sum(axis=-1)
+    M.setflags(write=False)
+    return M
+
+
+#: dA at every angle t: eps_abc R_tai R_tbj R_tck M_ijk.
+_PULLBACK = "abc,tai,tbj,tck,ijk->t"
+
+
+@cache
+def _contraction_path(n_angles: int) -> tuple:
+    """The path `optimize=True` picks for `_PULLBACK` over n_angles angles.
+    The greedy choice depends on the size, so it is searched once per count
+    (on zero operands of the real shapes) rather than fixed."""
+    R = np.zeros((n_angles, 3, 3))
+    path, _ = np.einsum_path(_PULLBACK, LEVI_CIVITA[3], R, R, R, np.zeros((3, 3, 3)),
+                             optimize=True)
+    return tuple(path)
+
+
 @dataclass(frozen=True)
 class MappedFamily:
-    """Rotation family over the parameter sphere, with quadrature grids."""
+    """Rotation family over the parameter sphere, with quadrature grids.
+    Each size is an int >= 4 (a numpy int is stored as int; a bool is not
+    a size)."""
 
     n_colat: int = 32
     n_long: int = 64
     n_loop: int = 32
 
     def __post_init__(self):
-        if min(self.n_colat, self.n_long, self.n_loop) < 4:
-            raise ValueError("grids too small")
+        for name in ("n_colat", "n_long", "n_loop"):
+            size = getattr(self, name)
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 4:
+                raise ValueError(f"{name} must be an int >= 4, got {size!r}")
+            object.__setattr__(self, name, int(size))
 
     @property
     def loop_angles(self) -> np.ndarray:
@@ -63,19 +98,15 @@ class MappedFamily:
     def parameter_grid(self):
         return _sphere_quadrature(self.n_colat, self.n_long)
 
-    @cached_property
+    @property
     def moment(self) -> np.ndarray:
-        """M_ijk = sum over the parameter grid of W t_phi_i t_lambda_j x_k
-        (a pairwise sum on the grid axis), read-only, built on first use.
+        """The read-only moment of the parameter grid, shared by every family
+        with the same (n_colat, n_long).
 
         The area form dA(Rv, Rw, Rn) = eps_abc (Rv)_a (Rw)_b (Rn)_c is
         trilinear in (v, w, n), so the grid reduces once, for every angle
         and every charge, to this (3, 3, 3) tensor."""
-        points, t_phi, t_lam, W = self.parameter_grid()
-        M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
-        M = M.reshape(3, 3, 3, -1).sum(axis=-1)
-        M.setflags(write=False)
-        return M
+        return _moment(self.n_colat, self.n_long)
 
     @staticmethod
     def rotation(theta) -> np.ndarray:
@@ -100,7 +131,8 @@ class LineBundleCurvature:
 def _pullback_integrals(fam: MappedFamily, L: LineBundleCurvature, thetas) -> np.ndarray:
     """Per-angle integral over the parameter sphere of (u_theta)^* (i/2pi) tr(Omega)."""
     R = fam.rotation(thetas)
-    dA = np.einsum("abc,tai,tbj,tck,ijk->t", LEVI_CIVITA[3], R, R, R, fam.moment, optimize=True)
+    dA = np.einsum(_PULLBACK, LEVI_CIVITA[3], R, R, R, fam.moment,
+                   optimize=_contraction_path(len(R)))
     return np.real((1j / (2.0 * np.pi)) * L.coefficient * dA)
 
 

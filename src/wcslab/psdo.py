@@ -15,8 +15,8 @@ axis for a row), and `components` gives per-component views
 (HomogeneousComponent); both are built on first use.  Multiplication
 symbols of a constant matrix, the derivative symbol of a constant
 connection, and every sum, multiple and product of such symbols are built
-on the row alone.  +, -, scalar *, pad_zeros, leading_degree and the
-residue act on the whole array.
+on the row alone.  +, -, scalar *, pad_zeros, sup_norms, leading_degree
+and the residue act on the whole array.
 
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
@@ -298,10 +298,13 @@ class ClassicalSymbol:
         zeros = np.zeros((depth - self.depth,) + stored.shape[1:], dtype=complex)
         return ClassicalSymbol._of(self.order, np.concatenate((stored, zeros)), self.grid)
 
+    def sup_norms(self) -> np.ndarray:
+        """Sup norm of each component, place 0 (degree order) first."""
+        return np.abs(self.stored).reshape(self.depth, -1).max(axis=1)
+
     def leading_degree(self, tol: float = 1e-11):
         """Highest degree with a component above tol; None if all vanish."""
-        sup = np.abs(self.stored).reshape(self.depth, -1).max(axis=1)
-        above = np.flatnonzero(sup > tol)
+        above = np.flatnonzero(self.sup_norms() > tol)
         return self.order - int(above[0]) if above.size else None
 
     def _binary(self, other, f):
@@ -686,7 +689,11 @@ def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
 
 def connection_difference_order_audit(lift, depth: int = 6, grid: int = DEFAULT_GRID):
     """Highest nonvanishing homogeneity degree of each term of the
-    connection difference; None for identically zero terms."""
+    connection difference; None for identically zero terms.
+
+    The orders depend on the surface only through k: the terms read only
+    curvature with a gamma_dot slot, which on a lift depends on k alone, so
+    every catalog surface gives the same terms bit for bit."""
     out = []
     for name, sym in connection_difference_terms(lift, depth, grid):
         deg = sym.leading_degree()

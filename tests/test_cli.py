@@ -246,6 +246,19 @@ class TestPsdoCommand:
         assert report["commutator_max_violation"] <= 1e-8
         assert all(v <= 1e-10 for v in report["parametrix_defect_sup"].values())
 
+    def test_defect_sup_norms_are_the_component_norms(self, capsys, tmp_path):
+        path = tmp_path / "sym.txt"
+        path.write_text(SYMBOL_FILE)
+        for depth in (4, 6, 9):
+            code, out, _ = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1",
+                               "--depth", str(depth))
+            A = psdo.laplacian_plus_one_symbol(np.zeros((1, 1)), depth=depth)
+            defect = psdo.compose(psdo.parametrix(A, depth), A, depth) \
+                - psdo.identity_symbol(1, depth=depth)
+            want = {str(defect.order - j): c.sup_norm() for j, c in enumerate(defect.components)}
+            assert code == 0 and json.loads(out)[0]["parametrix_defect_sup"] == want
+            assert len(want) == depth
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("order = 0\n")

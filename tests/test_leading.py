@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from wcslab import cli
+from wcslab import cli, leading
 from wcslab.geometry import LEVI_CIVITA
 from wcslab.leading import (
     LineBundleCurvature,
@@ -168,14 +168,52 @@ class TestMomentOncePerFamily:
         assert fam.moment is fam.moment and not fam.moment.flags.writeable
 
     def test_one_grid_per_verify_prop22(self, monkeypatch):
+        # The rule is built once per grid per process: a second run at the
+        # same grid reads the cached moment and prints the same bytes.
         calls = []
-        build = MappedFamily.parameter_grid
+        build = leading._sphere_quadrature
 
-        def counted(self):
-            calls.append(self)
-            return build(self)
+        def counted(n_colat, n_long):
+            calls.append((n_colat, n_long))
+            return build(n_colat, n_long)
 
-        monkeypatch.setattr(MappedFamily, "parameter_grid", counted)
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            assert cli.main(["verify-prop22", "--charge", "3", "--grid", "16"]) == 0
-        assert len(calls) == 1 and '"pass": true' in out.getvalue()
+        monkeypatch.setattr(leading, "_sphere_quadrature", counted)
+        leading._moment.cache_clear()
+        outputs = []
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["verify-prop22", "--charge", "3", "--grid", "16"]) == 0
+            outputs.append(out.getvalue())
+        assert calls == [(16, 32)]
+        assert outputs[0] == outputs[1] and '"pass": true' in outputs[0]
+
+
+class TestCachedWork:
+    def test_families_share_one_moment_per_grid(self):
+        moments = [MappedFamily(16, 32, n_loop).moment for n_loop in (4, 16, 17, 64)]
+        assert all(M is moments[0] for M in moments)
+        assert moments[0].shape == (3, 3, 3) and not moments[0].flags.writeable
+        assert MappedFamily(16, 33, 16).moment is not moments[0]
+
+    @pytest.mark.parametrize("n_angles", [1, 16, 56, 64, 128, 256])
+    def test_contraction_path_is_the_optimized_path(self, n_angles):
+        R = np.random.default_rng(n_angles).standard_normal((n_angles, 3, 3))
+        path, _ = np.einsum_path(leading._PULLBACK, LEVI_CIVITA[3], R, R, R,
+                                 MappedFamily(16, 32, 16).moment, optimize=True)
+        assert list(leading._contraction_path(n_angles)) == path
+        assert leading._contraction_path(n_angles) is leading._contraction_path(n_angles)
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize("field", ["n_colat", "n_long", "n_loop"])
+    @pytest.mark.parametrize("size", [16.0, True, np.True_, "16", None, 3, np.int64(2), -4])
+    def test_bad_size_names_the_field(self, field, size):
+        with pytest.raises(ValueError, match=f"^{field} must be an int >= 4"):
+            MappedFamily(**{field: size})
+
+    def test_numpy_ints_are_stored_as_int(self):
+        fam = MappedFamily(np.int64(16), np.int32(32), np.uint8(4))
+        assert (fam.n_colat, fam.n_long, fam.n_loop) == (16, 32, 4)
+        assert all(type(n) is int for n in (fam.n_colat, fam.n_long, fam.n_loop))
+        assert fam == MappedFamily(16, 32, 4) and hash(fam) == hash(MappedFamily(16, 32, 4))
+        assert fam.moment is MappedFamily(16, 32, 4).moment

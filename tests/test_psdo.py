@@ -882,6 +882,14 @@ class TestOneRowStorage:
         assert_same_bits(derivative_symbol(2, GRID, gamma, depth=3),
                          derivative_symbol(2, GRID, wide, depth=3))
 
+    @pytest.mark.parametrize("kinds", ROW_LADDERS + ["bbbb", "0000"])
+    def test_sup_norms_match_components(self, rng, kinds):
+        P = self.draw(rng, 1, kinds)
+        for sym in (P, full_grid_copy(P)):
+            norms = sym.sup_norms()
+            assert norms.shape == (len(kinds),)
+            assert norms.tolist() == [c.sup_norm() for c in sym.components]
+
     def test_audit_takes_the_one_row_path(self):
         lift = lift_curvature(cp2_fubini_study(), 2)
         for _, sym in connection_difference_terms(lift, depth=6, grid=GRID):
@@ -1020,6 +1028,20 @@ class TestConnectionDifferenceAudit:
         assert calls == []
         assert np.fft.fft(np.ones(16))[0] == 16.0 and calls == ["fft"]  # the counter counts
         assert [int(sym.leading_degree()) for _, sym in terms] == [-1, -1, -1, -2, -1, -2]
+
+    @pytest.mark.parametrize("depth, grid", [(6, 32), (4, 64)])
+    @pytest.mark.parametrize("k", [1, 2, 3, -2, 5])
+    def test_terms_depend_on_the_surface_only_through_k(self, k, depth, grid):
+        # The terms read only curvature with a gamma_dot slot, which on a
+        # lift depends on k alone: every catalog surface gives the same bits.
+        surfaces = [flat_torus(), cp2_fubini_study()] + [
+            product_cp1(a, b) for a in range(1, 7) for b in range(1, 7)]
+        assert len(surfaces) == 38
+        first, *rest = ([(name, sym.order, sym.stored.tobytes()) for name, sym in
+                         connection_difference_terms(lift_curvature(base, k), depth, grid)]
+                        for base in surfaces)
+        assert len(first) == 6
+        assert all(terms == first for terms in rest)
 
     def test_six_named_terms(self):
         lift = lift_curvature(flat_torus(), 1)
