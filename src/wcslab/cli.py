@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 
@@ -153,7 +154,33 @@ def _level_row(verdict: wcs.Pi1Verdict) -> dict:
     }
 
 
+def _non_finite(value, where: str) -> tuple[str, float] | None:
+    """The first non-finite float in value, nested lists and dicts
+    included, and where it is; None if every float is finite."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (where, value)
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = _non_finite(item, f"{where}[{key!r}]")
+        if found:
+            return found
+    return None
+
+
+def _check_finite(rows: list[dict]) -> None:
+    """Refuse a row holding inf or nan, in either format."""
+    for row in rows:
+        for column, value in row.items():
+            found = _non_finite(value, column)
+            if found:
+                where = " ".join(f"{key}={row[key]!r}" for key in ("surface", "k") if key in row)
+                raise ValueError(f"non-finite {found[0]} = {found[1]}"
+                                 + (f" at {where}" if where else ""))
+
+
 def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
+    _check_finite(rows)
     if fmt == "json":
         text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:

@@ -280,19 +280,50 @@ def _permutation_cubic(parts: tuple[RiemannTensor, RiemannTensor]) -> list[float
     return [sums[mask].sum() for mask in _CUBIC_MASKS]
 
 
+class _CurvatureKey:
+    """A curvature surface, equal to and hashed as the bytes of its
+    curvature components and its J: all that the sweep terms read of it.
+    Both arrays are frozen float64, 4x4 for J and d^4 for the curvature,
+    so equal bytes are equal arrays."""
+
+    __slots__ = ("surface", "_bytes")
+
+    def __init__(self, surface: KahlerSurface):
+        self.surface = surface
+        self._bytes = (surface.curvature.comp.tobytes(), surface.J.matrix.tobytes())
+
+    def __hash__(self) -> int:
+        return hash(self._bytes)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _CurvatureKey) and self._bytes == other._bytes
+
+
+@lru_cache(maxsize=256)
+def _sweep_terms(key: _CurvatureKey) -> tuple[float, ...]:
+    """(p1, B, c0, c1, c2, c3) of a curvature surface, once per distinct
+    (curvature, J) per process.  A miss builds and checks the lift
+    polynomial of the surface it was called with; a failed check raises
+    and is not cached."""
+    cubic = _permutation_cubic(lift_parts(key.surface))
+    return (*_closed_form_terms(key.surface.curvature), *cubic)
+
+
 def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
     """Whether the fiber-rotation loop has infinite order, at each level in ks.
 
     The lift polynomial (R0, R1) is built and checked, p1 and B are read,
     and the permutation route's cubic in k^2 is contracted once per
-    surface; each level then costs scalar arithmetic.  The closed form is
-    evaluated as `density_closed_form` evaluates it.  A bounds-only surface
-    is decided by the prop-3.9 condition, and its verdicts carry no
+    distinct (curvature, J) per process; each level then costs scalar
+    arithmetic.  The first sweep of a curvature pays for these terms; a
+    repeat reads them.  The name, volume, signature and r_inf are read per
+    call.  The closed form is evaluated
+    as `density_closed_form` evaluates it.  A bounds-only surface is
+    decided by the prop-3.9 condition, and its verdicts carry no
     densities.
     """
     if surface.curvature_known:
-        c0, c1, c2, c3 = _permutation_cubic(lift_parts(surface))
-        p1, B = _closed_form_terms(surface.curvature)
+        p1, B, c0, c1, c2, c3 = _sweep_terms(_CurvatureKey(surface))
         calibration = calibration_constant()
         total_volume = FIBER_LENGTH * surface.volume
     verdicts = []

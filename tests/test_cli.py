@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from wcslab import cli, leading, psdo
+from wcslab import cli, leading, psdo, wcs
 from wcslab.catalog import KahlerSurface
 from wcslab.cli import CSV_COLUMNS, main
 from wcslab.geometry import LEVI_CIVITA, STANDARD_J, RiemannTensor
@@ -201,6 +201,39 @@ class TestBadSurfaceValues:
         assert code == 3 and out == "" and err.count("\n") == 1
 
 
+HUGE = "1" + "0" * 200
+
+
+class TestNonFiniteRows:
+    """A row holding inf or nan is refused in both formats: exit 3, one
+    line naming the column, the surface and k, and nothing on stdout."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv, message", [
+        # The volume (4 pi a)(4 pi b) overflows to inf.
+        (("--surface", "cp1xcp1", "--a", HUGE, "--b", HUGE, "--k", "1"),
+         "non-finite integral = inf at surface='cp1xcp1' k=1"),
+        # 224 k^2 r_inf vol and 192 k^4 vol overflow to inf - inf.
+        (("--surface", "generic", "--sigma", "1", "--vol", "1e308", "--r-inf", "1",
+          "--k", "1000"),
+         "non-finite prop39_lhs = nan at surface='generic' k=1000"),
+    ])
+    def test_refused(self, capsys, tmp_path, fmt, argv, message):
+        code, out, err = run(capsys, "decide", *argv, "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == f"computation error: {message}\n"
+        path = tmp_path / "rows.out"
+        assert run(capsys, "decide", *argv, "--format", fmt, "--out", str(path))[0] == 3
+        assert not path.exists()
+
+    def test_nested_values_are_checked(self):
+        with pytest.raises(ValueError, match=r"residue\[1\] = nan"):
+            cli._check_finite([{"residue": [0.0, float("nan")]}])
+        with pytest.raises(ValueError, match=r"sup\['-1'\] = -inf"):
+            cli._check_finite([{"sup": {"0": 1.0, "-1": float("-inf")}}])
+        cli._check_finite([{"residue": [0.0, 1.0], "k": 10**400, "sup": {"0": 2.0}}])
+
+
 class TestOutputFormats:
     def test_csv_header(self, capsys):
         code, out, _ = run(
@@ -221,6 +254,19 @@ class TestOutputFormats:
         run(capsys, "integral", "--surface", "cp2", "--k-range", "-2..2", "--out", str(a))
         run(capsys, "integral", "--surface", "cp2", "--k-range", "-2..2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_same_bytes_cold_and_warm(self, capsys):
+        # The first sweep of each surface computes its terms, the second
+        # reads them; both print the same bytes.
+        wcs._sweep_terms.cache_clear()
+        surfaces = (["t4"], ["cp2"], ["cp1xcp1", "--a", "2", "--b", "3"])
+        for command in ("decide", "density", "integral"):
+            for surface in surfaces:
+                for fmt in ("json", "csv"):
+                    argv = (command, "--surface", *surface, "--k-range", "-3..3", "--format", fmt)
+                    first = run(capsys, *argv)
+                    assert first[0] == 0 and first[1]
+                    assert run(capsys, *argv) == first
 
     def test_config_file_surface(self, capsys, tmp_path):
         cfg = tmp_path / "surfaces.cfg"

@@ -186,6 +186,7 @@ def test_golden_covers_every_command():
 
 def test_one_lift_polynomial_per_sweep(capsys, monkeypatch):
     wcs.calibration_constant()  # its own lift is cached once per process
+    wcs._sweep_terms.cache_clear()
     calls = []
     for module, fname in ((sasaki, "lift_parts"), (sasaki, "lift_curvature"),
                           (geometry, "pontrjagin_density")):
@@ -199,9 +200,17 @@ def test_one_lift_polynomial_per_sweep(capsys, monkeypatch):
         for name, mod in list(sys.modules.items()):
             if name.partition(".")[0] == "wcslab" and getattr(mod, fname, None) is original:
                 monkeypatch.setattr(mod, fname, counting)
-    assert main(["decide", "--surface", "cp2", "--k-range", "-3..3"]) == 0
-    assert len(json.loads(capsys.readouterr().out)) == 7
-    assert sorted(calls) == ["lift_parts", "pontrjagin_density"]
+    # The first sweep of a curvature builds its lift polynomial once, a
+    # repeat reads the kept terms, and another curvature builds its own.
+    for argv, want in (
+        (["cp2"], ["lift_parts", "pontrjagin_density"]),
+        (["cp2"], []),
+        (["cp1xcp1", "--a", "2", "--b", "3"], ["lift_parts", "pontrjagin_density"]),
+    ):
+        calls.clear()
+        assert main(["decide", "--surface", *argv, "--k-range", "-3..3"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 7
+        assert sorted(calls) == want
 
 
 if __name__ == "__main__":

@@ -16,12 +16,15 @@ from wcslab.catalog import (
 )
 from wcslab.geometry import (
     STANDARD_J,
+    ComplexStructure,
     OrthonormalFrame,
     RiemannTensor,
     pontrjagin_density,
     symmetry_violation,
 )
-from wcslab.sasaki import lift_curvature
+from wcslab import wcs
+from wcslab.geometry import LEVI_CIVITA
+from wcslab.sasaki import LiftConsistencyError, lift_curvature
 from wcslab.wcs import (
     VERDICT_ATOL_FACTOR,
     _closed_form_terms,
@@ -297,6 +300,77 @@ class TestDecideLevels:
         for v in decide_levels(cp2_fubini_study(), [-1, 0, 1]):
             assert v.densities.value_closed == v.densities.value_permutation == 0.0
             assert v.integral == 0.0 and v.verdict == Verdict.INCONCLUSIVE
+
+
+class TestSweepTermsMemo:
+    """decide_levels keeps each curvature's sweep terms for the process:
+    a warm sweep equals a cold one, and only the arrays key them."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        wcs._sweep_terms.cache_clear()
+
+    def assert_cold_equals_warm(self, surfaces):
+        # Warm sweeps run after every surface's terms are kept, so a key
+        # that misses part of the arrays would hand one surface another's.
+        cold = []
+        for surface in surfaces:
+            wcs._sweep_terms.cache_clear()
+            cold.append(decide_levels(surface, SWEEP_LEVELS))
+        assert [decide_levels(surface, SWEEP_LEVELS) for surface in surfaces] == cold
+
+    def test_warm_equals_cold(self):
+        self.assert_cold_equals_warm(SWEEP_SURFACES)
+
+    def test_warm_equals_cold_on_integer_basis_tensors(self):
+        rng = np.random.default_rng(17)
+        surfaces = []
+        for _ in range(20):
+            R = RiemannTensor(np.tensordot(rng.integers(-3, 4, size=9), EXACT_KAHLER_BASIS, axes=1))
+            surfaces.append(KahlerSurface(
+                name="kahler", volume=float(rng.integers(1, 9)), signature=int(rng.integers(-2, 3)),
+                r_inf=float(np.max(np.abs(R.comp))), curvature=R, J=STANDARD_J))
+        self.assert_cold_equals_warm(surfaces)
+
+    def test_only_the_curvature_is_shared(self):
+        cp2 = cp2_fubini_study()
+        other = KahlerSurface(name="other", volume=2.0, signature=-5, r_inf=0.5,
+                              curvature=cp2.curvature, J=cp2.J)
+        ks = [-3, 1, 2, 7]
+        want = {s.name: [per_level_reference(s, k) for k in ks] for s in (cp2, other)}
+        for surface in (cp2, other, cp2):
+            got = decide_levels(surface, ks)
+            assert [v.surface for v in got] == [surface.name] * len(ks)
+            assert [v.integral for v in got] == [v.integral for v in want[surface.name]]
+            assert [v.prop39_lhs for v in got] == [v.prop39_lhs for v in want[surface.name]]
+        assert wcs._sweep_terms.cache_info().currsize == 1
+        for mine, theirs in zip(decide_levels(other, [2, 7]), decide_levels(cp2, [2, 7])):
+            assert mine.integral != theirs.integral and mine.prop39_lhs != theirs.prop39_lhs
+
+    def test_j_is_part_of_the_key(self):
+        # The same curvature array with J pairing e0 with e2 and e1 with e3:
+        # R1 is built from J, so the permutation route differs.
+        cp2 = cp2_fubini_study()
+        J = np.zeros((4, 4))
+        J[2, 0] = J[3, 1] = 1.0
+        J[0, 2] = J[1, 3] = -1.0
+        swapped = replace(cp2, J=ComplexStructure(J))
+        for surface in (cp2, swapped, cp2, swapped):
+            got = decide_pi1(surface, 2).densities
+            want = per_level_reference(surface, 2).densities
+            assert abs(got.value_permutation - want.value_permutation) <= 1e-13 * abs(
+                want.value_permutation)
+        assert wcs._sweep_terms.cache_info().currsize == 2
+        assert (decide_pi1(swapped, 2).densities.value_permutation
+                != decide_pi1(cp2, 2).densities.value_permutation)
+
+    def test_failed_lift_check_is_not_kept(self):
+        broken = KahlerSurface(name="broken", volume=1.0, signature=0, r_inf=1.0,
+                               curvature=RiemannTensor(LEVI_CIVITA[4]), J=STANDARD_J)
+        for _ in range(2):
+            with pytest.raises(LiftConsistencyError, match="broken"):
+                decide_levels(broken, [1, 2])
+        assert wcs._sweep_terms.cache_info().currsize == 0
 
 
 #: (surface, m, n) with c1.[w] = pi m and [w]^2 = pi^2 n in the catalog's
