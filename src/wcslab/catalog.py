@@ -124,6 +124,9 @@ def product_cp1(a: int, b: int) -> KahlerSurface:
     """
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive integers")
+    volume = (4.0 * np.pi * a) * (4.0 * np.pi * b)
+    if not volume < np.inf:
+        raise ValueError("volume (4 pi a)(4 pi b) must be finite")
     k1, k2 = 1.0 / a, 1.0 / b
     comp = np.zeros((4, 4, 4, 4))
     for (lo, hi, kk) in ((0, 2, k1), (2, 4, k2)):
@@ -134,7 +137,7 @@ def product_cp1(a: int, b: int) -> KahlerSurface:
         )
     return KahlerSurface(
         name="cp1xcp1",
-        volume=(4.0 * np.pi * a) * (4.0 * np.pi * b),
+        volume=volume,
         signature=0,
         r_inf=max(k1, k2),
         curvature=RiemannTensor(comp),

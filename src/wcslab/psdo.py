@@ -636,17 +636,29 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
 # ---------------------------------------------------------------------------
 
 
-def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
+def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID, X=None):
     """The six bracketed terms of the connection difference as symbols.
 
-    Assembled along the fiber orbit in the adapted frame, with the variable
-    field in the Y slot, X = e2 and gamma_dot = xi.  Returns a list of
-    (name, ClassicalSymbol).
+    Assembled along the fiber orbit in the adapted frame (xi, e2, Je2, e3,
+    Je3), with the variable field in the Y slot, gamma_dot = xi and the
+    field X, a 5-vector in that frame (default e2).  Returns a fresh list
+    of (name, ClassicalSymbol).
+
+    The build reads the lift only through six 5x5 matrices: Gamma = (k/2) J
+    and the curvature endomorphisms E_Xg, N, M4, P_free and M6 below (X
+    enters E_Xg, N and P_free, and M4 and M6 through Z0 = Gamma X).  The
+    symbols are built once per (those six matrices, depth, grid) per
+    process, keyed by the matrices' bytes, and kept in a bounded cache
+    (`_terms`); a repeat, or another surface with the same matrices, shares
+    the read-only symbols of the first build, bit for bit.  A build that
+    raises is not kept.
     """
     comp5 = lift.curvature5.comp
     k = lift.k
     gdot = np.eye(5)[0]
-    X = np.eye(5)[1]
+    X = np.eye(5)[1] if X is None else np.asarray(X, dtype=float)
+    if X.shape != (5,):
+        raise SymbolError("X must be a 5-vector in the adapted frame")
     # Orbit connection coefficient in the adapted frame: (k/2) J on the
     # horizontal block.  Only the orders of the audited terms are
     # insensitive to this convention; individual values are reported as
@@ -665,7 +677,19 @@ def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
     P_free = np.einsum("i,a,ijal->lj", X, gdot, comp5)
     # Z -> R(Z0, Z) gdot
     M6 = np.einsum("i,a,ijal->lj", Z0, gdot, comp5)
+    key = tuple(m.tobytes() for m in (Gamma, E_Xg, N, M4, P_free, M6))
+    return list(_terms(key, depth, grid))
 
+
+@lru_cache(maxsize=64)
+def _terms(key: tuple, depth: int, grid: int) -> tuple:
+    """The six (name, symbol) pairs of connection_difference_terms, built
+    from the float64 5x5 matrices (Gamma, E_Xg, N, M4, P_free, M6) whose
+    bytes are `key`: everything the build reads, so equal keys give the
+    same symbols bit for bit.  An entry holds six one-row ladders, about
+    30 KB at depth 6."""
+    _check_grid(grid)
+    Gamma, E_Xg, N, M4, P_free, M6 = (np.frombuffer(b).reshape(5, 5) for b in key)
     # Every product below is truncated at `depth`, so D and the
     # multiplications are built at that depth too.
     B = resolvent_parametrix(Gamma.astype(complex), depth=depth, dim=5, grid=grid)
@@ -684,7 +708,7 @@ def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
         ("resolvent[curv(X,covderiv(Y))gdot]", +half, compose(compose(B, mult(P_free)), D)),
         ("resolvent[curv(covderiv(X),Y)gdot]", -half, compose(B, mult(M6))),
     ]
-    return [(name, float(c) * sym) for name, c, sym in terms]
+    return tuple((name, float(c) * sym) for name, c, sym in terms)
 
 
 def connection_difference_order_audit(lift, depth: int = 6, grid: int = DEFAULT_GRID):

@@ -161,6 +161,8 @@ BAD_VALUES = [
     ("generic", {"sigma": "1", "vol": "-1", "r_inf": "1"}),
     ("generic", {"sigma": "1", "vol": "nan", "r_inf": "1"}),
     ("generic", {"sigma": "1", "vol": "1", "r_inf": "inf"}),
+    # The volume (4 pi a)(4 pi b) overflows to inf.
+    ("cp1xcp1", {"a": "1" + "0" * 200, "b": "1" + "0" * 200}),
 ]
 
 
@@ -192,27 +194,43 @@ class TestBadSurfaceValues:
         self.assert_usage_error(capsys, "decide", "--surface", "s", "--k", "1", "--config", str(cfg))
         self.assert_usage_error(capsys, "catalog", "--config", str(cfg))
 
-    def test_non_finite_result_is_not_emitted_as_json(self, capsys):
-        # Volumes this large overflow to inf; the emitter refuses the row.
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_volume_in_either_format(self, capsys, tmp_path, fmt):
         huge = "1" + "0" * 200
+        self.assert_usage_error(capsys, "decide", "--surface", "cp1xcp1", "--a", huge,
+                                "--b", huge, "--k", "1", "--format", fmt)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"[surface s]\ntype = cp1xcp1\na = {huge}\nb = {huge}\n")
+        self.assert_usage_error(capsys, "decide", "--surface", "s", "--k", "1",
+                                "--config", str(cfg), "--format", fmt)
+        assert "volume (4 pi a)(4 pi b) must be finite" in run(capsys, "catalog", "--config",
+                                                                str(cfg))[2]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_result_is_not_emitted_as_json(self, capsys):
+        # The volume is finite, but the integral overflows to inf; the
+        # emitter refuses the row.
+        big = "1" + "0" * 150
         code, out, err = run(
-            capsys, "integral", "--surface", "cp1xcp1", "--a", huge, "--b", huge, "--k", "1"
+            capsys, "integral", "--surface", "cp1xcp1", "--a", big, "--b", big, "--k", "1000"
         )
         assert code == 3 and out == "" and err.count("\n") == 1
 
 
-HUGE = "1" + "0" * 200
+BIG = "1" + "0" * 150
 
 
 class TestNonFiniteRows:
     """A row holding inf or nan is refused in both formats: exit 3, one
     line naming the column, the surface and k, and nothing on stdout."""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv, message", [
-        # The volume (4 pi a)(4 pi b) overflows to inf.
-        (("--surface", "cp1xcp1", "--a", HUGE, "--b", HUGE, "--k", "1"),
-         "non-finite integral = inf at surface='cp1xcp1' k=1"),
+        # The volume (4 pi a)(4 pi b) is finite; times the density it
+        # overflows to inf.
+        (("--surface", "cp1xcp1", "--a", BIG, "--b", BIG, "--k", "1000"),
+         "non-finite integral = inf at surface='cp1xcp1' k=1000"),
         # 224 k^2 r_inf vol and 192 k^4 vol overflow to inf - inf.
         (("--surface", "generic", "--sigma", "1", "--vol", "1e308", "--r-inf", "1",
           "--k", "1000"),

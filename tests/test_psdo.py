@@ -197,7 +197,8 @@ def reference_kernel(monkeypatch):
     """Calls `build` twice, with the product kernel and with its term-by-term
     reference, and returns both results.  The reference build must call both
     reference functions, so a comparison is never between two runs of the
-    same kernel."""
+    same kernel.  The connection-difference memo is emptied before each
+    build, so neither reads the other's terms."""
     calls = set()
 
     def counted(fn):
@@ -207,8 +208,10 @@ def reference_kernel(monkeypatch):
         return call
 
     def both(build):
+        psdo._terms.cache_clear()
         new = build()
         calls.clear()
+        psdo._terms.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(psdo, "_derivatives", counted(derivatives_reference))
             m.setattr(psdo, "_add_products", counted(add_products_reference))
@@ -970,6 +973,15 @@ class TestComponentsDoNotChange:
         assert calls == []
 
 
+# t4, cp2 and cp1xcp1 with a, b in 1..6.
+CATALOG = [flat_torus(), cp2_fubini_study()] + [
+    product_cp1(a, b) for a in range(1, 7) for b in range(1, 7)]
+
+
+def stored_terms(terms):
+    return [(name, sym.order, sym.stored.tobytes()) for name, sym in terms]
+
+
 class TestConnectionDifferenceAudit:
     def test_flat_k0_all_terms_vanish(self):
         lift = lift_curvature(flat_torus(), 0)
@@ -1023,6 +1035,7 @@ class TestConnectionDifferenceAudit:
 
         for name in ("fft", "ifft"):
             monkeypatch.setattr(np.fft, name, counted(name))
+        psdo._terms.cache_clear()  # a build, not a read of an earlier one
         lift = lift_curvature(cp2_fubini_study(), 2)
         terms = connection_difference_terms(lift, depth=6, grid=GRID)
         assert calls == []
@@ -1034,12 +1047,15 @@ class TestConnectionDifferenceAudit:
     def test_terms_depend_on_the_surface_only_through_k(self, k, depth, grid):
         # The terms read only curvature with a gamma_dot slot, which on a
         # lift depends on k alone: every catalog surface gives the same bits.
-        surfaces = [flat_torus(), cp2_fubini_study()] + [
-            product_cp1(a, b) for a in range(1, 7) for b in range(1, 7)]
-        assert len(surfaces) == 38
-        first, *rest = ([(name, sym.order, sym.stored.tobytes()) for name, sym in
-                         connection_difference_terms(lift_curvature(base, k), depth, grid)]
-                        for base in surfaces)
+        # The memo is emptied before each surface, so every surface's terms
+        # are built, not read from the first surface's entry.
+        def built(base):
+            psdo._terms.cache_clear()
+            return stored_terms(connection_difference_terms(lift_curvature(base, k),
+                                                            depth, grid))
+
+        assert len(CATALOG) == 38
+        first, *rest = (built(base) for base in CATALOG)
         assert len(first) == 6
         assert all(terms == first for terms in rest)
 
@@ -1048,3 +1064,89 @@ class TestConnectionDifferenceAudit:
         terms = connection_difference_terms(lift, depth=4, grid=GRID)
         assert len(terms) == 6
         assert len({name for name, _ in terms}) == 6
+
+    @pytest.mark.parametrize("base", [flat_torus(), cp2_fubini_study(), product_cp1(2, 3)],
+                             ids=["t4", "cp2", "cp1xcp1"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_degree_minus_one_is_the_curvature_formula(self, base, k):
+        # sigma_{-1} of the connection difference is -+(i/2)(3 N + P_free) at
+        # xi = +-1, with N: Y -> R(Y, gdot) X and P_free: Z -> R(X, Z) gdot.
+        lift = lift_curvature(base, k)
+        comp5 = lift.curvature5.comp
+        frame = np.eye(5)
+        gdot = frame[0]
+
+        def R(a, b, c):  # R(a, b) c in the frame
+            return np.einsum("i,j,k,ijkl->l", a, b, c, comp5)
+
+        tol = 1e-14 * np.abs(comp5).max()
+        for X in frame:
+            first, *rest = (sym for _, sym in
+                            connection_difference_terms(lift, depth=4, grid=GRID, X=X))
+            total = sum(rest, first)
+            N = np.stack([R(e, gdot, X) for e in frame], axis=1)
+            P_free = np.stack([R(X, e, gdot) for e in frame], axis=1)
+            want = 0.5j * (3 * N + P_free)
+            plus, minus = total.ladder[0, :, 0]
+            assert total.order == -1 and np.abs(want).max() > 0
+            assert np.abs(plus + want).max() <= tol and np.abs(minus - want).max() <= tol
+
+    def test_default_field_is_e2(self):
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        psdo._terms.cache_clear()
+        default = connection_difference_terms(lift, depth=6, grid=GRID)
+        explicit = connection_difference_terms(lift, depth=6, grid=GRID, X=[0, 1, 0, 0, 0])
+        assert all(a is b for (_, a), (_, b) in zip(default, explicit, strict=True))
+        with pytest.raises(SymbolError, match="5-vector"):
+            connection_difference_terms(lift, depth=6, grid=GRID, X=np.eye(4)[1])
+
+    # The terms are built once per (Gamma, curvature endomorphisms, depth,
+    # grid) per process.
+    @pytest.mark.parametrize("depth, grid", [(6, 32), (4, 64)])
+    def test_cold_equals_warm(self, depth, grid):
+        for base in CATALOG:
+            for k in range(-3, 4):
+                lift = lift_curvature(base, k)
+                psdo._terms.cache_clear()
+                cold = stored_terms(connection_difference_terms(lift, depth, grid))
+                warm = stored_terms(connection_difference_terms(lift, depth, grid))
+                assert psdo._terms.cache_info()[:2] == (1, 1)  # (hits, misses)
+                assert warm == cold
+
+    def test_audit_then_symbol_builds_once(self):
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        psdo._terms.cache_clear()
+        connection_difference_order_audit(lift, depth=6, grid=GRID)
+        assert psdo._terms.cache_info()[:2] == (0, 1)
+        connection_difference_symbol(lift, depth=6, grid=GRID)
+        assert psdo._terms.cache_info()[:2] == (1, 1)
+
+    def test_returned_list_belongs_to_the_caller(self):
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        terms = connection_difference_terms(lift, depth=6, grid=GRID)
+        want = stored_terms(terms)
+        terms.reverse()
+        terms.pop()
+        terms[0] = None
+        again = connection_difference_terms(lift, depth=6, grid=GRID)
+        assert stored_terms(again) == want
+        assert not any(sym.stored.flags.writeable for _, sym in again)
+
+    @pytest.mark.parametrize("depth, grid, message", [(1, GRID, "depth"), (6, 17, "grid")])
+    def test_bad_depth_or_grid_raises_every_time(self, depth, grid, message):
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        psdo._terms.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SymbolError, match=message):
+                connection_difference_terms(lift, depth, grid)
+        assert psdo._terms.cache_info().currsize == 0
+
+    def test_surfaces_with_the_same_matrices_share_an_entry(self):
+        psdo._terms.cache_clear()
+        torus = connection_difference_terms(lift_curvature(flat_torus(), 2), 6, GRID)
+        cp2 = connection_difference_terms(lift_curvature(cp2_fubini_study(), 2), 6, GRID)
+        assert psdo._terms.cache_info()[:2] == (1, 1)
+        assert psdo._terms.cache_info().currsize == 1
+        assert all(a is b for (_, a), (_, b) in zip(torus, cp2, strict=True))
+        connection_difference_terms(lift_curvature(cp2_fubini_study(), 3), 6, GRID)
+        assert psdo._terms.cache_info().currsize == 2
