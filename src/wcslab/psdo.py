@@ -636,29 +636,32 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
 # ---------------------------------------------------------------------------
 
 
-def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID, X=None):
+def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
     """The six bracketed terms of the connection difference as symbols.
 
     Assembled along the fiber orbit in the adapted frame (xi, e2, Je2, e3,
-    Je3), with the variable field in the Y slot, gamma_dot = xi and the
-    field X, a 5-vector in that frame (default e2).  Returns a fresh list
-    of (name, ClassicalSymbol).
+    Je3), with the variable field in the Y slot, X = e2 and gamma_dot = xi.
+    Returns a fresh list of (name, ClassicalSymbol).
 
     The build reads the lift only through six 5x5 matrices: Gamma = (k/2) J
-    and the curvature endomorphisms E_Xg, N, M4, P_free and M6 below (X
-    enters E_Xg, N and P_free, and M4 and M6 through Z0 = Gamma X).  The
-    symbols are built once per (those six matrices, depth, grid) per
-    process, keyed by the matrices' bytes, and kept in a bounded cache
-    (`_terms`); a repeat, or another surface with the same matrices, shares
-    the read-only symbols of the first build, bit for bit.  A build that
-    raises is not kept.
+    and the curvature endomorphisms E_Xg, N, M4, P_free and M6 of
+    `_terms_for`.  The symbols are built once per (those six matrices,
+    depth, grid) per process, keyed by the matrices' bytes, and kept in a
+    bounded cache (`_terms`); a repeat, such as the audit followed by the
+    summed symbol, or another surface with the same matrices, shares the
+    read-only symbols of the first build, bit for bit.  A build that raises
+    is not kept.
     """
+    return _terms_for(lift, np.eye(5)[1], depth, grid)
+
+
+def _terms_for(lift, X: np.ndarray, depth: int, grid: int) -> list:
+    """connection_difference_terms with the field X, a 5-vector in the
+    adapted frame.  X enters E_Xg, N and P_free, and M4 and M6 through
+    Z0 = Gamma X."""
     comp5 = lift.curvature5.comp
     k = lift.k
     gdot = np.eye(5)[0]
-    X = np.eye(5)[1] if X is None else np.asarray(X, dtype=float)
-    if X.shape != (5,):
-        raise SymbolError("X must be a 5-vector in the adapted frame")
     # Orbit connection coefficient in the adapted frame: (k/2) J on the
     # horizontal block.  Only the orders of the audited terms are
     # insensitive to this convention; individual values are reported as

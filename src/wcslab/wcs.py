@@ -327,45 +327,49 @@ def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
         calibration = calibration_constant()
         total_volume = FIBER_LENGTH * surface.volume
     verdicts = []
-    for k in ks:
-        prop_lhs, prop_holds = prop39_bound(
-            surface.signature, surface.volume, surface.r_inf, k
-        )
-        densities = integral = None
-        if surface.curvature_known:
-            k2 = float(k) ** 2
-            total = c0 + k2 * (c1 + k2 * (c2 + k2 * c3))
-            densities = WcsDensity(
+    # Finite inputs can still pass the float range (a density times a
+    # volume); the emitter refuses the non-finite row, so numpy's warning
+    # would only add lines to stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in ks:
+            prop_lhs, prop_holds = prop39_bound(
+                surface.signature, surface.volume, surface.r_inf, k
+            )
+            densities = integral = None
+            if surface.curvature_known:
+                k2 = float(k) ** 2
+                total = c0 + k2 * (c1 + k2 * (c2 + k2 * c3))
+                densities = WcsDensity(
+                    surface=surface.name,
+                    k=k,
+                    value_closed=_closed_form(p1, B, k),
+                    value_permutation=calibration * ((4.0 / factorial(5)) * total * FIBER_LENGTH),
+                    calibration_constant=calibration,
+                )
+                integral = densities.value_closed * total_volume if k else 0.0
+            if k == 0:
+                prop_holds = infinite = False
+                rationale = ("k = 0: the invariant carries no information for the "
+                             "trivial bundle M x S^1")
+            elif densities is not None:
+                atol = VERDICT_ATOL_FACTOR * total_volume
+                infinite = abs(integral) > atol
+                rationale = (f"exact integral {integral:.6g} is nonzero (threshold {atol:.3g})"
+                             if infinite else f"exact integral vanishes within threshold {atol:.3g}")
+            else:
+                infinite = prop_holds
+                rationale = (f"bounds mode: sufficient positivity condition "
+                             f"{'holds' if prop_holds else 'fails'} (lhs = {prop_lhs:.6g})")
+            verdicts.append(Pi1Verdict(
                 surface=surface.name,
                 k=k,
-                value_closed=_closed_form(p1, B, k),
-                value_permutation=calibration * ((4.0 / factorial(5)) * total * FIBER_LENGTH),
-                calibration_constant=calibration,
-            )
-            integral = densities.value_closed * total_volume if k else 0.0
-        if k == 0:
-            prop_holds = infinite = False
-            rationale = ("k = 0: the invariant carries no information for the "
-                         "trivial bundle M x S^1")
-        elif densities is not None:
-            atol = VERDICT_ATOL_FACTOR * total_volume
-            infinite = abs(integral) > atol
-            rationale = (f"exact integral {integral:.6g} is nonzero (threshold {atol:.3g})"
-                         if infinite else f"exact integral vanishes within threshold {atol:.3g}")
-        else:
-            infinite = prop_holds
-            rationale = (f"bounds mode: sufficient positivity condition "
-                         f"{'holds' if prop_holds else 'fails'} (lhs = {prop_lhs:.6g})")
-        verdicts.append(Pi1Verdict(
-            surface=surface.name,
-            k=k,
-            integral=integral,
-            prop39_lhs=prop_lhs,
-            prop39_holds=prop_holds,
-            verdict=Verdict.INFINITE_ORDER if infinite else Verdict.INCONCLUSIVE,
-            rationale=rationale,
-            densities=densities,
-        ))
+                integral=integral,
+                prop39_lhs=prop_lhs,
+                prop39_holds=prop_holds,
+                verdict=Verdict.INFINITE_ORDER if infinite else Verdict.INCONCLUSIVE,
+                rationale=rationale,
+                densities=densities,
+            ))
     return verdicts
 
 

@@ -1081,8 +1081,7 @@ class TestConnectionDifferenceAudit:
 
         tol = 1e-14 * np.abs(comp5).max()
         for X in frame:
-            first, *rest = (sym for _, sym in
-                            connection_difference_terms(lift, depth=4, grid=GRID, X=X))
+            first, *rest = (sym for _, sym in psdo._terms_for(lift, X, depth=4, grid=GRID))
             total = sum(rest, first)
             N = np.stack([R(e, gdot, X) for e in frame], axis=1)
             P_free = np.stack([R(X, e, gdot) for e in frame], axis=1)
@@ -1095,10 +1094,8 @@ class TestConnectionDifferenceAudit:
         lift = lift_curvature(cp2_fubini_study(), 2)
         psdo._terms.cache_clear()
         default = connection_difference_terms(lift, depth=6, grid=GRID)
-        explicit = connection_difference_terms(lift, depth=6, grid=GRID, X=[0, 1, 0, 0, 0])
+        explicit = psdo._terms_for(lift, np.array([0.0, 1.0, 0.0, 0.0, 0.0]), depth=6, grid=GRID)
         assert all(a is b for (_, a), (_, b) in zip(default, explicit, strict=True))
-        with pytest.raises(SymbolError, match="5-vector"):
-            connection_difference_terms(lift, depth=6, grid=GRID, X=np.eye(4)[1])
 
     # The terms are built once per (Gamma, curvature endomorphisms, depth,
     # grid) per process.
