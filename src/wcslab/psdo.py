@@ -29,6 +29,13 @@ onward, so every output degree gets its terms in the order p, then m, from
 per m.  Terms that are exactly zero are skipped: those of a vanishing
 component, d_x^m (m >= 1) of a component whose grid rows are all equal bit
 for bit, and those of a zero falling factorial.
+
+The commutator trace test gives the kernel stacks of ladders: one stack
+axis after the place axis, the grid still on axis -3, and one order per
+element, so per-element falling factorials and scales.  A stack holds the
+trials of one fiber dim and one residue row j, at most `_STACK_TRIALS` of
+them, and one build, one derivative table and one kernel walk give row j of
+PQ and of QP for all of them.
 """
 
 from __future__ import annotations
@@ -68,6 +75,10 @@ DEFAULT_GRID = 64
 #: commutator_trace_test draws orders op, oq in [-2, 1]; the residue of
 #: [P, Q] reads its component j = op + oq + 1 <= 3, so it needs depth >= 4.
 MIN_TRACE_TEST_DEPTH = 4
+
+#: commutator_trace_test forms at most this many trials in one stack: enough
+#: to share each stack's fixed costs, few enough that its memory stays flat.
+_STACK_TRIALS = 8
 
 
 class SymbolError(ValueError):
@@ -384,25 +395,29 @@ def _wavenumbers(grid: int) -> np.ndarray:
     return freqs
 
 
-def _derivatives(Q: ClassicalSymbol, depth: int) -> list:
-    """table[m] = (d_x^m of components 0 .. depth - 1 - m of Q, live), where
-    live lists the places q whose terms are not exactly zero: the nonzero
-    components for m = 0, the components that vary in x for m >= 1 (on
-    constant input pocketfft's non-zero frequency bins are exactly 0.0).  The
-    table ends after the last m with a live place.  The varying components
-    are differentiated spectrally on the periodic grid, with one forward FFT
-    of the ladder down to the last of them and one inverse FFT per m."""
-    stored = Q.stored[:depth]
-    nonzero, varying = Q._live
+def _derivatives(stored: np.ndarray, live: tuple, depth: int) -> list:
+    """table[m] = (d_x^m of places 0 .. depth - 1 - m of the ladder `stored`,
+    live), for a symbol's (depth, 2, G, d, d) ladder or a stack's
+    (depth, S, 2, G, d, d): places on axis 0, grid on axis -3.  `live` is
+    (nonzero, varying), the places that hold a nonzero value and those whose
+    grid rows differ (ClassicalSymbol._live), and the live list of table[m]
+    holds the places whose terms are not exactly zero: the nonzero ones for
+    m = 0, the varying ones for m >= 1 (on constant input pocketfft's
+    non-zero frequency bins are exactly 0.0).  The table ends after the last
+    m with a live place.  The varying places are differentiated spectrally
+    on the periodic grid, with one forward FFT of the ladder down to the
+    last of them and one inverse FFT per m."""
+    stored = stored[:depth]
+    nonzero, varying = live
     table = [(stored, [q for q in nonzero if q < depth])]
     varying = [q for q in varying if q < depth - 1]
     if varying:
         top = varying[-1] + 1
-        hat = np.fft.fft(stored[:top], axis=2)
-        freqs = _wavenumbers(Q.grid)
+        hat = np.fft.fft(stored[:top], axis=-3)
+        freqs = _wavenumbers(stored.shape[-3])
         for m in range(1, depth - varying[0]):
             rows = min(top, depth - m)
-            table.append((np.fft.ifft(hat[:rows] * ((1j * freqs) ** m)[:, None, None], axis=2),
+            table.append((np.fft.ifft(hat[:rows] * ((1j * freqs) ** m)[:, None, None], axis=-3),
                           [q for q in varying if q < rows]))
     return table
 
@@ -410,14 +425,16 @@ def _derivatives(Q: ClassicalSymbol, depth: int) -> list:
 @lru_cache(maxsize=1024)
 def _scale(m: int, fall: float) -> np.ndarray:
     """((-i)^m / m!) times the falling factorial `fall` and the sign of d_xi^m
-    at xi = +1 and xi = -1, shaped to broadcast over (2, G, d, d) (read-only)."""
-    scale = ((-1j) ** m / factorial(m) * fall * np.array([1.0, (-1.0) ** m]))[:, None, None, None]
+    at xi = +1 and xi = -1, (1, 2, 1, 1, 1): it broadcasts over (2, G, d, d),
+    and the scales of a stack's elements join along its first axis
+    (read-only)."""
+    scale = ((-1j) ** m / factorial(m) * fall * np.array([1.0, (-1.0) ** m]))[None, :, None, None, None]
     scale.setflags(write=False)
     return scale
 
 
-def _add_products(acc: np.ndarray, lo: int, order: Fraction, left: np.ndarray, first: int,
-                  dQ: list) -> None:
+def _add_products(acc: np.ndarray, lo: int, order: Fraction | list, left: np.ndarray,
+                  first: int, dQ: list) -> None:
     """The product kernel.  Adds to acc[j - lo], for lo <= j < lo + len(acc),
     the terms ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q with p + m + q = j,
     for sigma_p = left[p - first], components first, first + 1, ... of a
@@ -426,21 +443,28 @@ def _add_products(acc: np.ndarray, lo: int, order: Fraction, left: np.ndarray, f
     factorial of the degree order - p.  For each (p, m) in lexicographic
     order the live q of every row in range are one batched matmul.  Terms
     that are exactly zero are skipped: those of a vanishing sigma_p, of a
-    place that is not live, and of a zero falling factorial."""
-    den = order.denominator
+    place that is not live, and of a zero falling factorial.
+
+    For a stack, acc, left and the table have a stack axis after the place
+    axis, element e of left multiplies element e of the table, and `order`
+    is a sequence of ints, one per element.  Each element gets its own
+    falling factorial and scale, and a (p, m) multiplies only the elements
+    whose falling factorial is not zero."""
+    stacked = not isinstance(order, Fraction)
+    num, den = (np.asarray(order), 1) if stacked else (order.numerator, order.denominator)
     rows = len(acc)
-    nonzero = left.reshape(len(left), -1).any(axis=1).tolist()
+    nonzero = left.any(axis=tuple(range(1, left.ndim))).tolist()
     for p, sigma in enumerate(left, start=first):
         if not nonzero[p - first]:
             continue
         # float(order - p - t) for each factor, as exact integer arithmetic
-        num = order.numerator - p * den
-        fall = 1.0
+        degree = num - p * den  # times den
+        fall = np.ones(len(degree)) if stacked else 1.0
         for m, (dq, live) in enumerate(dQ):
             if m:
-                fall *= (num - (m - 1) * den) / den
-            if fall == 0.0:
-                break  # degree is an integer in [0, m): every later m vanishes too
+                fall *= (degree - (m - 1) * den) / den
+            if not (fall.any() if stacked else fall):
+                break  # each degree is an integer in [0, m): every later m vanishes too
             shift = p + m - lo  # output row of q = 0
             q = [q for q in live if -shift <= q < rows - shift]
             if not q:
@@ -450,13 +474,21 @@ def _add_products(acc: np.ndarray, lo: int, order: Fraction, left: np.ndarray, f
                 out = slice(q.start + shift, q.stop + shift)
             else:
                 out = [i + shift for i in q]
-            acc[out] += _scale(m, fall) * np.matmul(sigma, dq[q])
+            if stacked:
+                e = np.flatnonzero(fall)  # the elements whose term does not vanish
+                scale = np.concatenate([_scale(m, f) for f in fall[e].tolist()])
+                if len(e) < len(fall):
+                    acc[np.ix_(np.arange(rows)[out], e)] += scale * np.matmul(sigma[e], dq[q][:, e])
+                    continue
+            else:
+                scale = _scale(m, fall)
+            acc[out] += scale * np.matmul(sigma, dq[q])
 
 
 def _product(P: ClassicalSymbol, Q: ClassicalSymbol, lo: int, hi: int) -> np.ndarray:
     """Components lo .. hi - 1 of the asymptotic product PQ, one array: one
     grid row when both ladders are, (hi - lo, 2, G, d, d) otherwise."""
-    dQ = _derivatives(Q, hi)
+    dQ = _derivatives(Q.stored, Q._live, hi)
     grid = max(P.stored.shape[2], dQ[0][0].shape[2])
     acc = np.zeros((hi - lo, 2, grid) + (P.fiber_dim,) * 2, dtype=complex)
     _add_products(acc, lo, P.order, P.stored[:hi], 0, dQ)
@@ -520,7 +552,7 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
             f"requested depth {depth} exceeds available {A.depth} "
             f"(deficit {depth - A.depth})"
         )
-    dA = _derivatives(A, depth)
+    dA = _derivatives(A.stored, A._live, depth)
     inverses = []
     for side, values in zip(("+1", "-1"), dA[0][0][0]):  # a_0, as the kernel reads it
         try:
@@ -573,21 +605,54 @@ def _symbol_draws(rng: np.random.Generator, depth: int, dim: int, modes: int = 3
     return rng.standard_normal((2 * depth, 1 + 2 * modes, 2, dim, dim))
 
 
+@cache
+def _band_waves(grid: int, modes: int) -> np.ndarray:
+    """cos(n x), sin(n x) for n = 1 .. modes on the periodic grid, in the
+    order of the draw terms, (2 modes, grid) (read-only)."""
+    x = 2.0 * np.pi * np.arange(grid) / grid
+    waves = np.array([f(n * x) for n in range(1, modes + 1) for f in (np.cos, np.sin)])
+    waves = waves.reshape(2 * modes, grid)
+    waves.setflags(write=False)
+    return waves
+
+
+def _band_limited_ladders(draws: np.ndarray, grid: int) -> np.ndarray:
+    """The values built from `draws`, (..., 1 + 2 modes, 2, d, d) normals:
+    one (grid, d, d) matrix function t_0 + sum_n (cos(n x) a_n + sin(n x) b_n) / n
+    per draw row, with t = re + 1j im, (..., grid, d, d) in all, read-only.
+    Each row is built on its own, so a row's values do not depend, bit for
+    bit, on the rows built with it.
+
+    The sum runs over the real and imaginary parts with the grid last, and
+    gives what the complex sum gives in numpy: a real wave times a complex
+    coefficient rounds each part of c * t once, numpy divides a complex
+    number by n as each part times 1 / n, and the terms are added in the
+    same order.  Only the sign of a zero can differ, which leaves every
+    nonzero value as it is."""
+    lead = draws.shape[:-4]
+    draws = draws.reshape((-1,) + draws.shape[-4:])
+    rows, count, _, dim, _ = draws.shape
+    # (rows, term, 2 d d, 1): the real and imaginary parts of each coefficient
+    coef = (draws[:, :, 0] + 1j * draws[:, :, 1]).view(float).reshape(rows, count, -1, 1)
+    acc = np.zeros((rows, coef.shape[2], grid))
+    acc += coef[:, 0]
+    term = np.empty_like(acc)
+    for k, wave in enumerate(_band_waves(grid, (count - 1) // 2), start=1):
+        np.multiply(wave, coef[:, k], out=term)
+        if k > 2:
+            term *= 1.0 / ((k + 1) // 2)
+        acc += term
+    values = np.ascontiguousarray(acc.transpose(0, 2, 1))
+    values.setflags(write=False)  # so the components view the ladder without a copy
+    return values.view(complex).reshape(lead + (grid, dim, dim))
+
+
 def _band_limited_symbol(draws: np.ndarray, order: int, grid: int) -> ClassicalSymbol:
     """The symbol of the given order whose components are built from the
-    draw rows in pairs (plus, minus).  Each row is built on its own, so the
-    first 2k rows give, bit for bit, the first k components of all of them."""
-    rows, _, _, dim, _ = draws.shape
-    modes = (draws.shape[1] - 1) // 2
-    x = 2.0 * np.pi * np.arange(grid) / grid
-    terms = draws[:, :, 0] + 1j * draws[:, :, 1]
-    values = np.zeros((rows, grid, dim, dim), dtype=complex)
-    values += terms[:, None, 0]
-    for n in range(1, modes + 1):
-        values += np.cos(n * x)[:, None, None] * terms[:, None, 2 * n - 1] / n
-        values += np.sin(n * x)[:, None, None] * terms[:, None, 2 * n] / n
-    values.setflags(write=False)  # so the components view the ladder without a copy
-    return ClassicalSymbol._of(Fraction(order), values.reshape(rows // 2, 2, grid, dim, dim), grid)
+    draw rows in pairs (plus, minus): the first 2k rows give, bit for bit,
+    the first k components of all of them."""
+    pairs = draws.reshape((len(draws) // 2, 2) + draws.shape[1:])
+    return ClassicalSymbol._of(Fraction(order), _band_limited_ladders(pairs, grid), grid)
 
 
 def random_symbol(rng: np.random.Generator, order: int, depth: int,
@@ -604,16 +669,26 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
     Each trial draws every normal of two random symbols of `depth`
     components, so the generator's stream does not depend on what is read.
     The residue reads component j = op + oq + 1 (degree -1) of [P, Q] only,
-    and that reads components 0..j of P and Q: only those are built, and
-    only row j of PQ and of QP is formed.  Below j = 0 the residue is
-    exactly 0 and nothing is built.
+    and that reads components 0..j of P and Q.  Below j = 0 the residue is
+    exactly 0 and nothing is built.  The other trials are formed in stacks
+    of one fiber dim and one j, at most `_STACK_TRIALS` (8) trials each,
+    which keep copies of only the draw rows they read, so the memory does
+    not grow with `trials`.  A stack is one build, one derivative table and
+    one walk of the product kernel over ladders with a stack axis after the
+    place axis (`_commutator_residues`); each residue's absolute value is
+    Python's abs of the complex residue.  The result is, bit for bit, the
+    max over trials of the residues formed one trial at a time.
     """
+    for name, value in (("seed", seed), ("trials", trials), ("depth", depth)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if depth < MIN_TRACE_TEST_DEPTH:
         raise ValueError(f"depth must be >= {MIN_TRACE_TEST_DEPTH}")
     _check_grid(grid)
     rng = np.random.default_rng(seed)
+    stacks = {}  # (dim, j) -> [(op, oq, P draw rows, Q draw rows)] not formed yet
     worst = 0.0
     for _ in range(trials):
         dim = int(rng.integers(1, 3))
@@ -623,12 +698,41 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         q_draws = _symbol_draws(rng, depth, dim)
         j = op + oq + 1
         if j >= 0:
-            P = _band_limited_symbol(p_draws[: 2 * (j + 1)], op, grid)
-            Q = _band_limited_symbol(q_draws[: 2 * (j + 1)], oq, grid)
-            diff = _product(P, Q, j, j + 1) - _product(Q, P, j, j + 1)
-            residue = wodzicki_residue(ClassicalSymbol._of(Fraction(-1), diff, grid))
-            worst = max(worst, abs(residue))
+            stack = stacks.setdefault((dim, j), [])
+            stack.append((op, oq, p_draws[: 2 * (j + 1)].copy(), q_draws[: 2 * (j + 1)].copy()))
+            if len(stack) == _STACK_TRIALS:
+                worst = max(worst, *_commutator_residues(stack, j, grid))
+                stack.clear()
+    for (_, j), stack in stacks.items():
+        if stack:
+            worst = max(worst, *_commutator_residues(stack, j, grid))
     return worst
+
+
+def _commutator_residues(stack: list, j: int, grid: int) -> list:
+    """|res[P, Q]| for each (op, oq, P draw rows, Q draw rows) of `stack`,
+    n trials of one fiber dim with op + oq + 1 = j, as the trials would give
+    them one at a time.
+
+    One build makes the ladders [Q_0 .. Q_{n-1}, P_{n-1} .. P_0], components
+    0..j, as one stack; read backwards it is [P_0 .. P_{n-1}, Q_{n-1} .. Q_0].
+    So one derivative table of the stack and one walk of the product kernel,
+    with the reversed stack on the left, give row j of P_k Q_k in element k
+    and of Q_k P_k in element 2n - 1 - k.  Each residue is then taken as
+    wodzicki_residue takes it (trace, sum of the two sides, mean over the
+    grid) and its absolute value with Python's abs, which np.abs can miss by
+    one ulp."""
+    n = len(stack)
+    rows = [q.reshape(j + 1, 2, *q.shape[1:]) for *_, q in stack]
+    rows += [p.reshape(j + 1, 2, *p.shape[1:]) for _, _, p, _ in reversed(stack)]
+    ladders = _band_limited_ladders(np.stack(rows, axis=1), grid)  # (j + 1, 2n, 2, G, d, d)
+    orders = [op for op, *_ in stack] + [oq for _, oq, *_ in reversed(stack)]
+    acc = np.zeros((1,) + ladders.shape[1:], dtype=complex)
+    every = list(range(j + 1))  # random and band-limited: every place is nonzero and varies
+    _add_products(acc, j, orders, ladders[:, ::-1], 0, _derivatives(ladders, (every, every), j + 1))
+    diff = acc[0, :n] - acc[0, n:][::-1]  # row j of P_k Q_k - Q_k P_k
+    integrand = np.trace(diff, axis1=3, axis2=4).sum(axis=1)  # plus + minus, (n, G)
+    return [abs(complex(r)) for r in integrand.mean(axis=1)]
 
 
 # ---------------------------------------------------------------------------

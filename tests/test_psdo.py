@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -160,22 +161,26 @@ def commutator_trace_reference(seed, trials, depth, grid=psdo.DEFAULT_GRID):
     return worst
 
 
-def derivatives_reference(Q, depth):
-    """The product kernel's derivative table term by term: every component
-    transformed on its own, on the full grid, and every place live."""
-    freqs = np.fft.fftfreq(Q.grid, d=1.0 / Q.grid)
+def derivatives_reference(stored, live, depth):
+    """The product kernel's derivative table term by term: every place
+    transformed on its own, on the grid it is stored on (grid axis -3), and
+    every place live."""
+    grid = stored.shape[-3]
+    freqs = np.fft.fftfreq(grid, d=1.0 / grid)
     table = []
     for m in range(depth):
-        rows = [c.values if m == 0 else np.fft.ifft(
-                    np.fft.fft(c.values, axis=1) * ((1j * freqs) ** m)[:, None, None], axis=1)
-                for c in Q.components[: depth - m]]
+        rows = [values if m == 0 else np.fft.ifft(
+                    np.fft.fft(values, axis=-3) * ((1j * freqs) ** m)[:, None, None], axis=-3)
+                for values in stored[: depth - m]]
         table.append((np.array(rows), np.arange(len(rows))))
     return table
 
 
 def add_products_reference(acc, lo, order, left, first, dQ):
     """The product kernel term by term: every (p, m, q) with p + m + q in
-    range is multiplied and added on its own, exactly-zero terms included."""
+    range is multiplied and added on its own, exactly-zero terms included.
+    For a stack (`order` one int per element) each element's scale is made
+    on its own."""
 
     def falling(a, m):
         out = 1.0
@@ -183,13 +188,16 @@ def add_products_reference(acc, lo, order, left, first, dQ):
             out *= float(a - t)
         return out
 
+    orders = [order] if isinstance(order, Fraction) else list(order)
     for p, sigma in enumerate(left, start=first):
         for m, (dq, _) in enumerate(dQ):
             for q, dx in enumerate(dq):
                 if lo <= p + m + q < lo + len(acc):
                     coeff = (-1j) ** m / factorial(m)
-                    scale = coeff * falling(order - p, m) * np.array([1.0, (-1.0) ** m])
-                    acc[p + m + q - lo] += scale[:, None, None, None] * np.matmul(sigma, dx)
+                    scale = np.array([coeff * falling(o - p, m) * np.array([1.0, (-1.0) ** m])
+                                      for o in orders])
+                    scale = scale.reshape(acc.shape[1:-3] + (1, 1, 1))
+                    acc[p + m + q - lo] += scale * np.matmul(sigma, dx)
 
 
 @pytest.fixture
@@ -558,28 +566,49 @@ class TestCommutatorTrace:
 
     @pytest.mark.parametrize("kinds", ["cccccc", "cbcbcb", "bc0cc0"])
     def test_mixed_ladders_match_reference_kernel(self, reference_kernel, monkeypatch, kinds):
-        # Every symbol, built in full or only up to component j, is built here:
-        # random_symbol builds through the same function.
-        build = psdo._band_limited_symbol
+        # Every ladder, a whole symbol or a stack of components 0..j, is built
+        # here: random_symbol builds through the same function.
+        build = psdo._band_limited_ladders
         built = []
 
-        def mixed_build(draws, order, grid):
-            built.append(draws.shape[0] // 2)
-            return mixed_ladder(build(draws, order, grid), kinds[: draws.shape[0] // 2])
+        def mixed_build(draws, grid):
+            values = build(draws, grid).copy()
+            # a stack's draws are (places, ladders, 2, ...), a symbol's (places, 2, ...)
+            built.append(("stack" if draws.ndim == 7 else "symbol",) + draws.shape[:2])
+            for place, kind in zip(values, kinds):
+                if kind == "c":
+                    place[...] = place[..., :1, :, :]
+                elif kind == "0":
+                    place[...] = 0.0
+            values.setflags(write=False)
+            return values
 
-        monkeypatch.setattr(psdo, "_band_limited_symbol", mixed_build)
+        monkeypatch.setattr(psdo, "_band_limited_ladders", mixed_build)
         for seed in range(3):
             new, old = reference_kernel(lambda: commutator_trace_test(seed, 8, 6, grid=GRID))
             assert new == old
             assert new == commutator_trace_reference(seed, 8, 6, grid=GRID)
-        assert max(built) == 6 and min(built) <= 4  # full builds and builds up to j
+        stacks = [(places, ladders) for kind, places, ladders in built if kind == "stack"]
+        assert stacks and max(places for places, _ in stacks) <= 4  # components 0..j
+        assert max(ladders for _, ladders in stacks) > 2  # of more than one trial
+        assert ("symbol", 6, 2) in built  # the reference's whole symbols
 
     @pytest.mark.parametrize("depth", [4, 5, 6, 9, 32])
     def test_matches_full_build_exactly(self, depth):
-        for seed in range(40):
-            for trials in (1, 8):
-                assert (commutator_trace_test(seed, trials, depth)
-                        == commutator_trace_reference(seed, trials, depth))
+        # 8 trials fill a stack when they share (dim, j); 9 and 17 spill past it.
+        for seeds, counts in ((range(40), (1, 8)), (range(10), (9, 17))):
+            for seed in seeds:
+                for trials in counts:
+                    assert (commutator_trace_test(seed, trials, depth)
+                            == commutator_trace_reference(seed, trials, depth))
+        assert commutator_trace_test(0, 200, depth) == commutator_trace_reference(0, 200, depth)
+
+    @pytest.mark.parametrize("grid", [16, 32, 128])
+    def test_matches_full_build_exactly_on_each_grid(self, grid):
+        for seed in range(12):
+            for trials in (1, 9, 17):
+                assert (commutator_trace_test(seed, trials, 6, grid)
+                        == commutator_trace_reference(seed, trials, 6, grid))
 
     @pytest.mark.parametrize("seed", [2, 3])
     @pytest.mark.parametrize("grid", [24, 8])
@@ -589,41 +618,92 @@ class TestCommutatorTrace:
         with pytest.raises(SymbolError, match="grid size must be a power of two >= 16"):
             commutator_trace_test(seed, 1, 4, grid=grid)
 
+    @staticmethod
+    def trial_keys(seed, trials, depth):
+        """(dim, j) of each trial of commutator_trace_test, from the same draws."""
+        rng = np.random.default_rng(seed)
+        keys = []
+        for _ in range(trials):
+            dim, op, oq = (int(rng.integers(lo, hi)) for lo, hi in ((1, 3), (-2, 2), (-2, 2)))
+            psdo._symbol_draws(rng, depth, dim)
+            psdo._symbol_draws(rng, depth, dim)
+            keys.append((dim, op + oq + 1))
+        return keys
+
     def test_builds_only_what_the_residue_reads(self, monkeypatch):
-        calls = {"build": [], "derivatives": 0, "compose": 0}
-        build, derivatives = psdo._band_limited_symbol, psdo._derivatives
+        calls = {"build": [], "derivatives": 0, "products": 0, "compose": 0}
+        build, derivatives, products = (psdo._band_limited_ladders, psdo._derivatives,
+                                        psdo._add_products)
 
-        def counted_build(draws, order, grid):
-            sym = build(draws, order, grid)
-            calls["build"].append(sym)
-            return sym
+        def counted_build(draws, grid):
+            calls["build"].append(draws.shape)
+            return build(draws, grid)
 
-        def counted_derivatives(components, depth):
+        def counted_derivatives(*args):
             calls["derivatives"] += 1
-            return derivatives(components, depth)
+            return derivatives(*args)
+
+        def counted_products(*args):
+            calls["products"] += 1
+            return products(*args)
 
         def counted_compose(*args, **kw):
             calls["compose"] += 1
 
-        monkeypatch.setattr(psdo, "_band_limited_symbol", counted_build)
+        monkeypatch.setattr(psdo, "_band_limited_ladders", counted_build)
         monkeypatch.setattr(psdo, "_derivatives", counted_derivatives)
+        monkeypatch.setattr(psdo, "_add_products", counted_products)
         monkeypatch.setattr(psdo, "compose", counted_compose)
         seen = set()
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            _, op, oq = (int(rng.integers(lo, hi)) for lo, hi in ((1, 3), (-2, 2), (-2, 2)))
-            j = op + oq + 1
-            seen.add(j)
-            calls["build"].clear()
-            calls["derivatives"] = 0
-            worst = commutator_trace_test(seed, 1, 6, grid=GRID)
-            if j < 0:
-                assert calls["build"] == [] and calls["derivatives"] == 0 and worst == 0.0
-            else:
-                assert [(s.order, s.depth) for s in calls["build"]] == [(op, j + 1), (oq, j + 1)]
-                assert calls["derivatives"] == 2
+        # Seed 2's 60 trials hold 9 of (1, 0) and 8 of (1, 1): full stacks and a spill.
+        for seed, trials in [(seed, 1) for seed in range(40)] + [(0, 8), (1, 8), (2, 60)]:
+            keys = self.trial_keys(seed, trials, 6)
+            seen.update(j for _, j in keys)
+            # The trials of each (dim, j) with j >= 0, in stacks of at most 8;
+            # nothing is built for j < 0.
+            counts = {key: keys.count(key) for key in keys if key[1] >= 0}
+            stacks = sorted((dim, j, min(8, n - start)) for (dim, j), n in counts.items()
+                            for start in range(0, n, 8))
+            calls.update(build=[], derivatives=0, products=0)
+            worst = commutator_trace_test(seed, trials, 6, grid=GRID)
+            # One build, one derivative table and one kernel walk per stack; a
+            # stack of n trials builds components 0..j of its 2n symbols, from
+            # draws (j + 1, 2n, plus/minus, terms, re/im, d, d).
+            built = sorted((shape[-1], shape[0] - 1, shape[1] // 2) for shape in calls["build"])
+            assert built == stacks
+            assert all(shape[2:] == (2, 7, 2, shape[-1], shape[-1]) for shape in calls["build"])
+            assert calls["derivatives"] == calls["products"] == len(stacks)
+            if not stacks:
+                assert worst == 0.0
         assert seen == set(range(-3, 4))
         assert calls["compose"] == 0
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", None), ("seed", 1.0), ("seed", True), ("seed", "3"),
+        ("trials", True), ("trials", 2.5), ("trials", None), ("trials", np.float64(3)),
+        ("depth", 6.0), ("depth", False), ("depth", "6"),
+    ])
+    def test_arguments_must_be_ints(self, name, value):
+        args = {"seed": 0, "trials": 2, "depth": 6} | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {re.escape(repr(value))}$"):
+            commutator_trace_test(**args, grid=GRID)
+
+    def test_numpy_ints_are_ints(self):
+        want = commutator_trace_test(4, 9, 5, grid=GRID)
+        assert commutator_trace_test(np.int64(4), np.int32(9), np.int64(5), grid=GRID) == want
+
+    def test_memory_does_not_grow_with_trials(self):
+        commutator_trace_test(0, 200, 32)  # FFT plans and scale caches, made once
+        peaks = []
+        for trials in (200, 2000):
+            tracemalloc.start()
+            try:
+                commutator_trace_test(0, trials, 32)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 4 * 2**20, peaks
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
     def test_multiplications_commute_exactly(self):
         x = 2.0 * np.pi * np.arange(GRID) / GRID
@@ -654,7 +734,7 @@ class TestRandomSymbol:
                     got = random_symbol(rng, order, depth, dim=dim, grid=grid, modes=modes)
                     want = random_symbol_reference(ref_rng, order, depth, dim=dim, grid=grid,
                                                    modes=modes)
-                    assert_same_symbol(got, want)
+                    assert_same_bits(got, want)  # bytes too: the build sums re and im parts apart
                     # commutator_trace_test draws again from the same generator.
                     assert np.array_equal(rng.standard_normal(3), ref_rng.standard_normal(3))
 
