@@ -30,12 +30,11 @@ per m.  Terms that are exactly zero are skipped: those of a vanishing
 component, d_x^m (m >= 1) of a component whose grid rows are all equal bit
 for bit, and those of a zero falling factorial.
 
-The commutator trace test gives the kernel stacks of ladders: one stack
-axis after the place axis, the grid still on axis -3, and one order per
-element, so per-element falling factorials and scales.  A stack holds the
-trials of one fiber dim and one residue row j, at most `_STACK_TRIALS` of
-them, and one build, one derivative table and one kernel walk give row j of
-PQ and of QP for all of them.
+The commutator trace test gives the kernel a stack of two ladders, [Q, P]
+on the right and [P, Q] on the left: one stack axis after the place axis,
+the grid still on axis -3, and one order per element, so per-element
+falling factorials and scales.  One build, one derivative table and one
+kernel walk give row j of PQ and of QP.
 """
 
 from __future__ import annotations
@@ -75,10 +74,6 @@ DEFAULT_GRID = 64
 #: commutator_trace_test draws orders op, oq in [-2, 1]; the residue of
 #: [P, Q] reads its component j = op + oq + 1 <= 3, so it needs depth >= 4.
 MIN_TRACE_TEST_DEPTH = 4
-
-#: commutator_trace_test forms at most this many trials in one stack: enough
-#: to share each stack's fixed costs, few enough that its memory stays flat.
-_STACK_TRIALS = 8
 
 
 class SymbolError(ValueError):
@@ -448,8 +443,9 @@ def _add_products(acc: np.ndarray, lo: int, order: Fraction | list, left: np.nda
     For a stack, acc, left and the table have a stack axis after the place
     axis, element e of left multiplies element e of the table, and `order`
     is a sequence of ints, one per element.  Each element gets its own
-    falling factorial and scale, and a (p, m) multiplies only the elements
-    whose falling factorial is not zero."""
+    falling factorial and scale.  A (p, m) multiplies every element, and one
+    whose falling factorial is zero adds only zeros: its nonzero values stay
+    as they are."""
     stacked = not isinstance(order, Fraction)
     num, den = (np.asarray(order), 1) if stacked else (order.numerator, order.denominator)
     rows = len(acc)
@@ -475,11 +471,7 @@ def _add_products(acc: np.ndarray, lo: int, order: Fraction | list, left: np.nda
             else:
                 out = [i + shift for i in q]
             if stacked:
-                e = np.flatnonzero(fall)  # the elements whose term does not vanish
-                scale = np.concatenate([_scale(m, f) for f in fall[e].tolist()])
-                if len(e) < len(fall):
-                    acc[np.ix_(np.arange(rows)[out], e)] += scale * np.matmul(sigma[e], dq[q][:, e])
-                    continue
+                scale = np.concatenate([_scale(m, f) for f in fall.tolist()])
             else:
                 scale = _scale(m, fall)
             acc[out] += scale * np.matmul(sigma, dq[q])
@@ -670,14 +662,12 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
     components, so the generator's stream does not depend on what is read.
     The residue reads component j = op + oq + 1 (degree -1) of [P, Q] only,
     and that reads components 0..j of P and Q.  Below j = 0 the residue is
-    exactly 0 and nothing is built.  The other trials are formed in stacks
-    of one fiber dim and one j, at most `_STACK_TRIALS` (8) trials each,
-    which keep copies of only the draw rows they read, so the memory does
-    not grow with `trials`.  A stack is one build, one derivative table and
-    one walk of the product kernel over ladders with a stack axis after the
-    place axis (`_commutator_residues`); each residue's absolute value is
+    exactly 0 and nothing is built.  Otherwise P and Q are built as one
+    stack [Q, P], and one derivative table and one walk of the product
+    kernel over it, with a stack axis after the place axis, give row j of PQ
+    and of QP (`_commutator_residue`).  Each residue's absolute value is
     Python's abs of the complex residue.  The result is, bit for bit, the
-    max over trials of the residues formed one trial at a time.
+    max over trials of |wodzicki_residue(compose(P, Q) - compose(Q, P))|.
     """
     for name, value in (("seed", seed), ("trials", trials), ("depth", depth)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -688,7 +678,6 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         raise ValueError(f"depth must be >= {MIN_TRACE_TEST_DEPTH}")
     _check_grid(grid)
     rng = np.random.default_rng(seed)
-    stacks = {}  # (dim, j) -> [(op, oq, P draw rows, Q draw rows)] not formed yet
     worst = 0.0
     for _ in range(trials):
         dim = int(rng.integers(1, 3))
@@ -698,41 +687,30 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         q_draws = _symbol_draws(rng, depth, dim)
         j = op + oq + 1
         if j >= 0:
-            stack = stacks.setdefault((dim, j), [])
-            stack.append((op, oq, p_draws[: 2 * (j + 1)].copy(), q_draws[: 2 * (j + 1)].copy()))
-            if len(stack) == _STACK_TRIALS:
-                worst = max(worst, *_commutator_residues(stack, j, grid))
-                stack.clear()
-    for (_, j), stack in stacks.items():
-        if stack:
-            worst = max(worst, *_commutator_residues(stack, j, grid))
+            worst = max(worst, _commutator_residue(op, oq, p_draws, q_draws, j, grid))
     return worst
 
 
-def _commutator_residues(stack: list, j: int, grid: int) -> list:
-    """|res[P, Q]| for each (op, oq, P draw rows, Q draw rows) of `stack`,
-    n trials of one fiber dim with op + oq + 1 = j, as the trials would give
-    them one at a time.
+def _commutator_residue(op: int, oq: int, p_draws: np.ndarray, q_draws: np.ndarray,
+                        j: int, grid: int) -> float:
+    """|res[P, Q]| for the symbols of orders op, oq drawn as `p_draws` and
+    `q_draws`, with j = op + oq + 1 >= 0.
 
-    One build makes the ladders [Q_0 .. Q_{n-1}, P_{n-1} .. P_0], components
-    0..j, as one stack; read backwards it is [P_0 .. P_{n-1}, Q_{n-1} .. Q_0].
-    So one derivative table of the stack and one walk of the product kernel,
-    with the reversed stack on the left, give row j of P_k Q_k in element k
-    and of Q_k P_k in element 2n - 1 - k.  Each residue is then taken as
-    wodzicki_residue takes it (trace, sum of the two sides, mean over the
-    grid) and its absolute value with Python's abs, which np.abs can miss by
-    one ulp."""
-    n = len(stack)
-    rows = [q.reshape(j + 1, 2, *q.shape[1:]) for *_, q in stack]
-    rows += [p.reshape(j + 1, 2, *p.shape[1:]) for _, _, p, _ in reversed(stack)]
-    ladders = _band_limited_ladders(np.stack(rows, axis=1), grid)  # (j + 1, 2n, 2, G, d, d)
-    orders = [op for op, *_ in stack] + [oq for _, oq, *_ in reversed(stack)]
+    One build makes the stack [Q, P] of their components 0..j; read
+    backwards it is [P, Q].  So one derivative table of the stack and one
+    walk of the product kernel, with the reversed stack on the left, give
+    row j of PQ in element 0 and of QP in element 1.  The residue is then
+    taken as wodzicki_residue takes it (trace, sum of the two sides, mean
+    over the grid), and its absolute value with Python's abs, which np.abs
+    can miss by one ulp."""
+    rows = np.stack([d[: 2 * (j + 1)].reshape(j + 1, 2, *d.shape[1:]) for d in (q_draws, p_draws)],
+                    axis=1)
+    ladders = _band_limited_ladders(rows, grid)  # (j + 1, 2, 2, G, d, d)
     acc = np.zeros((1,) + ladders.shape[1:], dtype=complex)
     every = list(range(j + 1))  # random and band-limited: every place is nonzero and varies
-    _add_products(acc, j, orders, ladders[:, ::-1], 0, _derivatives(ladders, (every, every), j + 1))
-    diff = acc[0, :n] - acc[0, n:][::-1]  # row j of P_k Q_k - Q_k P_k
-    integrand = np.trace(diff, axis1=3, axis2=4).sum(axis=1)  # plus + minus, (n, G)
-    return [abs(complex(r)) for r in integrand.mean(axis=1)]
+    _add_products(acc, j, [op, oq], ladders[:, ::-1], 0, _derivatives(ladders, (every, every), j + 1))
+    integrand = np.trace(acc[0, 0] - acc[0, 1], axis1=2, axis2=3).sum(axis=0)  # plus + minus
+    return abs(complex(np.mean(integrand)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -566,8 +565,8 @@ class TestCommutatorTrace:
 
     @pytest.mark.parametrize("kinds", ["cccccc", "cbcbcb", "bc0cc0"])
     def test_mixed_ladders_match_reference_kernel(self, reference_kernel, monkeypatch, kinds):
-        # Every ladder, a whole symbol or a stack of components 0..j, is built
-        # here: random_symbol builds through the same function.
+        # Every ladder, a whole symbol or a trial's stack [Q, P] of components
+        # 0..j, is built here: random_symbol builds through the same function.
         build = psdo._band_limited_ladders
         built = []
 
@@ -590,12 +589,11 @@ class TestCommutatorTrace:
             assert new == commutator_trace_reference(seed, 8, 6, grid=GRID)
         stacks = [(places, ladders) for kind, places, ladders in built if kind == "stack"]
         assert stacks and max(places for places, _ in stacks) <= 4  # components 0..j
-        assert max(ladders for _, ladders in stacks) > 2  # of more than one trial
+        assert all(ladders == 2 for _, ladders in stacks)  # [Q, P] of one trial
         assert ("symbol", 6, 2) in built  # the reference's whole symbols
 
     @pytest.mark.parametrize("depth", [4, 5, 6, 9, 32])
     def test_matches_full_build_exactly(self, depth):
-        # 8 trials fill a stack when they share (dim, j); 9 and 17 spill past it.
         for seeds, counts in ((range(40), (1, 8)), (range(10), (9, 17))):
             for seed in seeds:
                 for trials in counts:
@@ -620,7 +618,8 @@ class TestCommutatorTrace:
 
     @staticmethod
     def trial_keys(seed, trials, depth):
-        """(dim, j) of each trial of commutator_trace_test, from the same draws."""
+        """(dim, j) of each trial of commutator_trace_test, in order, from the
+        same draws."""
         rng = np.random.default_rng(seed)
         keys = []
         for _ in range(trials):
@@ -655,25 +654,19 @@ class TestCommutatorTrace:
         monkeypatch.setattr(psdo, "_add_products", counted_products)
         monkeypatch.setattr(psdo, "compose", counted_compose)
         seen = set()
-        # Seed 2's 60 trials hold 9 of (1, 0) and 8 of (1, 1): full stacks and a spill.
         for seed, trials in [(seed, 1) for seed in range(40)] + [(0, 8), (1, 8), (2, 60)]:
             keys = self.trial_keys(seed, trials, 6)
             seen.update(j for _, j in keys)
-            # The trials of each (dim, j) with j >= 0, in stacks of at most 8;
-            # nothing is built for j < 0.
-            counts = {key: keys.count(key) for key in keys if key[1] >= 0}
-            stacks = sorted((dim, j, min(8, n - start)) for (dim, j), n in counts.items()
-                            for start in range(0, n, 8))
+            built_for = [(dim, j) for dim, j in keys if j >= 0]  # nothing is built for j < 0
             calls.update(build=[], derivatives=0, products=0)
             worst = commutator_trace_test(seed, trials, 6, grid=GRID)
-            # One build, one derivative table and one kernel walk per stack; a
-            # stack of n trials builds components 0..j of its 2n symbols, from
-            # draws (j + 1, 2n, plus/minus, terms, re/im, d, d).
-            built = sorted((shape[-1], shape[0] - 1, shape[1] // 2) for shape in calls["build"])
-            assert built == stacks
-            assert all(shape[2:] == (2, 7, 2, shape[-1], shape[-1]) for shape in calls["build"])
-            assert calls["derivatives"] == calls["products"] == len(stacks)
-            if not stacks:
+            # One build, one derivative table and one kernel walk per trial
+            # that builds: components 0..j of its Q and P, from draws
+            # (j + 1, [Q, P], plus/minus, terms, re/im, d, d).
+            assert [(shape[-1], shape[0] - 1) for shape in calls["build"]] == built_for
+            assert all(shape[1:] == (2, 2, 7, 2, shape[-1], shape[-1]) for shape in calls["build"])
+            assert calls["derivatives"] == calls["products"] == len(built_for)
+            if not built_for:
                 assert worst == 0.0
         assert seen == set(range(-3, 4))
         assert calls["compose"] == 0
@@ -691,19 +684,6 @@ class TestCommutatorTrace:
     def test_numpy_ints_are_ints(self):
         want = commutator_trace_test(4, 9, 5, grid=GRID)
         assert commutator_trace_test(np.int64(4), np.int32(9), np.int64(5), grid=GRID) == want
-
-    def test_memory_does_not_grow_with_trials(self):
-        commutator_trace_test(0, 200, 32)  # FFT plans and scale caches, made once
-        peaks = []
-        for trials in (200, 2000):
-            tracemalloc.start()
-            try:
-                commutator_trace_test(0, trials, 32)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert max(peaks) <= 4 * 2**20, peaks
-        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
     def test_multiplications_commute_exactly(self):
         x = 2.0 * np.pi * np.arange(GRID) / GRID
