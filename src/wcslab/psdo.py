@@ -6,17 +6,17 @@ is fully determined by its values at xi = +1 and xi = -1 on a uniform
 periodic x-grid; this storage is exact.  A symbol holds its whole ladder as
 one read-only array, `stored`: component j (degree order - j) at place j,
 xi = +1 first.  A symbol never changes once built: it copies an argument
-that could still be written.
+that could still be written.  ClassicalSymbol.from_ladder is the one
+public constructor.
 
-A ladder whose every component is one grid row or zero is stored as one
-grid row, (depth, 2, 1, d, d); otherwise `stored` is (depth, 2, G, d, d).
-`ladder` has the full shape either way (a view with stride 0 on the grid
-axis for a row), and `components` gives per-component views
-(HomogeneousComponent); both are built on first use.  Multiplication
-symbols of a constant matrix, the derivative symbol of a constant
-connection, and every sum, multiple and product of such symbols are built
-on the row alone.  +, -, scalar *, pad_zeros, sup_norms, leading_degree
-and the residue act on the whole array.
+A ladder given with stride 0 on the grid axis is stored as one grid row,
+(depth, 2, 1, d, d); otherwise `stored` is (depth, 2, G, d, d).  `ladder`
+has the full shape either way (a view with stride 0 on the grid axis for a
+row), built on first use.  Multiplication symbols of a constant matrix, the
+derivative symbol of a constant connection, and every sum, multiple and
+product of such symbols are built on the row alone.  +, -, scalar *,
+pad_zeros, sup_norms, leading_degree and the residue act on the whole
+array.
 
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
@@ -47,7 +47,6 @@ from math import factorial
 import numpy as np
 
 __all__ = [
-    "HomogeneousComponent",
     "ClassicalSymbol",
     "SymbolError",
     "FiberMismatchError",
@@ -129,122 +128,52 @@ def _spread(rows: np.ndarray, grid: int) -> np.ndarray:
                       buffer=rows, strides=strides)
 
 
-def _held(values: np.ndarray, grid_axis: int) -> np.ndarray:
-    """values, or its one row when it has stride 0 on the grid axis, as a
-    C-contiguous array that no one can write: the array itself when it
-    already is one, a copy otherwise."""
-    stored = values[(slice(None),) * grid_axis + (slice(0, 1),)] \
-        if values.strides[grid_axis] == 0 else values
-    if not (stored.flags.c_contiguous and _frozen(values)):
-        stored = stored.copy()
-        stored.setflags(write=False)
-    return stored
-
-
-@dataclass(frozen=True)
-class HomogeneousComponent:
-    """One homogeneous piece, stored at the two cosphere points: values[0]
-    at xi = +1 and values[1] at xi = -1, each on the (G, d, d) grid.  Its
-    degree is its symbol's order minus its place in the ladder.
-
-    values is read-only and never changes.  An argument that could still be
-    written (it, or the array owning its memory, is writeable) is copied, so
-    the caller's array stays writeable and later writes to it do not reach
-    the component.  An argument with stride 0 on the grid axis (one row seen
-    G times, as np.broadcast_to makes) is kept as that one row."""
-
-    values: np.ndarray  # (2, G, d, d) complex, read-only
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 4 or values.shape[0] != 2 or values.shape[2] != values.shape[3]:
-            raise SymbolError("component values must have shape (2, G, d, d)")
-        g = values.shape[1]
-        _check_grid(g)
-        stored = _held(values, 1)
-        object.__setattr__(self, "values", _spread(stored, g) if stored.shape[1] == 1 else stored)
-
-    @property
-    def plus(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def minus(self) -> np.ndarray:
-        return self.values[1]
-
-    @property
-    def grid(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def fiber_dim(self) -> int:
-        return self.values.shape[2]
-
-    @property
-    def stored(self) -> np.ndarray:
-        """The values held: the one row (2, 1, d, d) of a component stored as
-        a row, values itself otherwise.  Broadcasts as values does."""
-        values = self.values
-        return values[:, :1] if values.strides[1] == 0 else values
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.stored)))
-
-
 @dataclass(frozen=True, init=False)
 class ClassicalSymbol:
     """Truncated homogeneous expansion of a matrix-valued symbol: ladder[j],
     shape (2, G, d, d), is the component of degree order - j.
 
-    Built from a sequence of HomogeneousComponent, or with from_ladder from
-    one (depth, 2, G, d, d) array.  `stored` holds the ladder, read-only: its
-    one grid row (depth, 2, 1, d, d) when every component is stored as a row
-    or is exactly zero, all of it otherwise."""
+    Built with from_ladder from one (depth, 2, G, d, d) array.  `stored`
+    holds the ladder, read-only: its one grid row (depth, 2, 1, d, d) when
+    the ladder was given or made as one row, all of it otherwise."""
 
     order: Fraction
     stored: np.ndarray  # (depth, 2, 1, d, d) or (depth, 2, G, d, d) complex, read-only
     grid: int
 
-    def __init__(self, order, components):
-        comps = tuple(components)
-        if not comps:
-            raise SymbolError("a symbol needs at least one component")
-        shape = comps[0].values.shape
-        if any(c.values.shape != shape for c in comps):
-            raise SymbolError("components disagree on grid or fiber dimension")
-        rows = all(c.values.strides[1] == 0 or not c.stored.any() for c in comps)
-        self._hold(order, np.stack([c.stored[:, :1] if rows else c.values for c in comps]),
-                   shape[1])
-
-    def _hold(self, order, stored: np.ndarray, grid: int) -> None:
-        """Keep a C-contiguous ladder that no one else can write, frozen in
-        place."""
-        stored.setflags(write=False)
-        object.__setattr__(self, "order", order if isinstance(order, Fraction) else Fraction(order))
-        object.__setattr__(self, "stored", stored)
-        object.__setattr__(self, "grid", grid)
-
     @classmethod
     def _of(cls, order, stored: np.ndarray, grid: int) -> "ClassicalSymbol":
-        """A symbol over a ladder this module has just made and holds no
-        other reference to: kept without a copy or a check."""
+        """A symbol over a C-contiguous ladder that no one else can write,
+        such as one this module has just made and holds no other reference
+        to: frozen in place and kept without a copy or a check."""
+        stored.setflags(write=False)
         sym = object.__new__(cls)
-        sym._hold(order, stored, grid)
+        object.__setattr__(sym, "order", order if isinstance(order, Fraction) else Fraction(order))
+        object.__setattr__(sym, "stored", stored)
+        object.__setattr__(sym, "grid", grid)
         return sym
 
     @classmethod
     def from_ladder(cls, order, ladder) -> "ClassicalSymbol":
         """The symbol whose component of degree order - j is ladder[j], a
-        (depth, 2, G, d, d) array.  The array is kept as HomogeneousComponent
-        keeps its values: without a copy when no one can write it, as its
-        one row when it has stride 0 on the grid axis."""
+        (depth, 2, G, d, d) array.
+
+        An array that no one can write (neither it nor the array owning its
+        memory) is kept without a copy.  One that could still be written is
+        copied, so it stays writeable and later writes to it do not reach
+        the symbol.  An array with stride 0 on the grid axis (one row seen G
+        times, as np.broadcast_to makes) is kept as that one row."""
         values = np.asarray(ladder, dtype=complex)
         if values.ndim != 5 or values.shape[1] != 2 or values.shape[3] != values.shape[4]:
             raise SymbolError("ladder must have shape (depth, 2, G, d, d)")
         if not values.shape[0]:
             raise SymbolError("a symbol needs at least one component")
-        _check_grid(values.shape[2])
-        return cls._of(order, _held(values, 2), values.shape[2])
+        grid = values.shape[2]
+        _check_grid(grid)
+        stored = values[:, :, :1] if values.strides[2] == 0 else values
+        if not (stored.flags.c_contiguous and _frozen(values)):
+            stored = stored.copy()
+        return cls._of(order, stored, grid)
 
     @cached_property
     def ladder(self) -> np.ndarray:
@@ -265,10 +194,13 @@ class ClassicalSymbol:
     def floor_degree(self) -> Fraction:
         return self.order - self.depth + 1
 
-    @cached_property
+    @property
     def components(self) -> tuple:
-        """HomogeneousComponent views of the ladder, degrees order, order - 1, ..."""
-        return tuple(HomogeneousComponent(values) for values in self.ladder)
+        """ladder[0], ladder[1], ...: one (2, G, d, d) view per place.
+        Only the benchmark tracer reads it (perfbench/spans.py,
+        Tracer._after_compose, counts len(result.components)); once that
+        counts result.depth, delete this."""
+        return tuple(self.ladder)
 
     @cached_property
     def _live(self) -> tuple:
@@ -284,13 +216,6 @@ class ClassicalSymbol:
         bits = stored.view(np.uint64)
         return nonzero, np.flatnonzero((bits != bits[:, :, :1]).reshape(self.depth, -1)
                                        .any(axis=1)).tolist()
-
-    def component(self, degree) -> HomogeneousComponent | None:
-        degree = Fraction(degree)
-        j = self.order - degree
-        if j.denominator != 1 or j < 0 or j >= self.depth:
-            return None
-        return self.components[int(j)]
 
     def pad_zeros(self, depth: int) -> "ClassicalSymbol":
         """Extend the ladder with exact-zero components.
@@ -521,8 +446,13 @@ def wodzicki_residue(P: ClassicalSymbol) -> complex:
                 f"degree -1 lies below the truncation floor {P.floor_degree}"
             )
         return 0.0 + 0.0j
-    integrand = np.trace(P.ladder[int(j)], axis1=2, axis2=3).sum(axis=0)  # plus + minus
-    return complex(np.mean(integrand))
+    return _residue(P.ladder[int(j)])
+
+
+def _residue(row: np.ndarray) -> complex:
+    """The residue of a degree -1 component `row`, (2, G, d, d): its trace,
+    summed over xi = +1 and xi = -1, averaged over the grid."""
+    return complex(np.mean(np.trace(row, axis1=2, axis2=3).sum(axis=0)))
 
 
 def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
@@ -635,7 +565,7 @@ def _band_limited_ladders(draws: np.ndarray, grid: int) -> np.ndarray:
             term *= 1.0 / ((k + 1) // 2)
         acc += term
     values = np.ascontiguousarray(acc.transpose(0, 2, 1))
-    values.setflags(write=False)  # so the components view the ladder without a copy
+    values.setflags(write=False)  # so no one can change a symbol built on it
     return values.view(complex).reshape(lead + (grid, dim, dim))
 
 
@@ -700,17 +630,15 @@ def _commutator_residue(op: int, oq: int, p_draws: np.ndarray, q_draws: np.ndarr
     backwards it is [P, Q].  So one derivative table of the stack and one
     walk of the product kernel, with the reversed stack on the left, give
     row j of PQ in element 0 and of QP in element 1.  The residue is then
-    taken as wodzicki_residue takes it (trace, sum of the two sides, mean
-    over the grid), and its absolute value with Python's abs, which np.abs
-    can miss by one ulp."""
+    taken by `_residue`, as wodzicki_residue takes it, and its absolute
+    value with Python's abs, which np.abs can miss by one ulp."""
     rows = np.stack([d[: 2 * (j + 1)].reshape(j + 1, 2, *d.shape[1:]) for d in (q_draws, p_draws)],
                     axis=1)
     ladders = _band_limited_ladders(rows, grid)  # (j + 1, 2, 2, G, d, d)
     acc = np.zeros((1,) + ladders.shape[1:], dtype=complex)
     every = list(range(j + 1))  # random and band-limited: every place is nonzero and varies
     _add_products(acc, j, [op, oq], ladders[:, ::-1], 0, _derivatives(ladders, (every, every), j + 1))
-    integrand = np.trace(acc[0, 0] - acc[0, 1], axis1=2, axis2=3).sum(axis=0)  # plus + minus
-    return abs(complex(np.mean(integrand)))
+    return abs(_residue(acc[0, 0] - acc[0, 1]))
 
 
 # ---------------------------------------------------------------------------

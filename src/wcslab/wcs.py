@@ -3,8 +3,9 @@
 Two independent routes compute the density of the 5-form pulled back to the
 bundle total space: a closed form in the base curvature, and a signed
 permutation sum over curvature endomorphisms.  A single calibration
-constant, fixed once on the flat torus, relates the two; agreement on the
-curved catalog surfaces is the correctness gate for both.
+constant, 1 / FIBER_LENGTH (the value that makes them agree on the flat
+torus), relates the two; agreement on the curved catalog surfaces is the
+correctness gate for both.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from math import factorial
 
 import numpy as np
 
-from .catalog import KahlerSurface, flat_torus
+from .catalog import KahlerSurface
 from .geometry import LEVI_CIVITA, OrthonormalFrame, RiemannTensor, pontrjagin_density
-from .sasaki import FIBER_LENGTH, SasakiLift, lift_curvature, lift_parts
+from .sasaki import FIBER_LENGTH, SasakiLift, lift_parts
 
 __all__ = [
     "Verdict",
@@ -170,22 +171,16 @@ def permutation_density_raw(
     return (4.0 / factorial(dim)) * total * fiber_length
 
 
-@lru_cache(maxsize=1)
 def calibration_constant() -> float:
-    """Single constant relating the permutation and closed-form routes.
+    """Single constant relating the permutation and closed-form routes:
+    1 / FIBER_LENGTH, the value that makes them agree on the flat torus at
+    k = 1 (tests/test_wcs.py fits it there).
 
-    Fixed once by requiring torus agreement at k = 1 and never refit per
-    surface.  A value of 1 would indicate fully matched conventions; any
-    positive value preserves vanishing and signs, hence all verdicts.
+    Never refit per surface.  A value of 1 would indicate fully matched
+    conventions; any positive value preserves vanishing and signs, hence
+    all verdicts.
     """
-    lift = lift_curvature(flat_torus(), 1)
-    raw = permutation_density_raw(
-        lift.curvature5,
-        OrthonormalFrame.standard(5),
-        np.array([1.0, 0.0, 0.0, 0.0, 0.0]),
-        lift.fiber_length,
-    )
-    return density_closed_form(lift) / raw
+    return 1.0 / FIBER_LENGTH
 
 
 def density_permutation(

@@ -26,7 +26,7 @@ from wcslab.psdo import (
     multiplication_symbol,
     wodzicki_residue,
 )
-from wcslab.psdo import ClassicalSymbol, HomogeneousComponent
+from wcslab.psdo import ClassicalSymbol
 from wcslab.sasaki import lift_curvature
 from wcslab.wcs import (
     Verdict,
@@ -149,7 +149,7 @@ def test_09_residue_trace_property():
     b = multiplication_symbol(np.array([[0.0, 1.0], [1.0, 0.0]]), depth=2)
     ok = ok and wodzicki_residue(compose(a, b, 2) - compose(b, a, 2)) == 0.0
 
-    inv_xi = ClassicalSymbol(-1, (HomogeneousComponent(np.ones((2, 64, 1, 1))),))
+    inv_xi = ClassicalSymbol.from_ladder(-1, np.ones((1, 2, 64, 1, 1)))
     ok = ok and abs(wodzicki_residue(inv_xi) - 2.0) <= 1e-10
     report(9, ok, f"residue is a trace, 200 trials, worst commutator {violation:.3e}")
 

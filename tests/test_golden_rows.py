@@ -185,7 +185,6 @@ def test_golden_covers_every_command():
 
 
 def test_one_lift_polynomial_per_sweep(capsys, monkeypatch):
-    wcs.calibration_constant()  # its own lift is cached once per process
     wcs._sweep_terms.cache_clear()
     calls = []
     for module, fname in ((sasaki, "lift_parts"), (sasaki, "lift_curvature"),

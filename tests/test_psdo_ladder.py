@@ -38,7 +38,7 @@ class Old(NamedTuple):
 
 
 def old_from(sym) -> Old:
-    return Old(sym.order, [c.stored for c in sym.components], sym.grid)
+    return Old(sym.order, list(sym.stored), sym.grid)
 
 
 def stacked(values):
@@ -282,20 +282,21 @@ class TestAgainstPerComponentKernel:
         rng = np.random.default_rng(len(kinds) + kinds.count("b"))
 
         def draw(order):
-            sym = random_symbol(rng, order, len(kinds), dim=2, grid=32)
-            comps = []
-            for c, kind in zip(sym.components, kinds):
+            ladder = random_symbol(rng, order, len(kinds), dim=2, grid=32).ladder.copy()
+            for place, kind in zip(ladder, kinds):
                 if kind == "c":
-                    c = psdo.HomogeneousComponent(np.broadcast_to(c.values[:, :1], c.values.shape))
+                    place[...] = place[:, :1]
                 elif kind == "0":
-                    c = psdo.HomogeneousComponent(np.zeros_like(c.values))
-                comps.append(c)
-            return psdo.ClassicalSymbol(Fraction(order), comps)
+                    place[...] = 0.0
+            if "b" not in kinds:  # then stored as one grid row
+                ladder = np.broadcast_to(ladder[:, :, :1], ladder.shape)
+            return psdo.ClassicalSymbol.from_ladder(Fraction(order), ladder)
 
         P, Q = draw(1), draw(-2)
         for a, b in ((P, Q), (Q, P), (P, P)):
             assert_same_bytes(compose(a, b), old_compose(old_from(a), old_from(b)))
-        lead = np.stack((1j * np.eye(2), -1j * np.eye(2)))[:, None]
-        A = psdo.ClassicalSymbol(P.order, (psdo.HomogeneousComponent(
-            np.broadcast_to(lead, (2, 32, 2, 2))),) + P.components[1:])
+        stored = P.stored.copy()
+        stored[0] = np.stack((1j * np.eye(2), -1j * np.eye(2)))[:, None]
+        # as P, one grid row or the full grid
+        A = psdo.ClassicalSymbol.from_ladder(P.order, np.broadcast_to(stored, P.ladder.shape))
         assert_same_bytes(parametrix(A, 5), old_parametrix(old_from(A), 5))

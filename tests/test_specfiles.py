@@ -92,10 +92,10 @@ class TestLoadSymbol:
         sym = load_symbol(FOURIER_SYMBOL)
         assert sym.depth == 2
         x = 2.0 * np.pi * np.arange(32) / 32
-        c = sym.components[1]
-        assert np.allclose(c.plus[:, 0, 0], np.cos(x))
-        assert np.allclose(c.plus[:, 0, 1], 1.0)
-        assert np.allclose(c.minus[:, 0, 1], np.sin(2 * x))
+        plus, minus = sym.ladder[1]
+        assert np.allclose(plus[:, 0, 0], np.cos(x))
+        assert np.allclose(plus[:, 0, 1], 1.0)
+        assert np.allclose(minus[:, 0, 1], np.sin(2 * x))
 
     def test_missing_order(self):
         with pytest.raises(ParseError, match="order"):
@@ -202,7 +202,7 @@ class TestLoadSymbol:
         )
         sym = load_symbol(text)
         assert sym.depth == 3
-        assert sym.components[1].sup_norm() == 0.0
+        assert np.abs(sym.ladder[1]).max() == 0.0
 
 
 class TestLoadSurfaces:

@@ -94,6 +94,17 @@ class TestPermutationRoute:
         assert c > 0.0
         assert c == calibration_constant()
 
+    def test_calibration_constant_is_the_flat_torus_fit(self):
+        # The reference: the closed form over the raw permutation sum on the
+        # flat torus at k = 1, along xi in the standard frame.
+        lift = lift_curvature(flat_torus(), 1)
+        raw = permutation_density_raw(lift.curvature5, OrthonormalFrame.standard(5),
+                                      np.array([1.0, 0.0, 0.0, 0.0, 0.0]), lift.fiber_length)
+        fit = density_closed_form(lift) / raw
+        c = calibration_constant()
+        assert type(c) is float and c == fit and c.hex() == float(fit).hex()
+        assert c == 1.0 / lift.fiber_length == 0.15915494309189535
+
     def test_frame_independence(self, rng):
         lift = lift_curvature(cp2_fubini_study(), 2)
         ref = density_permutation(lift)
