@@ -169,7 +169,8 @@ def _non_finite(value, where: str) -> tuple[str, float] | None:
 
 
 def _check_finite(rows: list[dict]) -> None:
-    """Refuse a row holding inf or nan, in either format."""
+    """Refuse a row holding inf or nan, in either format.  The JSON path
+    walks the rows only when the encoder has refused them."""
     for row in rows:
         for column, value in row.items():
             found = _non_finite(value, column)
@@ -179,11 +180,36 @@ def _check_finite(rows: list[dict]) -> None:
                                  + (f" at {where}" if where else ""))
 
 
+#: Encodes a list of flat rows in one C-encoder call (json.dumps with an
+#: indent runs the pure-Python encoder); the item separator already holds
+#: the newline and indent of a column, so only row boundaries need layout.
+_FLAT_ROWS = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n    ", ": "))
+
+#: Value types that both encoders write the same way, as one token.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_text(rows: list[dict]) -> str:
+    """json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + newline.
+
+    When every row is a non-empty dict of scalars, `_FLAT_ROWS` encodes
+    them as [{...},\\n    {...}].  An encoded string holds no raw newline,
+    so "},\\n    {" occurs only between rows."""
+    if rows and all(row and _SCALARS.issuperset(map(type, row.values())) for row in rows):
+        body = _FLAT_ROWS.encode(rows)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+        return "[\n  {\n    " + body + "\n  }\n]\n"
+    return json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _emit(rows: list[dict], fmt: str, out: str | None) -> None:
-    _check_finite(rows)
     if fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        try:
+            text = _json_text(rows)
+        except ValueError:
+            _check_finite(rows)  # names the non-finite column
+            raise
     else:
+        _check_finite(rows)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(CSV_COLUMNS)

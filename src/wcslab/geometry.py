@@ -42,7 +42,7 @@ def _frozen_array(a, shape=None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiemannTensor:
     """Curvature components R[i,j,k,l] in a fixed orthonormal frame."""
 
@@ -67,7 +67,7 @@ class RiemannTensor:
         return cls(np.zeros((dim,) * 4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexStructure:
     """A 4x4 matrix J with J^2 = -Id acting on frame components."""
 
@@ -102,7 +102,7 @@ STANDARD_J = ComplexStructure(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalFrame:
     """A list of dim coordinate vectors, orthonormal to 1e-12."""
 

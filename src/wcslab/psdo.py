@@ -128,7 +128,7 @@ def _spread(rows: np.ndarray, grid: int) -> np.ndarray:
                       buffer=rows, strides=strides)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ClassicalSymbol:
     """Truncated homogeneous expansion of a matrix-valued symbol: ladder[j],
     shape (2, G, d, d), is the component of degree order - j.

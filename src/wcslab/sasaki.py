@@ -26,7 +26,7 @@ class LiftConsistencyError(RuntimeError):
     """The reconstructed 5d tensor failed a curvature identity."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SasakiLift:
     base: KahlerSurface
     k: int

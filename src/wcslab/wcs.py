@@ -296,12 +296,12 @@ class _CurvatureKey:
 
 @lru_cache(maxsize=256)
 def _sweep_terms(key: _CurvatureKey) -> tuple[float, ...]:
-    """(p1, B, c0, c1, c2, c3) of a curvature surface, once per distinct
-    (curvature, J) per process.  A miss builds and checks the lift
-    polynomial of the surface it was called with; a failed check raises
-    and is not cached."""
+    """(p1, B, c0, c1, c2, c3) of a curvature surface as Python floats,
+    once per distinct (curvature, J) per process.  A miss builds and checks
+    the lift polynomial of the surface it was called with; a failed check
+    raises and is not cached."""
     cubic = _permutation_cubic(lift_parts(key.surface))
-    return (*_closed_form_terms(key.surface.curvature), *cubic)
+    return tuple(map(float, (*_closed_form_terms(key.surface.curvature), *cubic)))
 
 
 def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
@@ -316,6 +316,11 @@ def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
     as `density_closed_form` evaluates it.  A bounds-only surface is
     decided by the prop-3.9 condition, and its verdicts carry no
     densities.
+
+    The level arithmetic runs on Python floats, as the terms are kept.
+    numpy float64 would do the same IEEE operations on the same doubles,
+    so the results are the same bits, at several times the cost of each
+    operation.
     """
     if surface.curvature_known:
         p1, B, c0, c1, c2, c3 = _sweep_terms(_CurvatureKey(surface))

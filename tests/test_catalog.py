@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from wcslab.catalog import (
     product_cp1,
     signature_from_curvature,
 )
-from wcslab.geometry import max_abs_component, symmetry_violation
+from wcslab.geometry import STANDARD_J, ComplexStructure, max_abs_component, symmetry_violation
 
 
 def gauss_curvature_oracle(a: float, r: float = 1e-2) -> float:
@@ -216,3 +218,49 @@ def test_signature_field_consistent():
 
 def test_complex_space_form_scaling():
     assert np.allclose(complex_space_form(8.0).comp, 2.0 * complex_space_form(4.0).comp)
+
+
+# The einsum forms the constructors were first written in: the references
+# that their broadcast forms must equal bit for bit.
+def einsum_space_form(c: float, J=STANDARD_J) -> np.ndarray:
+    d = np.eye(4)
+    Jm = J.matrix
+    return (c / 4.0) * (
+        np.einsum("il,jk->ijkl", d, d)
+        - np.einsum("ik,jl->ijkl", d, d)
+        + np.einsum("li,kj->ijkl", Jm, Jm)
+        - np.einsum("ki,lj->ijkl", Jm, Jm)
+        + 2.0 * np.einsum("ji,kl->ijkl", Jm, Jm)
+    )
+
+
+def einsum_product(a: int, b: int) -> np.ndarray:
+    comp = np.zeros((4, 4, 4, 4))
+    for (lo, hi, kk) in ((0, 2, 1.0 / a), (2, 4, 1.0 / b)):
+        d = np.zeros((4, 4))
+        d[lo:hi, lo:hi] = np.eye(hi - lo)
+        comp += kk * (np.einsum("il,jk->ijkl", d, d) - np.einsum("ik,jl->ijkl", d, d))
+    return comp
+
+
+def conjugate_structures():
+    """STANDARD_J and conjugates Q J Q^T: by a block swap and by two seeded
+    random rotations, whose entries are not 0 or +-1."""
+    swap = np.eye(4)[[2, 3, 0, 1]]
+    rng = np.random.default_rng(7)
+    rotations = [swap] + [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2)]
+    return [STANDARD_J] + [ComplexStructure(Q @ STANDARD_J.matrix @ Q.T) for Q in rotations]
+
+
+@pytest.mark.parametrize("c", [4.0, -4.0, 0.3, 1e300])
+@pytest.mark.parametrize("j", range(4))
+def test_space_form_equals_einsum_form_bit_for_bit(c, j):
+    J = conjugate_structures()[j]
+    assert complex_space_form(c, J).comp.tobytes() == einsum_space_form(c, J).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [*itertools.product(range(1, 9), repeat=2),
+                                  (10**153, 10**153), (1, 10**300), (10**300, 3)])
+def test_product_equals_einsum_form_bit_for_bit(a, b):
+    # 10**153 squared is near the cap of a finite volume (4 pi a)(4 pi b).
+    assert product_cp1(a, b).curvature.comp.tobytes() == einsum_product(a, b).tobytes()

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wcslab import cli, leading, psdo, wcs
-from wcslab.catalog import KahlerSurface
+from wcslab.catalog import (KahlerSurface, cp2_fubini_study, flat_torus, generic_bounds,
+                            product_cp1)
 from wcslab.cli import CSV_COLUMNS, main
 from wcslab.geometry import LEVI_CIVITA, STANDARD_J, RiemannTensor
 
@@ -253,6 +258,76 @@ class TestNonFiniteRows:
         with pytest.raises(ValueError, match=r"sup\['-1'\] = -inf"):
             cli._check_finite([{"sup": {"0": 1.0, "-1": float("-inf")}}])
         cli._check_finite([{"residue": [0.0, 1.0], "k": 10**400, "sup": {"0": 2.0}}])
+
+
+# Text that the flat-row layout must leave alone: quotes, backslashes,
+# newlines, non-ASCII, and the row boundary the layout rewrites.
+TRICKY_TEXT = st.sampled_from(['"', "\\", "\n", "},\n    {", "{}", "é ∞ 🙂", ""]) | st.text()
+SCALARS = (st.none() | st.booleans() | st.integers() | TRICKY_TEXT
+           | st.floats(allow_nan=False, allow_infinity=False)
+           | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+           | st.sampled_from([-0.0, 5e-324, 1e308, -1e308, 10**30]))
+NESTED = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(TRICKY_TEXT, inner, max_size=3), max_leaves=6)
+FLAT_ROWS = st.lists(st.dictionaries(TRICKY_TEXT, SCALARS, max_size=8), max_size=4)
+NESTED_ROWS = st.lists(st.dictionaries(TRICKY_TEXT, NESTED, max_size=4), max_size=3)
+
+
+class TestJsonEmitter:
+    """The JSON text is json.dumps(rows, indent=2, sort_keys=True) and a
+    newline, whichever encoder writes it, and a non-finite value is refused
+    with one line naming it, in either format."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(FLAT_ROWS | NESTED_ROWS)
+    @example([])
+    @example([{}])
+    @example([{"a": 1}, {}, {"b": None}])
+    @example([{"s": "},\n    {", "t": "\"\\\n", "u": "é ∞", "v": -0.0, "w": 5e-324,
+               "x": 1e308, "y": True, "z": None}] * 2)
+    @example([{"params": {"a": 2}, "surface": "cp1xcp1"}, {"residue": [0.0, -0.0]}])
+    def test_text_is_json_dumps(self, rows):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._emit(rows, "json", None)
+        assert out.getvalue() == json.dumps(rows, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("surface", [flat_torus(), cp2_fubini_study(), product_cp1(2, 3),
+                                         generic_bounds(-3, 1.5, 2.0)])
+    def test_sweep_rows_are_flat_python_scalars(self, surface):
+        # So the one-call encoder writes them; a numpy scalar would send
+        # every sweep through json.dumps.
+        rows = [cli._level_row(v) for v in wcs.decide_levels(surface, range(-2, 3))]
+        assert {type(value) for row in rows for value in row.values()} <= cli._SCALARS
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("column", [
+        "schema_version", "density_closed", "density_perm", "route_agreement", "integral",
+        "prop39_lhs", "verdict", "calibration_constant", "provenance",
+    ])
+    def test_non_finite_sweep_column(self, capsys, monkeypatch, fmt, value, column):
+        level_row = cli._level_row
+        monkeypatch.setattr(cli, "_level_row", lambda verdict: {**level_row(verdict), column: value})
+        code, out, err = run(capsys, "decide", "--surface", "t4", "--k-range", "1..2",
+                             "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == f"computation error: non-finite {column} = {value} at surface='t4' k=1\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_prop22_column(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(leading, "relative_error", lambda lhs, rhs: float("nan"))
+        code, out, err = run(capsys, "verify-prop22", "--charge", "1", "--grid", "16",
+                             "--format", fmt)
+        assert (code, out, err) == (3, "", "computation error: non-finite relative_error = nan\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_nested_value(self, capsys, monkeypatch, tmp_path, fmt):
+        path = tmp_path / "sym.txt"
+        path.write_text(SYMBOL_FILE)
+        monkeypatch.setattr(psdo, "wodzicki_residue", lambda symbol: complex(0.0, float("nan")))
+        code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1",
+                             "--format", fmt)
+        assert (code, out, err) == (3, "", "computation error: non-finite residue[1] = nan\n")
 
 
 class TestOutputFormats:

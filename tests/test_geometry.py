@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wcslab import geometry
+from wcslab import geometry, psdo
 from wcslab.catalog import complex_space_form, cp2_fubini_study, product_cp1
 from wcslab.geometry import (
     LEVI_CIVITA,
@@ -421,3 +422,28 @@ def test_permutation_contraction_matches_permutation_loop(case):
 def test_random_3d_tensors_satisfy_symmetries(rng):
     for _ in range(20):
         assert symmetry_violation(random_curvature_3d(rng)) <= 1e-12
+
+
+def _array_holders():
+    """One instance of each frozen dataclass that holds an ndarray."""
+    surface = cp2_fubini_study()
+    return {
+        "RiemannTensor": surface.curvature,
+        "ComplexStructure": surface.J,
+        "OrthonormalFrame": OrthonormalFrame.standard(4),
+        "KahlerSurface": surface,
+        "SasakiLift": lift_curvature(surface, 2),
+        "ClassicalSymbol": psdo.identity_symbol(2, grid=8, depth=2),
+    }
+
+
+@pytest.mark.parametrize("name", ["RiemannTensor", "ComplexStructure", "OrthonormalFrame",
+                                  "KahlerSurface", "SasakiLift", "ClassicalSymbol"])
+def test_array_holders_compare_and_hash_by_identity(name):
+    # A field-wise == would compare arrays and raise, and a field-wise hash
+    # cannot hash an array; these compare and hash as objects.
+    a = _array_holders()[name]
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != copy.copy(a)
+    assert {a} == {a} and a in {a: 1}
