@@ -21,20 +21,19 @@ array.
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
 with d_x by spectral differentiation and d_xi acting degree-wise.  One
-kernel serves compose, parametrix and the commutator trace test: for each
-(p, m) in lexicographic order it multiplies sigma_p by d_x^m of the whole Q
-ladder in one batched matmul and adds the products into output rows p + m
-onward, so every output degree gets its terms in the order p, then m, from
-+0.  The x-derivatives of a ladder take one forward FFT and one inverse FFT
-per m.  Terms that are exactly zero are skipped: those of a vanishing
-component, d_x^m (m >= 1) of a component whose grid rows are all equal bit
-for bit, and those of a zero falling factorial.
-
-The commutator trace test gives the kernel a stack of two ladders, [Q, P]
-on the right and [P, Q] on the left: one stack axis after the place axis,
-the grid still on axis -3, and one order per element, so per-element
-falling factorials and scales.  One build, one derivative table and one
-kernel walk give row j of PQ and of QP.
+kernel, `_add_products`, serves compose, parametrix and the commutator trace
+test, and every product it makes is a stack: ladders with one stack axis
+after the place axis, the grid still on axis -3, and one order per element.
+compose and parametrix pass a stack of one; the commutator trace test
+passes [Q, P] on the right and [P, Q] on the left, so one build, one
+derivative table and one kernel walk give row j of PQ and of QP.  For each
+(p, m) in lexicographic order the kernel multiplies sigma_p by d_x^m of the
+whole right-hand ladder in one batched matmul and adds the products into
+output rows p + m onward, so every output degree gets its terms in the
+order p, then m, from +0.  The x-derivatives of a ladder take one forward
+FFT and one inverse FFT per m.  Terms that are exactly zero are skipped:
+those of a vanishing component, d_x^m (m >= 1) of a component whose grid
+rows are all equal bit for bit, and those of a zero falling factorial.
 """
 
 from __future__ import annotations
@@ -316,9 +315,9 @@ def _wavenumbers(grid: int) -> np.ndarray:
 
 
 def _derivatives(stored: np.ndarray, live: tuple, depth: int) -> list:
-    """table[m] = (d_x^m of places 0 .. depth - 1 - m of the ladder `stored`,
-    live), for a symbol's (depth, 2, G, d, d) ladder or a stack's
-    (depth, S, 2, G, d, d): places on axis 0, grid on axis -3.  `live` is
+    """table[m] = (d_x^m of places 0 .. depth - 1 - m of the stack `stored`,
+    live), for a (depth, S, 2, G, d, d) stack of S ladders: places on axis
+    0, grid on axis -3.  `live` is
     (nonzero, varying), the places that hold a nonzero value and those whose
     grid rows differ (ClassicalSymbol._live), and the live list of table[m]
     holds the places whose terms are not exactly zero: the nonzero ones for
@@ -343,49 +342,49 @@ def _derivatives(stored: np.ndarray, live: tuple, depth: int) -> list:
 
 
 @lru_cache(maxsize=1024)
-def _scale(m: int, fall: float) -> np.ndarray:
-    """((-i)^m / m!) times the falling factorial `fall` and the sign of d_xi^m
-    at xi = +1 and xi = -1, (1, 2, 1, 1, 1): it broadcasts over (2, G, d, d),
-    and the scales of a stack's elements join along its first axis
-    (read-only)."""
-    scale = ((-1j) ** m / factorial(m) * fall * np.array([1.0, (-1.0) ** m]))[None, :, None, None, None]
-    scale.setflags(write=False)
-    return scale
+def _scales(orders: tuple, p: int, count: int) -> tuple:
+    """For m < count, ((-i)^m / m!) times the falling factorial of the degree
+    order - p and the sign of d_xi^m at xi = +-1, one per (numerator,
+    denominator) pair in `orders`: (S, 2, 1, 1, 1), read-only.  It stops at
+    the first m where every falling factorial is zero (each degree is an
+    integer in [0, m)): every later m vanishes too."""
+    falls = [1.0] * len(orders)
+    scales = []
+    for m in range(count):
+        if m:
+            # float(order - p - (m - 1)) for each factor, as exact integer arithmetic
+            falls = [f * ((num - p * den - (m - 1) * den) / den)
+                     for f, (num, den) in zip(falls, orders)]
+        if not any(falls):
+            break
+        sign = np.array([1.0, (-1.0) ** m])
+        scale = np.stack([(-1j) ** m / factorial(m) * f * sign for f in falls])[:, :, None, None, None]
+        scale.setflags(write=False)
+        scales.append(scale)
+    return tuple(scales)
 
 
-def _add_products(acc: np.ndarray, lo: int, order: Fraction | list, left: np.ndarray,
+def _add_products(acc: np.ndarray, lo: int, orders: tuple, left: np.ndarray,
                   first: int, dQ: list) -> None:
-    """The product kernel.  Adds to acc[j - lo], for lo <= j < lo + len(acc),
-    the terms ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q with p + m + q = j,
-    for sigma_p = left[p - first], components first, first + 1, ... of a
-    ladder of order `order`, and d_x^m sigma_q from the table of
-    `_derivatives`.  d_xi^m carries (-1)^m at xi = -1 and the falling
-    factorial of the degree order - p.  For each (p, m) in lexicographic
-    order the live q of every row in range are one batched matmul.  Terms
-    that are exactly zero are skipped: those of a vanishing sigma_p, of a
-    place that is not live, and of a zero falling factorial.
-
-    For a stack, acc, left and the table have a stack axis after the place
-    axis, element e of left multiplies element e of the table, and `order`
-    is a sequence of ints, one per element.  Each element gets its own
-    falling factorial and scale.  A (p, m) multiplies every element, and one
-    whose falling factorial is zero adds only zeros: its nonzero values stay
-    as they are."""
-    stacked = not isinstance(order, Fraction)
-    num, den = (np.asarray(order), 1) if stacked else (order.numerator, order.denominator)
+    """The product kernel.  Adds to acc[j - lo], lo <= j < lo + len(acc), the
+    terms ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q with p + m + q = j, for
+    sigma_p = left[p - first] (places first, first + 1, ...) and d_x^m
+    sigma_q from the table of `_derivatives`.  acc, left and the table are
+    stacks, with a stack axis after the place axis: element e of left, of
+    order orders[e] as a (numerator, denominator) pair, multiplies element e
+    of the table, with the scales of `_scales`.  For each (p, m) in
+    lexicographic order the live q of every row in range are one batched
+    matmul.  Exactly zero terms are skipped: those of a vanishing sigma_p,
+    of a place that is not live, and of an m where every falling factorial
+    is zero; an element whose own one is zero adds zeros, which leave its
+    nonzero values as they are."""
     rows = len(acc)
     nonzero = left.any(axis=tuple(range(1, left.ndim))).tolist()
     for p, sigma in enumerate(left, start=first):
         if not nonzero[p - first]:
             continue
-        # float(order - p - t) for each factor, as exact integer arithmetic
-        degree = num - p * den  # times den
-        fall = np.ones(len(degree)) if stacked else 1.0
-        for m, (dq, live) in enumerate(dQ):
-            if m:
-                fall *= (degree - (m - 1) * den) / den
-            if not (fall.any() if stacked else fall):
-                break  # each degree is an integer in [0, m): every later m vanishes too
+        for m, scale in enumerate(_scales(orders, p, len(dQ))):
+            dq, live = dQ[m]
             shift = p + m - lo  # output row of q = 0
             q = [q for q in live if -shift <= q < rows - shift]
             if not q:
@@ -395,21 +394,7 @@ def _add_products(acc: np.ndarray, lo: int, order: Fraction | list, left: np.nda
                 out = slice(q.start + shift, q.stop + shift)
             else:
                 out = [i + shift for i in q]
-            if stacked:
-                scale = np.concatenate([_scale(m, f) for f in fall.tolist()])
-            else:
-                scale = _scale(m, fall)
             acc[out] += scale * np.matmul(sigma, dq[q])
-
-
-def _product(P: ClassicalSymbol, Q: ClassicalSymbol, lo: int, hi: int) -> np.ndarray:
-    """Components lo .. hi - 1 of the asymptotic product PQ, one array: one
-    grid row when both ladders are, (hi - lo, 2, G, d, d) otherwise."""
-    dQ = _derivatives(Q.stored, Q._live, hi)
-    grid = max(P.stored.shape[2], dQ[0][0].shape[2])
-    acc = np.zeros((hi - lo, 2, grid) + (P.fiber_dim,) * 2, dtype=complex)
-    _add_products(acc, lo, P.order, P.stored[:hi], 0, dQ)
-    return acc
 
 
 def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) -> ClassicalSymbol:
@@ -430,7 +415,12 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) ->
             f"requested depth {depth} exceeds available {available} "
             f"(deficit {depth - available})"
         )
-    return ClassicalSymbol._of(P.order + Q.order, _product(P, Q, 0, depth), P.grid)
+    dQ = _derivatives(Q.stored[:, None], Q._live, depth)  # a stack of one
+    grid = max(P.stored.shape[2], dQ[0][0].shape[-3])  # one row when both ladders are
+    acc = np.zeros((depth, 2, grid) + (P.fiber_dim,) * 2, dtype=complex)
+    orders = ((P.order.numerator, P.order.denominator),)
+    _add_products(acc[:, None], 0, orders, P.stored[:depth, None], 0, dQ)
+    return ClassicalSymbol._of(P.order + Q.order, acc, P.grid)
 
 
 def wodzicki_residue(P: ClassicalSymbol) -> complex:
@@ -474,19 +464,20 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
             f"requested depth {depth} exceeds available {A.depth} "
             f"(deficit {depth - A.depth})"
         )
-    dA = _derivatives(A.stored, A._live, depth)
+    dA = _derivatives(A.stored[:, None], A._live, depth)  # a stack of one
     inverses = []
-    for side, values in zip(("+1", "-1"), dA[0][0][0]):  # a_0, as the kernel reads it
+    for side, values in zip(("+1", "-1"), dA[0][0][0, 0]):  # a_0, as the kernel reads it
         try:
             inverses.append(np.linalg.inv(values))
         except np.linalg.LinAlgError:
             raise SymbolError(f"leading component is singular at xi = {side}") from None
     a0inv = np.stack(inverses)
     order = -A.order
+    orders = ((order.numerator, order.denominator),)
     b = np.zeros((depth,) + a0inv.shape, dtype=complex)  # the other terms, then b_j
     b[0] = a0inv
     for j in range(1, depth):
-        _add_products(b[j:], j, order, b[j - 1: j], j - 1, dA)  # the terms of b_{j-1}
+        _add_products(b[j:, None], j, orders, b[j - 1: j, None], j - 1, dA)  # the terms of b_{j-1}
         b[j] = -np.matmul(b[j], a0inv)
     return ClassicalSymbol._of(order, b, A.grid)
 
@@ -637,7 +628,8 @@ def _commutator_residue(op: int, oq: int, p_draws: np.ndarray, q_draws: np.ndarr
     ladders = _band_limited_ladders(rows, grid)  # (j + 1, 2, 2, G, d, d)
     acc = np.zeros((1,) + ladders.shape[1:], dtype=complex)
     every = list(range(j + 1))  # random and band-limited: every place is nonzero and varies
-    _add_products(acc, j, [op, oq], ladders[:, ::-1], 0, _derivatives(ladders, (every, every), j + 1))
+    _add_products(acc, j, ((op, 1), (oq, 1)), ladders[:, ::-1], 0,
+                  _derivatives(ladders, (every, every), j + 1))
     return abs(_residue(acc[0, 0] - acc[0, 1]))
 
 

@@ -31,7 +31,11 @@ class SasakiLift:
     base: KahlerSurface
     k: int
     curvature5: RiemannTensor
-    fiber_length: float = FIBER_LENGTH
+
+    @property
+    def fiber_length(self) -> float:
+        """FIBER_LENGTH, the one fiber length every level uses."""
+        return FIBER_LENGTH
 
     @property
     def total_volume(self) -> float:

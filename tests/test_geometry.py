@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -379,24 +379,43 @@ def _signed_sum(dim, term):
     return sum(terms), sum(abs(t) for t in terms)
 
 
+def _rounding_floor(dim):
+    """An absolute floor for the agreement bounds: four subnormal steps
+    (2^-1074) per summed term.  On subnormal input the relative bound can
+    underflow to 0 while the two sums still differ by a step; on
+    normal-range input the floor is too small to change the bound."""
+    return 4 * math.factorial(dim) * 2.0**-1074
+
+
 def _tensors(dim):
     return arrays(np.float64, (dim,) * 4, elements=st.floats(-4.0, 4.0))
 
 
+def _subnormal_tensor(dim, at):
+    """Every entry the smallest subnormal, 5e-324, but a 2.0 at `at`."""
+    comp = np.full((dim,) * 4, 2.0**-1074)
+    comp[at] = 2.0
+    return comp
+
+
 @settings(max_examples=25, deadline=None)
 @given(_tensors(4))
+@example(_subnormal_tensor(4, (0, 1, 0, 0)))
 def test_pontrjagin_contraction_matches_permutation_loop(comp):
     E = np.transpose(comp, (0, 1, 3, 2))
     total, scale = _signed_sum(4, lambda s: np.trace(E[s[0], s[1]] @ E[s[2], s[3]]))
     norm = -1.0 / (4.0 * 8.0 * np.pi**2)
     assert abs(pontrjagin_density(RiemannTensor(comp)) - norm * total) <= (
-        1e-12 * abs(norm) * scale
+        1e-12 * abs(norm) * scale + _rounding_floor(4)
     )
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([3, 5]).flatmap(
     lambda d: st.tuples(_tensors(d), st.integers(0, 2**32 - 1))))
+# The two sums differ by one subnormal step, 5e-324, where the relative
+# bound alone is 0.
+@example((_subnormal_tensor(3, (0, 1, 0, 0)), 0))
 def test_permutation_contraction_matches_permutation_loop(case):
     comp, seed = case
     dim = comp.shape[0]
@@ -416,7 +435,7 @@ def test_permutation_contraction_matches_permutation_loop(case):
     fiber_length = 2.0
     norm = 4.0 / math.factorial(dim) * fiber_length
     value = permutation_density_raw(RiemannTensor(comp), OrthonormalFrame(vecs), gdot, fiber_length)
-    assert abs(value - norm * total) <= 1e-12 * norm * scale
+    assert abs(value - norm * total) <= 1e-12 * norm * scale + _rounding_floor(dim)
 
 
 def test_random_3d_tensors_satisfy_symmetries(rng):

@@ -82,35 +82,6 @@ def parametrix_constant_oracle(Gamma, depth):
     return {(-2 - j): (b[(-2 - j, 1.0)], b[(-2 - j, -1.0)]) for j in range(depth)}
 
 
-def compose_loop_reference(P, Q, depth):
-    """The asymptotic product term by term: one spectral x-derivative per
-    (p, m, q) and each cosphere point separately."""
-    freqs = np.fft.fftfreq(P.grid, d=1.0 / P.grid)
-
-    def dx(values, m):
-        if m == 0:
-            return values
-        hat = np.fft.fft(values, axis=0)
-        return np.fft.ifft(hat * ((1j * freqs) ** m)[:, None, None], axis=0)
-
-    comps = []
-    for j in range(depth):
-        acc_p = np.zeros(P.ladder.shape[2:], dtype=complex)
-        acc_m = np.zeros(P.ladder.shape[2:], dtype=complex)
-        for p in range(j + 1):
-            cp_plus, cp_minus = P.ladder[p]
-            for m in range(j - p + 1):
-                cq_plus, cq_minus = Q.ladder[j - p - m]
-                fall = 1.0
-                for t in range(m):
-                    fall *= float(P.order - p - t)
-                coeff = (-1j) ** m / factorial(m)
-                acc_p += coeff * fall * np.matmul(cp_plus, dx(cq_plus, m))
-                acc_m += coeff * fall * (-1.0) ** m * np.matmul(cp_minus, dx(cq_minus, m))
-        comps.append((acc_p, acc_m))
-    return comps
-
-
 def random_symbol_reference(rng, order, depth, dim=2, grid=psdo.DEFAULT_GRID, modes=3):
     """random_symbol as it drew before the batched draw: one matrix at a time."""
     x = 2.0 * np.pi * np.arange(grid) / grid
@@ -167,11 +138,11 @@ def derivatives_reference(stored, live, depth):
     return table
 
 
-def add_products_reference(acc, lo, order, left, first, dQ):
+def add_products_reference(acc, lo, orders, left, first, dQ):
     """The product kernel term by term: every (p, m, q) with p + m + q in
-    range is multiplied and added on its own, exactly-zero terms included.
-    For a stack (`order` one int per element) each element's scale is made
-    on its own."""
+    range is multiplied and added on its own, exactly-zero terms included,
+    and each stack element's scale is made on its own from its order, a
+    (numerator, denominator) pair."""
 
     def falling(a, m):
         out = 1.0
@@ -179,16 +150,14 @@ def add_products_reference(acc, lo, order, left, first, dQ):
             out *= float(a - t)
         return out
 
-    orders = [order] if isinstance(order, Fraction) else list(order)
     for p, sigma in enumerate(left, start=first):
         for m, (dq, _) in enumerate(dQ):
             for q, dx in enumerate(dq):
                 if lo <= p + m + q < lo + len(acc):
                     coeff = (-1j) ** m / factorial(m)
-                    scale = np.array([coeff * falling(o - p, m) * np.array([1.0, (-1.0) ** m])
+                    scale = np.array([coeff * falling(Fraction(*o) - p, m) * np.array([1.0, (-1.0) ** m])
                                       for o in orders])
-                    scale = scale.reshape(acc.shape[1:-3] + (1, 1, 1))
-                    acc[p + m + q - lo] += scale * np.matmul(sigma, dx)
+                    acc[p + m + q - lo] += scale[:, :, None, None, None] * np.matmul(sigma, dx)
 
 
 @pytest.fixture
@@ -226,10 +195,11 @@ def assert_same_symbol(a, b):
     assert np.array_equal(a.ladder, b.ladder)
 
 
-def mixed_ladder(sym, kinds):
+def mixed_ladder(sym, kinds, order=None):
     """sym with component j kept as drawn (kinds[j] == "b", banded in x),
-    made constant in x by repeating its row 0 ("c"), or zeroed ("0").  The
-    result is stored as one grid row when no component is banded."""
+    made constant in x by repeating its row 0 ("c"), or zeroed ("0"), and
+    with the given order (sym's by default).  The result is stored as one
+    grid row when no component is banded."""
     ladder = sym.ladder.copy()
     for place, kind in zip(ladder, kinds, strict=True):
         if kind == "c":
@@ -238,12 +208,12 @@ def mixed_ladder(sym, kinds):
             place[...] = 0.0
     if "b" not in kinds:
         ladder = np.broadcast_to(ladder[:, :, :1], ladder.shape)
-    return ClassicalSymbol.from_ladder(sym.order, ladder)
+    return ClassicalSymbol.from_ladder(sym.order if order is None else order, ladder)
 
 
 #: Ladders of constant (c), banded (b) and zero (0) components; the kernel
 #: keeps one grid row for "c" and skips "0".
-LADDERS = ["cccccc", "bbbbbb", "cbcbcb", "bcbcbc", "c0b0cb", "bc0cc0", "cbb000"]
+LADDERS = ["cccccc", "bbbbbb", "cbcbcb", "bcbcbc", "c0b0cb", "bc0cc0", "cbb000", "000000"]
 
 
 def elliptic_order_one(rng, depth, dim, grid=GRID):
@@ -310,12 +280,10 @@ class TestCompose:
         assert np.max(np.abs(out.ladder - ora.ladder)) <= 1e-12
 
     @pytest.mark.parametrize("dim, depth", [(1, 1), (2, 4), (3, 6)])
-    def test_matches_term_by_term_loop_exactly(self, rng, dim, depth):
+    def test_truncated_products_match_reference_kernel(self, rng, reference_kernel, dim, depth):
         P = random_symbol(rng, 1, depth, dim=dim, grid=GRID)
         Q = random_symbol(rng, -2, depth + 1, dim=dim, grid=GRID)
-        out = compose(P, Q, depth)
-        for (plus, minus), (ref_p, ref_m) in zip(out.ladder, compose_loop_reference(P, Q, depth)):
-            assert np.array_equal(plus, ref_p) and np.array_equal(minus, ref_m)
+        assert_same_symbol(*reference_kernel(lambda: compose(P, Q, depth)))
 
     @pytest.mark.parametrize("variable", [False, True])
     def test_padded_products_match_reference_kernel(self, rng, reference_kernel, variable):
@@ -331,10 +299,15 @@ class TestCompose:
 
     @pytest.mark.parametrize("kinds_p", LADDERS)
     @pytest.mark.parametrize("kinds_q", ["cccccc", "bcbcbc", "c0b0cb"])
-    def test_mixed_ladders_match_reference_kernel(self, rng, reference_kernel, kinds_p, kinds_q):
+    @pytest.mark.parametrize("op, oq", [(1, -2), ("1/2", "-1/3"), ("5/2", -2)])
+    def test_mixed_ladders_match_reference_kernel(self, rng, reference_kernel, kinds_p, kinds_q,
+                                                  op, oq):
+        # A rational order has no vanishing falling factorial: every m adds.
         for dim, modes in ((1, 1), (3, 2)):
-            P = mixed_ladder(random_symbol(rng, 1, 6, dim=dim, grid=GRID, modes=modes), kinds_p)
-            Q = mixed_ladder(random_symbol(rng, -2, 6, dim=dim, grid=GRID, modes=modes), kinds_q)
+            P = mixed_ladder(random_symbol(rng, 0, 6, dim=dim, grid=GRID, modes=modes), kinds_p,
+                             Fraction(op))
+            Q = mixed_ladder(random_symbol(rng, 0, 6, dim=dim, grid=GRID, modes=modes), kinds_q,
+                             Fraction(oq))
             # pad_zeros padding below a truncated ladder of either kind
             P4 = ClassicalSymbol.from_ladder(P.order, P.ladder[:4]).pad_zeros(6)
             for left, right in ((P, Q), (Q, P), (P4, Q), (Q, P4), (P, P)):
@@ -491,22 +464,39 @@ class TestParametrix:
         with pytest.raises(SymbolError):
             resolvent_parametrix(None, depth=1, dim=1)
 
-    def test_laplacian_and_resolvent_match_reference_kernel(self, reference_kernel):
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("variable", [False, True])
+    def test_laplacian_and_resolvent_match_reference_kernel(self, reference_kernel, dim, variable):
+        # A constant Gamma takes the one-row path, a variable one the grid.
+        rng = np.random.default_rng(dim)
         x = 2.0 * np.pi * np.arange(GRID) / GRID
-        for dim in (1, 2, 3):
-            gamma = (rng.standard_normal((dim, dim))
-                     + np.cos(x)[:, None, None] * rng.standard_normal((dim, dim)))
+        gamma = rng.standard_normal((dim, dim)) + 0j
+        if variable:
+            gamma = gamma + np.cos(x)[:, None, None] * rng.standard_normal((dim, dim))
+        assert_same_symbol(*reference_kernel(
+            lambda: laplacian_plus_one_symbol(gamma, grid=GRID, depth=7)))
+        for depth in (2, 3, 5, 6):
             assert_same_symbol(*reference_kernel(
-                lambda: laplacian_plus_one_symbol(gamma, grid=GRID, depth=7)))
-            assert_same_symbol(*reference_kernel(
-                lambda: resolvent_parametrix(gamma, depth=5, dim=dim, grid=GRID)))
+                lambda: resolvent_parametrix(gamma, depth=depth, dim=dim, grid=GRID)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_psdo_defect_matches_reference_kernel(self, reference_kernel, dim):
+        # The defect that `wcslab psdo` reports: compose(B, A) - 1 with
+        # B = parametrix(A), A the symbol of 1 + D*D for Gamma = 0.
+        def defect():
+            A = laplacian_plus_one_symbol(np.zeros((dim, dim)), depth=depth)
+            return compose(parametrix(A, depth), A, depth) - identity_symbol(dim, depth=depth)
+
+        for depth in (4, 6, 9):
+            assert_same_symbol(*reference_kernel(defect))
 
     @pytest.mark.parametrize("kinds", ["ccccc", "cbcbc", "cc0bb", "bcb0c", "b0000"])
-    def test_mixed_ladders_match_reference_kernel(self, reference_kernel, kinds):
+    @pytest.mark.parametrize("order", [1, "1/2"])
+    def test_mixed_ladders_match_reference_kernel(self, reference_kernel, kinds, order):
+        # The leading part i I plus small noise is invertible at any order.
         rng = np.random.default_rng(17)
         for dim in (1, 2, 3):
-            A = mixed_ladder(elliptic_order_one(rng, 5, dim), kinds)
+            A = mixed_ladder(elliptic_order_one(rng, 5, dim), kinds, Fraction(order))
             new, old = reference_kernel(lambda: parametrix(A, 5))
             assert_same_symbol(new, old)
             assert np.array_equal(new.ladder[0, 0], np.linalg.inv(A.ladder[0, 0]))
@@ -598,6 +588,12 @@ class TestCommutatorTrace:
         assert stacks and max(places for places, _ in stacks) <= 4  # components 0..j
         assert all(ladders == 2 for _, ladders in stacks)  # [Q, P] of one trial
         assert ("symbol", 6, 2) in built  # the reference's whole symbols
+
+    @pytest.mark.parametrize("depth", [4, 6, 9])
+    def test_matches_reference_kernel(self, reference_kernel, depth):
+        new, old = reference_kernel(lambda: [commutator_trace_test(seed, 3, depth)
+                                             for seed in range(12)])
+        assert new == old
 
     @pytest.mark.parametrize("depth", [4, 5, 6, 9, 32])
     def test_matches_full_build_exactly(self, depth):
@@ -1069,12 +1065,19 @@ class TestConnectionDifferenceAudit:
             assert name == ref_name and a.leading_degree() is None
             assert_same_symbol(a, b)
 
-    @pytest.mark.parametrize("base", [cp2_fubini_study(), product_cp1(2, 3)], ids=["cp2", "cp1xcp1"])
-    @pytest.mark.parametrize("k", [1, 2, -3])
-    def test_symbol_matches_reference_kernel(self, reference_kernel, base, k):
-        lift = lift_curvature(base, k)
-        assert_same_symbol(*reference_kernel(
-            lambda: connection_difference_symbol(lift, depth=6, grid=GRID)))
+    @pytest.mark.parametrize("base", [flat_torus(), cp2_fubini_study(), product_cp1(1, 4),
+                                      product_cp1(2, 3), product_cp1(3, 5), product_cp1(6, 1)],
+                             ids=lambda s: f"{s.name}{s.params}")
+    @pytest.mark.parametrize("grid, depth", [(32, 6), (64, 4), (16, 8), (32, 2)])
+    def test_terms_and_symbol_match_reference_kernel(self, reference_kernel, base, grid, depth):
+        for k in (1, 2, 3, 7, -3):
+            lift = lift_curvature(base, k)
+            new, old = reference_kernel(lambda: (connection_difference_terms(lift, depth, grid),
+                                                 connection_difference_symbol(lift, depth, grid)))
+            for (name, a), (ref_name, b) in zip(new[0], old[0], strict=True):
+                assert name == ref_name and one_row_ladder(a)  # constant in x: one grid row
+                assert_same_bits(a, b)
+            assert_same_bits(new[1], old[1])
 
     @pytest.mark.parametrize(
         "base,k",

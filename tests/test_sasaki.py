@@ -15,6 +15,7 @@ from wcslab.geometry import LEVI_CIVITA, STANDARD_J, RiemannTensor, symmetry_vio
 from wcslab.sasaki import (
     FIBER_LENGTH,
     LiftConsistencyError,
+    SasakiLift,
     lift_curvature,
     lift_parts,
     total_volume,
@@ -173,6 +174,15 @@ class TestTotalVolume:
         lift = lift_curvature(flat_torus(), 3)
         assert total_volume(lift) == pytest.approx(2.0 * np.pi)
         assert lift.fiber_length == FIBER_LENGTH == pytest.approx(2.0 * np.pi)
+
+    def test_fiber_length_is_not_a_setting(self):
+        # Every route reads FIBER_LENGTH; a lift cannot be given another.
+        lift = lift_curvature(flat_torus(), 3)
+        with pytest.raises(AttributeError):
+            lift.fiber_length = 1.0
+        with pytest.raises(TypeError):
+            SasakiLift(base=lift.base, k=3, curvature5=lift.curvature5, fiber_length=1.0)
+        assert lift.fiber_length is FIBER_LENGTH
 
     def test_product(self):
         lift = lift_curvature(product_cp1(1, 1), 1)
