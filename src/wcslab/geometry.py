@@ -220,13 +220,15 @@ def pontrjagin_density(R: RiemannTensor, frame: OrthonormalFrame | None = None) 
 
 
 def _max_abs_per_frame(rotated: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(rotated), axis=(1, 2, 3, 4))
+    return np.abs(rotated.reshape(len(rotated), -1)).max(axis=1)
 
 
 @cache
 def _givens_stack(dim: int, step: float) -> np.ndarray:
     """The rotations by +step and -step in every coordinate plane (i, j),
-    planes in lexicographic order, +step first: shape (2 C(dim, 2), dim, dim).
+    planes in lexicographic order, +step first, and then the same rotations
+    again: shape (4 C(dim, 2), dim, dim).  Listed twice so that every cyclic
+    run of one sweep's length is the slice stack[pos:pos + 2 C(dim, 2)].
 
     Read-only and built once per (dim, step): every search halves its step
     through the same floats 0.2 * 2**-n, at most 38 of them."""
@@ -238,6 +240,7 @@ def _givens_stack(dim: int, step: float) -> np.ndarray:
         stack[m, j, j] = c
         stack[m, i, j] = -s
         stack[m, j, i] = s
+    stack = np.concatenate([stack, stack])
     stack.setflags(write=False)
     return stack
 
@@ -246,32 +249,41 @@ def _refine_frame(comp: np.ndarray, basis: np.ndarray, steps: int = 200) -> floa
     """Coordinate descent over plane rotations, step halving on stall.
 
     A sweep tries every rotation of the Givens stack in turn and moves to the
-    first candidate that improves on the best value.  All candidates of a
-    sweep are rotated in one call; after a move, only the candidates after
-    the accepted one are re-evaluated, from the new basis.
+    first candidate that improves on the best value; a sweep without a move
+    halves the step, and at most `steps` sweeps run.  Each call rotates one
+    sweep's length of candidates from the current basis, in cyclic order
+    from the position after the last move, so no candidate is rotated twice
+    from the same basis: a hit past the end of the stack is a move in the
+    next sweep, and no hit means that sweep fails.
     """
     dim = basis.shape[0]
+    size = dim * (dim - 1)
     best = float(_max_abs_per_frame(_rotate_tensor(comp, basis[None]))[0])
     step = 0.2
     givens = _givens_stack(dim, step)
-    for _ in range(steps):
-        pending = givens
-        improved = False
-        while len(pending):
-            cands = pending @ basis
-            vals = _max_abs_per_frame(_rotate_tensor(comp, cands))
-            hits = np.flatnonzero(vals > best + 1e-15)
-            if not hits.size:
-                break
-            m = hits[0]
-            best, basis, improved = float(vals[m]), cands[m], True
-            pending = pending[m + 1:]
-        if not improved:
+    # The next candidate is at `pos` of sweep `sweep`; pos == size stands
+    # for position 0 of the sweep after, reached by a move at the last one.
+    sweep, pos = 0, 0
+    while True:
+        cands = givens[pos:pos + size] @ basis
+        vals = _max_abs_per_frame(_rotate_tensor(comp, cands))
+        hits = vals > best + 1e-15
+        h = int(np.argmax(hits))
+        if hits[h]:
+            sweep += (pos + h) // size
+            if sweep >= steps:
+                return best
+            best, basis = float(vals[h]), cands[h]
+            pos = (pos + h) % size + 1
+        else:
+            # The sweep of `pos` ends; if pos > 0 it moved, and this call
+            # also covered the whole next sweep, which fails.
+            sweep += (pos > 0) + 1
             step *= 0.5
-            if step < 1e-12:
-                break
+            if sweep >= steps or step < 1e-12:
+                return best
             givens = _givens_stack(dim, step)
-    return best
+            pos = 0
 
 
 def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> float:
@@ -284,10 +296,12 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
 
     Deterministic for a fixed seed and monotone nondecreasing in `samples`:
     local refinement is rerun from every prefix-improving sample.  Raises
-    ValueError on a non-finite component, which no frame search can bound.
+    ValueError on a non-finite component, which no frame search can bound,
+    and on a `seed` that is not an int >= 0 or `samples` not an int >= 1.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be an int >= 1, got {samples!r}")
+    for name, value, low in (("samples", samples, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
     comp = R.comp
     if not np.all(np.isfinite(comp)):
         raise ValueError("curvature components must be finite")

@@ -144,7 +144,6 @@ def permutation_density_raw(
     R: RiemannTensor,
     frame: OrthonormalFrame,
     loop_speed: np.ndarray,
-    fiber_length: float,
 ) -> float:
     """Signed permutation sum over curvature endomorphisms, uncalibrated.
 
@@ -152,11 +151,11 @@ def permutation_density_raw(
 
         (4/(2k-1)!) sum_sigma sgn(sigma)
             tr[ A(X_s1) B(X_s2, X_s3) ... B(X_s(2k-2), X_s(2k-1)) ]
-        * fiber_length
+        * FIBER_LENGTH
 
     where A(X): Y -> R(X,Y) gamma_dot and B(X,Y): Z -> R(X,Y)Z.  The
     integrand is frame-constant along the loop, so the circle integral is
-    the pointwise value times fiber_length.
+    the pointwise value times FIBER_LENGTH.
     """
     dim = R.dim
     if dim not in (3, 5):
@@ -168,7 +167,7 @@ def permutation_density_raw(
         raise ValueError("loop speed dimension mismatch")
 
     total = _permutation_sums(R.comp[None], frame.vectors, gdot).item()
-    return (4.0 / factorial(dim)) * total * fiber_length
+    return (4.0 / factorial(dim)) * total * FIBER_LENGTH
 
 
 def calibration_constant() -> float:
@@ -198,7 +197,7 @@ def density_permutation(
     gdot = np.eye(5)[0] if loop_speed is None else np.asarray(loop_speed, dtype=float)
     if abs(np.linalg.norm(gdot) - 1.0) > 1e-12:
         raise ValueError("loop_speed must be a unit vector")
-    raw = permutation_density_raw(lift.curvature5, frame, gdot, lift.fiber_length)
+    raw = permutation_density_raw(lift.curvature5, frame, gdot)
     return calibration_constant() * raw
 
 
@@ -247,7 +246,7 @@ def iterate_value(lift: SasakiLift, n: int) -> float:
         raise ValueError("n must be a positive integer")
     frame = OrthonormalFrame.standard(5)
     gdot = float(n) * np.eye(5)[0]
-    raw = permutation_density_raw(lift.curvature5, frame, gdot, lift.fiber_length)
+    raw = permutation_density_raw(lift.curvature5, frame, gdot)
     return calibration_constant() * raw
 
 

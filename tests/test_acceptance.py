@@ -108,7 +108,7 @@ def test_05_cs3_pointwise_vanishing():
     for _ in range(100):
         R3 = random_curvature_3d(rng)
         gdot = random_rotation(rng, 3)[0]
-        worst = max(worst, abs(permutation_density_raw(R3, frame, gdot, 2.0 * np.pi)))
+        worst = max(worst, abs(permutation_density_raw(R3, frame, gdot)))
     report(5, worst <= 1e-12, f"3d density vanishes pointwise, worst {worst:.3e}")
 
 

@@ -24,7 +24,7 @@ from wcslab.geometry import (
     symmetry_violation,
     validate_symmetries,
 )
-from wcslab.sasaki import lift_curvature
+from wcslab.sasaki import FIBER_LENGTH, lift_curvature
 from wcslab.catalog import flat_torus
 from wcslab.wcs import permutation_density_raw
 
@@ -173,6 +173,17 @@ class TestMaxAbsComponent:
         R = cp2_fubini_study().curvature
         assert max_abs_component(R, samples=np.int64(2)) == max_abs_component(R, samples=2)
 
+    # None would draw OS entropy and True would run as seed 1: neither is
+    # the fixed seed that makes the value reproducible.
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "3", -1])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int >= 0"):
+            max_abs_component(RiemannTensor.zero(4), seed=seed, samples=1)
+
+    def test_numpy_integer_seed_accepted(self):
+        R = cp2_fubini_study().curvature
+        assert max_abs_component(R, seed=np.int64(3), samples=2) == max_abs_component(R, seed=3, samples=2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_component_rejected(self, bad):
         comp = np.array(cp2_fubini_study().curvature.comp)
@@ -304,15 +315,27 @@ class TestStackedSearch:
         geometry._refine_frame(np.zeros((4,) * 4), np.eye(4), steps=3)
         assert calls == [1, 12, 12, 12]  # the start frame, then one call per sweep
 
-    def test_accepted_candidate_reevaluates_only_the_rest(self, monkeypatch):
+    @pytest.mark.parametrize("steps", [1, 200])
+    def test_every_call_rotates_one_sweep_length(self, monkeypatch, steps):
         calls = self.count_rotations(monkeypatch)
         R = cp2_fubini_study().curvature
         Q, _r = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
-        geometry._refine_frame(R.comp, Q, steps=1)
-        # One sweep: the full stack, then each re-evaluation is a strict
-        # suffix of the one before it.
-        assert calls[:2] == [1, 12]
-        assert all(0 < b < a for a, b in zip(calls[1:], calls[2:]))
+        geometry._refine_frame(R.comp, Q, steps=steps)
+        # The start frame, then each call rotates 2 C(4, 2) candidates from
+        # the current basis, in cyclic order after the last move, whether
+        # it moves, starts the next sweep or ends a sweep without a move.
+        assert calls[0] == 1 and len(calls) > 2
+        assert calls[1:] == [12] * (len(calls) - 1)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 8, 41, 200])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_refine_equals_per_candidate_descent(self, seed, steps):
+        """The cyclic calls and the sweep count they keep accept the same
+        moves, and stop after the same sweep, as the reference descent."""
+        _, R = search_case(seed)
+        Q, _r = np.linalg.qr(np.random.default_rng(seed).standard_normal((R.dim, R.dim)))
+        want = reference_refine(R.comp, Q, stacked_rotation_of_one, steps)
+        assert geometry._refine_frame(R.comp, Q, steps) == want
 
 
 class TestGivensCache:
@@ -325,7 +348,8 @@ class TestGivensCache:
             assert geometry._givens_stack(dim, step) is stack
             want = [_plane_rotation(dim, i, j, sgn * step)
                     for i, j in itertools.combinations(range(dim), 2) for sgn in (1.0, -1.0)]
-            assert np.array_equal(stack, np.array(want))
+            # Listed twice: each cyclic run of one sweep is a slice.
+            assert np.array_equal(stack, np.array(want + want))
             step *= 0.5
 
     @pytest.mark.parametrize("seed", range(12))
@@ -432,9 +456,8 @@ def test_permutation_contraction_matches_permutation_loop(case):
         return np.trace(prod)
 
     total, scale = _signed_sum(dim, term)
-    fiber_length = 2.0
-    norm = 4.0 / math.factorial(dim) * fiber_length
-    value = permutation_density_raw(RiemannTensor(comp), OrthonormalFrame(vecs), gdot, fiber_length)
+    norm = 4.0 / math.factorial(dim) * FIBER_LENGTH
+    value = permutation_density_raw(RiemannTensor(comp), OrthonormalFrame(vecs), gdot)
     assert abs(value - norm * total) <= 1e-12 * norm * scale + _rounding_floor(dim)
 
 

@@ -99,7 +99,7 @@ class TestPermutationRoute:
         # flat torus at k = 1, along xi in the standard frame.
         lift = lift_curvature(flat_torus(), 1)
         raw = permutation_density_raw(lift.curvature5, OrthonormalFrame.standard(5),
-                                      np.array([1.0, 0.0, 0.0, 0.0, 0.0]), lift.fiber_length)
+                                      np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
         fit = density_closed_form(lift) / raw
         c = calibration_constant()
         assert type(c) is float and c == fit and c.hex() == float(fit).hex()
@@ -121,7 +121,7 @@ class TestPermutationRoute:
         for _ in range(100):
             R3 = random_curvature_3d(rng)
             gdot = random_rotation(rng, 3)[0]
-            val = permutation_density_raw(R3, frame3, gdot, 2.0 * np.pi)
+            val = permutation_density_raw(R3, frame3, gdot)
             assert abs(val) <= 1e-12
 
     def test_non_unit_loop_speed_rejected(self):
