@@ -1,4 +1,4 @@
-"""Batch command-line front end with machine-readable JSON/CSV output.
+"""Batch command-line front end: JSON output, or CSV for the level rows.
 
 Subcommands: catalog | density | integral | decide | psdo | verify-prop22.
 Exit codes: 0 success, 2 usage error, 3 computation error.
@@ -12,7 +12,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -64,17 +63,6 @@ def _check_range(flag: str, value: int, lo: int, hi: int) -> int:
     return value
 
 
-def _seed(args) -> int:
-    text = os.environ.get("WCSLAB_SEED", "0") if args.seed is None else args.seed
-    try:
-        seed = int(text)
-    except ValueError:
-        raise UsageError(f"WCSLAB_SEED must be an integer, got {text!r}") from None
-    if seed < 0:
-        raise UsageError("the seed must be nonnegative")
-    return seed
-
-
 def _parse_k_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -104,6 +92,10 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+def _param_keys() -> dict:
+    return dict.fromkeys(key for spec in catalog.SURFACE_TYPES.values() for key, _ in spec.params)
+
+
 def _requirement(stype: str) -> str:
     *head, last = [_flag(key) for key, _ in catalog.SURFACE_TYPES[stype].params]
     return f"requires {', '.join(head)} and {last}" if head else f"requires {last}"
@@ -127,6 +119,13 @@ def _config_surfaces(args) -> dict[str, catalog.KahlerSurface]:
 
 def _resolve_surface(args) -> catalog.KahlerSurface:
     surfaces = _config_surfaces(args)
+    # A config section takes its values from the file, so it reads no
+    # parameter flag; an unknown type keeps build_surface's message.
+    spec = catalog.SURFACE_TYPES.get(args.surface)
+    reads = () if args.surface in surfaces else _param_keys() if spec is None else dict(spec.params)
+    for key in _param_keys():
+        if key not in reads and vars(args).get(key) is not None:
+            raise UsageError(f"{_flag(key)} does not apply to surface {args.surface}")
     if args.surface in surfaces:
         return surfaces[args.surface]
     try:
@@ -250,7 +249,7 @@ def _cmd_catalog(args) -> int:
                 "curvature_known": spec.curvature_known,
             })
     rows.extend(_catalog_row(surface) for surface in _config_surfaces(args).values())
-    _emit(rows, args.format, args.out)
+    _emit(rows, "json", args.out)
     return EXIT_OK
 
 
@@ -268,10 +267,11 @@ def _cmd_sweep(args, field: str | None) -> int:
 def _cmd_psdo(args) -> int:
     _check_range("--trials", args.trials, 1, MAX_TRIALS)
     _check_range("--depth", args.depth, psdo.MIN_TRACE_TEST_DEPTH, MAX_DEPTH)
-    seed = _seed(args)
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     symbol = specfiles.load_symbol(_read_text(args.symbol_file))
     residue = psdo.wodzicki_residue(symbol)
-    violation = psdo.commutator_trace_test(seed, args.trials, args.depth)
+    violation = psdo.commutator_trace_test(args.seed, args.trials, args.depth)
     A = psdo.laplacian_plus_one_symbol(
         np.zeros((symbol.fiber_dim, symbol.fiber_dim)), depth=args.depth
     )
@@ -288,9 +288,9 @@ def _cmd_psdo(args) -> int:
             str(defect.order - j): sup for j, sup in enumerate(defect.sup_norms().tolist())
         },
         "depth": args.depth,
-        "seed": seed,
+        "seed": args.seed,
     }
-    _emit([report], args.format, args.out)
+    _emit([report], "json", args.out)
     return EXIT_OK
 
 
@@ -311,30 +311,15 @@ def _cmd_verify_prop22(args) -> int:
         "relative_error": err,
         "pass": err <= leading.PASS_TOL,
     }
-    _emit([report], args.format, args.out)
+    _emit([report], "json", args.out)
     return EXIT_OK if report["pass"] else EXIT_COMPUTE
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--config", default=None, help="surface configuration file")
-
-
 def _add_surface_params(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="surface configuration file")
     # Raw strings: build_surface converts and validates them.
-    keys = (key for spec in catalog.SURFACE_TYPES.values() for key, _ in spec.params)
-    for key in dict.fromkeys(keys):
+    for key in _param_keys():
         p.add_argument(_flag(key))
-
-
-def _add_surface_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--surface", required=True)
-    _add_surface_params(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--k", type=int, default=None)
-    group.add_argument("--k-range", dest="k_range", default=None, metavar="LO..HI")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list the surface catalog")
     p.set_defaults(run=_cmd_catalog)
-    _add_common(p)
+    p.add_argument("--out")
     _add_surface_params(p)
 
     for name, field, help_text in (
@@ -363,19 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=functools.partial(_cmd_sweep, field=field))
-        _add_common(p)
-        _add_surface_flags(p)
+        p.add_argument("--out")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+        _add_surface_params(p)
+        p.add_argument("--surface", required=True)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--k", type=int, default=None)
+        group.add_argument("--k-range", dest="k_range", default=None, metavar="LO..HI")
 
     p = sub.add_parser("psdo", help="symbol-calculus residue report")
     p.set_defaults(run=_cmd_psdo)
-    _add_common(p)
+    p.add_argument("--out")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symbol-file", required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--depth", type=int, default=6)
 
     p = sub.add_parser("verify-prop22", help="rotation-family pairing check")
     p.set_defaults(run=_cmd_verify_prop22)
-    _add_common(p)
+    p.add_argument("--out")
     p.add_argument("--charge", type=int, required=True)
     p.add_argument("--grid", type=int, default=64)
     return parser

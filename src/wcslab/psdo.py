@@ -436,7 +436,8 @@ def wodzicki_residue(P: ClassicalSymbol) -> complex:
                 f"degree -1 lies below the truncation floor {P.floor_degree}"
             )
         return 0.0 + 0.0j
-    return _residue(P.ladder[int(j)])
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf, nan
+        return _residue(P.ladder[int(j)])
 
 
 def _residue(row: np.ndarray) -> complex:

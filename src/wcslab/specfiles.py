@@ -188,14 +188,19 @@ def load_surfaces(text: str) -> dict[str, catalog.KahlerSurface]:
     """Surface entries from a configuration file.
 
     Each `[surface NAME]` section has a `type` from catalog.SURFACE_TYPES
-    plus the parameters that type requires.
+    plus the parameters that type requires; a NAME appears once.
     """
     _, sections = parse_sections(text)
     out: dict[str, catalog.KahlerSurface] = {}
+    first_lines: dict[str, int] = {}
     for sec in sections:
         parts = sec.header.split()
         if parts[0] != "surface" or len(parts) != 2:
             raise ParseError("expected '[surface NAME]'", sec.line)
+        first = first_lines.setdefault(parts[1], sec.line)
+        if first != sec.line:
+            raise ParseError(f"second section [surface {parts[1]}] (the first is at line {first})",
+                             sec.line)
         raw = {key: value for key, (value, _) in sec.entries.items()}
         try:
             out[parts[1]] = catalog.build_surface(raw.get("type"), raw, name=parts[1])

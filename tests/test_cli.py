@@ -313,20 +313,16 @@ class TestJsonEmitter:
         assert (code, out) == (3, "")
         assert err == f"computation error: non-finite {column} = {value} at surface='t4' k=1\n"
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_prop22_column(self, capsys, monkeypatch, fmt):
+    def test_non_finite_prop22_column(self, capsys, monkeypatch):
         monkeypatch.setattr(leading, "relative_error", lambda lhs, rhs: float("nan"))
-        code, out, err = run(capsys, "verify-prop22", "--charge", "1", "--grid", "16",
-                             "--format", fmt)
+        code, out, err = run(capsys, "verify-prop22", "--charge", "1", "--grid", "16")
         assert (code, out, err) == (3, "", "computation error: non-finite relative_error = nan\n")
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_non_finite_nested_value(self, capsys, monkeypatch, tmp_path, fmt):
+    def test_non_finite_nested_value(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "sym.txt"
         path.write_text(SYMBOL_FILE)
         monkeypatch.setattr(psdo, "wodzicki_residue", lambda symbol: complex(0.0, float("nan")))
-        code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1",
-                             "--format", fmt)
+        code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
         assert (code, out, err) == (3, "", "computation error: non-finite residue[1] = nan\n")
 
 
@@ -387,6 +383,7 @@ class TestPsdoCommand:
         assert report["residue"][0] == pytest.approx(2.0, abs=1e-10)
         assert report["commutator_max_violation"] <= 1e-8
         assert all(v <= 1e-10 for v in report["parametrix_defect_sup"].values())
+        assert report["seed"] == 0
 
     def test_defect_sup_norms_are_the_component_norms(self, capsys, tmp_path):
         path = tmp_path / "sym.txt"
@@ -430,20 +427,15 @@ class TestPsdoCommand:
         code, _, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
         assert code == 2 and f"bad Fourier key {key!r}" in err
 
-    def test_seed_from_environment(self, capsys, tmp_path, monkeypatch):
+    # numpy would warn on the sums; the warning would be more stderr lines.
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_residue_is_one_line(self, capsys, tmp_path):
         path = tmp_path / "sym.txt"
-        path.write_text(SYMBOL_FILE)
-        monkeypatch.setenv("WCSLAB_SEED", "7")
-        code, out, _ = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
-        assert code == 0 and json.loads(out)[0]["seed"] == 7
-
-    def test_non_integer_seed_environment_is_usage_error(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "sym.txt"
-        path.write_text(SYMBOL_FILE)
-        monkeypatch.setenv("WCSLAB_SEED", "abc")
-        code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
-        assert code == 2 and out == ""
-        assert err == "error: WCSLAB_SEED must be an integer, got 'abc'\n"
+        path.write_text(SYMBOL_FILE.replace("plus = 1", "plus = 1e308")
+                        .replace("minus = 1", "minus = 1e308"))
+        code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1",
+                             "--depth", "4")
+        assert (code, out, err) == (3, "", "computation error: non-finite residue[0] = inf\n")
 
     def test_one_laplacian_per_run(self, capsys, tmp_path, monkeypatch):
         # The parametrix and its defect share one symbol of 1 + D*D.
@@ -550,6 +542,74 @@ def test_argparse_errors_are_one_line_usage_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+SWEEP_FLAGS = {"--out", "--format", "--config", "--surface", "--a", "--b", "--sigma", "--vol",
+               "--r-inf", "--k", "--k-range"}
+FLAGS = {
+    "catalog": {"--out", "--config", "--a", "--b", "--sigma", "--vol", "--r-inf"},
+    "density": SWEEP_FLAGS,
+    "integral": SWEEP_FLAGS,
+    "decide": SWEEP_FLAGS,
+    "psdo": {"--out", "--seed", "--symbol-file", "--trials", "--depth"},
+    "verify-prop22": {"--out", "--charge", "--grid"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    flags = {name: {flag for action in parser._actions for flag in action.option_strings}
+             - {"-h", "--help"} for name, parser in sub.choices.items()}
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 48
+
+
+# Each flag that the subcommand or the chosen surface does not read; an
+# unknown surface keeps its own message.
+UNREAD = [
+    (("catalog", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    (("catalog", "--format", "csv"), "unrecognized arguments: --format csv"),
+    *(((sub, "--surface", "t4", "--k", "1", "--seed", "3"), "unrecognized arguments: --seed 3")
+      for sub in ("density", "integral", "decide")),
+    (("psdo", "--symbol-file", "<SYM>", "--format", "csv"),
+     "unrecognized arguments: --format csv"),
+    (("psdo", "--symbol-file", "<SYM>", "--config", "<CFG>"), "unrecognized arguments: --config"),
+    (("verify-prop22", "--charge", "1", "--seed", "3"), "unrecognized arguments: --seed 3"),
+    (("verify-prop22", "--charge", "1", "--format", "json"),
+     "unrecognized arguments: --format json"),
+    (("verify-prop22", "--charge", "1", "--config", "<CFG>"), "unrecognized arguments: --config"),
+    (("decide", "--surface", "t4", "--k", "1", "--a", "3"), "--a does not apply to surface t4"),
+    (("density", "--surface", "cp2", "--k", "1", "--sigma", "2"),
+     "--sigma does not apply to surface cp2"),
+    (("integral", "--surface", "cp1xcp1", "--a", "1", "--b", "2", "--vol", "1", "--k", "1"),
+     "--vol does not apply to surface cp1xcp1"),
+    (("decide", "--surface", "k3ish", "--config", "<CFG>", "--k", "1", "--a", "3"),
+     "--a does not apply to surface k3ish"),
+    (("decide", "--surface", "k3ish", "--config", "<CFG>", "--k", "1", "--sigma", "-16"),
+     "--sigma does not apply to surface k3ish"),
+    (("decide", "--surface", "nope", "--a", "3", "--k", "1"), "unknown surface type 'nope'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD, ids=[" ".join(argv) for argv, _ in UNREAD])
+def test_unread_flags_are_usage_errors(capsys, tmp_path, argv, message):
+    sym, cfg = tmp_path / "sym.txt", tmp_path / "surfaces.cfg"
+    sym.write_text(SYMBOL_FILE)
+    cfg.write_text(CONFIG_FILE)
+    files = {"<SYM>": str(sym), "<CFG>": str(cfg)}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("decide", "--surface", "k3ish", "--k", "1"), ("catalog",)])
+def test_config_naming_a_surface_twice_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "twice.cfg"
+    path.write_text(CONFIG_FILE + "\n[surface k3ish]\ntype = t4\n")
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: line 8, column 1: second section [surface k3ish] "
+                   "(the first is at line 2)\n")
 
 
 class TestParserReuse:

@@ -8,6 +8,7 @@ tested at cap + 1 elsewhere, never by allocating at it.
 import contextlib
 import io
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,10 @@ ARGV = st.lists(TOKEN, max_size=10) | st.tuples(
 @given(ARGV)
 def test_cli_exit_code_and_one_line_errors(monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)  # --out may name any junk path
+    assert_exit_code_and_one_line_errors(argv)
+
+
+def assert_exit_code_and_one_line_errors(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
@@ -74,3 +79,38 @@ def test_cli_exit_code_and_one_line_errors(monkeypatch, tmp_path, argv):
         assert err.getvalue() == ""
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+# Finite entries at the ends of the float range: their sums, traces and
+# products overflow, and no numpy warning may reach stderr.
+EXTREMES = st.sampled_from(["1.7976931348623157e308", "-1.7976931348623157e308",
+                            "1e308+1e308j", "5e-324", "1e-308j", "1e154", "0"])
+
+
+@st.composite
+def extreme_symbol_files(draw):
+    dim, order = draw(st.sampled_from([1, 2])), draw(st.sampled_from([-1, 0]))
+
+    def matrix():
+        return "; ".join(" ".join(draw(EXTREMES) for _ in range(dim)) for _ in range(dim))
+
+    lines = [f"order = {order}", f"dim = {dim}", "grid = 16"]
+    for degree in draw(st.sets(st.sampled_from([order, order - 1]), min_size=1)):
+        lines.append(f"[component degree={degree}]")
+        for side in ("plus", "minus"):
+            lines.append(f"{side} = {matrix()}")
+            for mode in draw(st.lists(st.sampled_from(["cos1", "sin1", "cos2"]), max_size=2,
+                                      unique=True)):
+                lines.append(f"{side}_{mode} = {matrix()}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(extreme_symbol_files())
+def test_psdo_on_extreme_finite_entries(tmp_path, text):
+    path = tmp_path / "extreme.sym"
+    path.write_text(text)
+    assert_exit_code_and_one_line_errors(
+        ["psdo", "--symbol-file", str(path), "--trials", "1", "--depth", "4"])

@@ -109,9 +109,12 @@ def commands() -> list[list[str]]:
         for depth in ("4", "6")
     )
     prop22 = (["verify-prop22", "--charge", "1", "--grid", grid] for grid in ("16", "32"))
+    # Only the level rows of a sweep have a CSV form.
     return [
-        *([*argv, "--format", fmt] for argv in (*listings, *sweeps) for fmt in FORMATS),
-        *([*argv, "--format", "json"] for argv in (*residues, *prop22)),
+        *listings,
+        *([*argv, "--format", fmt] for argv in sweeps for fmt in FORMATS),
+        *residues,
+        *prop22,
     ]
 
 

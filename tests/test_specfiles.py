@@ -236,3 +236,10 @@ class TestLoadSurfaces:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             load_surfaces("[not a surface header here]\n")
+
+    def test_second_section_of_a_name(self):
+        # Later sections would replace the first: cp1xcp1's rows would be t4's.
+        text = "[surface x]\ntype = cp1xcp1\na = 2\nb = 3\n\n[surface x]\ntype = t4\n"
+        with pytest.raises(ParseError, match=r"^line 6, .*second section \[surface x\] "
+                                             r"\(the first is at line 1\)"):
+            load_surfaces(text)
