@@ -179,18 +179,19 @@ LEVI_CIVITA = {n: _levi_civita(n) for n in _VALID_DIMS}
 
 
 def _rotate_tensor(comp: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Components in each of a stack of frames: out[n] is `comp` in the frame
-    whose vectors are the rows of bases[n], shape (n, d, d) -> (n, d, d, d, d).
+    """Components in each of a stack of frames: out[n] is `comp`, a tensor of
+    rank r >= 2 on R^d, in the frame whose vectors are the rows of bases[n],
+    shape (n, d, d) -> (n,) + (d,) * r.
 
     One batched matmul per tensor axis.
     """
-    n, d = bases.shape[0], comp.shape[0]
+    n, d, r = bases.shape[0], comp.shape[0], comp.ndim
     B = bases[:, None]   # (n, 1, d, d): broadcast over the leading axes
-    out = bases @ comp.reshape(d, d**3)                        # a <- i
-    out = B @ out.reshape(n, d, d, d * d)                      # b <- j
-    out = B @ out.reshape(n, d * d, d, d)                      # c <- k
-    out = out.reshape(n, d**3, d) @ bases.transpose(0, 2, 1)   # e <- l
-    return out.reshape(n, d, d, d, d)
+    out = bases @ comp.reshape(d, d ** (r - 1))                        # axis 0
+    for axis in range(1, r - 1):
+        out = B @ out.reshape(n, d**axis, d, d ** (r - 1 - axis))
+    out = out.reshape(n, d ** (r - 1), d) @ bases.transpose(0, 2, 1)   # last axis
+    return out.reshape((n,) + (d,) * r)
 
 
 # Sign fixed so that (1/3) * integral of p1 over CP^2 gives signature +1

@@ -6,10 +6,10 @@ target sphere.  Both sides of the identity reduce to vol(S^1) * q, but the
 left side is computed by honest pullback quadrature over the family.
 
 The quadrature over the parameter sphere reduces to one moment tensor,
-which both sides read (`MappedFamily.moment`).  A process builds the moment
-once per (n_colat, n_long) and the contraction path once per angle count,
-so a repeated check at the same grid skips the Gauss-Legendre rule and the
-einsum path search; a cold call costs what it did.
+which both sides read (`MappedFamily.moment`), rotated to every loop angle
+and contracted with the Levi-Civita symbol.  A process builds the moment
+once per (n_colat, n_long), so a repeated check at the same grid skips the
+Gauss-Legendre rule; a cold call costs what it did.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import LEVI_CIVITA
+from .geometry import LEVI_CIVITA, _rotate_tensor
 
 __all__ = ["MappedFamily", "LineBundleCurvature", "PASS_TOL", "c_lo_pairing",
            "rhs_prop22", "relative_error", "verify_prop22"]
@@ -53,21 +53,6 @@ def _moment(n_colat: int, n_long: int) -> np.ndarray:
     M = M.reshape(3, 3, 3, -1).sum(axis=-1)
     M.setflags(write=False)
     return M
-
-
-#: dA at every angle t: eps_abc R_tai R_tbj R_tck M_ijk.
-_PULLBACK = "abc,tai,tbj,tck,ijk->t"
-
-
-@cache
-def _contraction_path(n_angles: int) -> tuple:
-    """The path `optimize=True` picks for `_PULLBACK` over n_angles angles.
-    The greedy choice depends on the size, so it is searched once per count
-    (on zero operands of the real shapes) rather than fixed."""
-    R = np.zeros((n_angles, 3, 3))
-    path, _ = np.einsum_path(_PULLBACK, LEVI_CIVITA[3], R, R, R, np.zeros((3, 3, 3)),
-                             optimize=True)
-    return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -130,9 +115,10 @@ class LineBundleCurvature:
 
 def _pullback_integrals(fam: MappedFamily, L: LineBundleCurvature, thetas) -> np.ndarray:
     """Per-angle integral over the parameter sphere of (u_theta)^* (i/2pi) tr(Omega)."""
-    R = fam.rotation(thetas)
-    dA = np.einsum(_PULLBACK, LEVI_CIVITA[3], R, R, R, fam.moment,
-                   optimize=_contraction_path(len(R)))
+    # dA at every angle t: eps_abc R_tai R_tbj R_tck M_ijk, the full
+    # quadrature (it does not use det R = 1).
+    rotated = _rotate_tensor(fam.moment, fam.rotation(thetas))
+    dA = rotated.reshape(len(rotated), 27) @ LEVI_CIVITA[3].reshape(27)
     return np.real((1j / (2.0 * np.pi)) * L.coefficient * dA)
 
 

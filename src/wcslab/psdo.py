@@ -397,6 +397,17 @@ def _add_products(acc: np.ndarray, lo: int, orders: tuple, left: np.ndarray,
             acc[out] += scale * np.matmul(sigma, dq[q])
 
 
+def _check_depth(depth: int, available: int) -> None:
+    """A truncation depth is at least 1 and at most the `available` depth."""
+    if depth < 1:
+        raise SymbolError("depth must be >= 1")
+    if depth > available:
+        raise TruncationError(
+            f"requested depth {depth} exceeds available {available} "
+            f"(deficit {depth - available})"
+        )
+
+
 def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) -> ClassicalSymbol:
     """Asymptotic product of two symbols, truncated at `depth` components.
 
@@ -408,13 +419,7 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) ->
     available = min(P.depth, Q.depth)
     if depth is None:
         depth = available
-    if depth < 1:
-        raise SymbolError("depth must be >= 1")
-    if depth > available:
-        raise TruncationError(
-            f"requested depth {depth} exceeds available {available} "
-            f"(deficit {depth - available})"
-        )
+    _check_depth(depth, available)
     dQ = _derivatives(Q.stored[:, None], Q._live, depth)  # a stack of one
     grid = max(P.stored.shape[2], dQ[0][0].shape[-3])  # one row when both ladders are
     acc = np.zeros((depth, 2, grid) + (P.fiber_dim,) * 2, dtype=complex)
@@ -458,13 +463,7 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
     degree, so each degree gets its terms in the order of compose.  A ladder
     stored as one row is inverted and solved on that row.
     """
-    if depth < 1:
-        raise SymbolError("depth must be >= 1")
-    if depth > A.depth:
-        raise TruncationError(
-            f"requested depth {depth} exceeds available {A.depth} "
-            f"(deficit {depth - A.depth})"
-        )
+    _check_depth(depth, A.depth)
     dA = _derivatives(A.stored[:, None], A._live, depth)  # a stack of one
     inverses = []
     for side, values in zip(("+1", "-1"), dA[0][0][0, 0]):  # a_0, as the kernel reads it

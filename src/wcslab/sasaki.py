@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import KahlerSurface
+from .catalog import KahlerSurface, _unit_sphere, complex_space_form
 from .geometry import RiemannTensor, symmetry_violation
 
 __all__ = ["SasakiLift", "LiftConsistencyError", "lift_parts", "lift_curvature",
@@ -53,30 +53,19 @@ def _check_identities(R: RiemannTensor, what: str, tol: float = 1e-12) -> None:
 def lift_parts(base: KahlerSurface) -> tuple[RiemannTensor, RiemannTensor]:
     """The lift polynomial (R0, R1): the level-k tensor is R0 + k^2 R1.
 
-    R0 is the base tensor on the horizontal block.  R1 is the k^2 part:
-        R1(X,Y,Z,W) = -<JY,Z><JX,W> + <JX,Z><JY,W> + 2<JX,Y><JZ,W>
-    on the horizontal block and the two-vertical pattern
-    R1(xi,X,Y,xi) = <X,Y>; mixed components with a single vertical slot
-    vanish.  The curvature identities are linear, so when both parts
+    R0 is the base tensor on the horizontal block.  R1 is the k^2 part, the
+    unit S^5 tensor minus the c = 4 complex space form of the base J on the
+    horizontal block: the Hopf fibration S^5 -> CP^2 (O'Neill 1966), so
+    cp2's lift at k = +-1 is the round S^5.  On the horizontal block
+        R1(X,Y,Z,W) = -<JY,Z><JX,W> + <JX,Z><JY,W> + 2<JX,Y><JZ,W>,
+    R1(xi,X,Y,xi) = <X,Y>, and mixed components with a single vertical
+    slot vanish.  The curvature identities are linear, so when both parts
     satisfy them the lift does at every k, up to the rounding of the sum.
     """
-    R = base.require_curvature()
-    Jm = base.J.matrix
-
     r0 = np.zeros((5, 5, 5, 5))
-    r0[1:, 1:, 1:, 1:] = R.comp
-    r1 = np.zeros((5, 5, 5, 5))
-    r1[1:, 1:, 1:, 1:] = (
-        -np.einsum("li,kj->ijkl", Jm, Jm)
-        + np.einsum("ki,lj->ijkl", Jm, Jm)
-        + 2.0 * np.einsum("ji,lk->ijkl", Jm, Jm)
-    )
-    # Third identity R1(xi, X, Y, xi) = <X,Y> and its symmetry images.
-    for i in range(1, 5):
-        r1[0, i, i, 0] = 1.0
-        r1[i, 0, i, 0] = -1.0
-        r1[0, i, 0, i] = -1.0
-        r1[i, 0, 0, i] = 1.0
+    r0[1:, 1:, 1:, 1:] = base.require_curvature().comp
+    r1 = _unit_sphere(5).copy()
+    r1[1:, 1:, 1:, 1:] -= complex_space_form(4.0, base.J).comp
     parts = RiemannTensor(r0), RiemannTensor(r1)
     for name, part in zip(("R0", "R1"), parts):
         _check_identities(part, f"lift part {name} of {base.name!r}")

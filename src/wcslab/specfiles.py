@@ -188,7 +188,8 @@ def load_surfaces(text: str) -> dict[str, catalog.KahlerSurface]:
     """Surface entries from a configuration file.
 
     Each `[surface NAME]` section has a `type` from catalog.SURFACE_TYPES
-    plus the parameters that type requires; a NAME appears once.
+    plus the parameters that type requires; a NAME appears once and is not
+    the name of a type, which it would shadow.
     """
     _, sections = parse_sections(text)
     out: dict[str, catalog.KahlerSurface] = {}
@@ -197,6 +198,9 @@ def load_surfaces(text: str) -> dict[str, catalog.KahlerSurface]:
         parts = sec.header.split()
         if parts[0] != "surface" or len(parts) != 2:
             raise ParseError("expected '[surface NAME]'", sec.line)
+        if parts[1] in catalog.SURFACE_TYPES:
+            raise ParseError(f"section [surface {parts[1]}] would shadow the built-in "
+                             f"type {parts[1]!r}; choose another name", sec.line)
         first = first_lines.setdefault(parts[1], sec.line)
         if first != sec.line:
             raise ParseError(f"second section [surface {parts[1]}] (the first is at line {first})",

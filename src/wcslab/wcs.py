@@ -52,6 +52,10 @@ CURVATURE_TERMS = (
     (1.0, (2, 3, 2, 3)),
 )
 
+#: The |R|_inf coefficient of the prop-3.9 bound: 32 x (sum of |coefficients|
+#: of the five curvature terms) = 224, since 32 k^2 |B| <= 224 k^2 |R|_inf.
+_PROP39_MIDDLE = 32.0 * sum(abs(c) for c, _ in CURVATURE_TERMS)
+
 #: Zero threshold for verdicts: |integral| > atol_factor * total_volume.
 VERDICT_ATOL_FACTOR = 1e-9
 
@@ -123,21 +127,16 @@ _PERMUTATION_PATHS = {
 }
 
 
-def _contract(A: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)] for every choice of
-    stack entry per slot, from stacks A[s, a] and E[s, a, b] of matrices."""
-    dim = A.shape[-1]
-    return np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
-                     *[E] * (dim // 2), optimize=_PERMUTATION_PATHS[dim])
-
-
 def _permutation_sums(comps: np.ndarray, vecs: np.ndarray, gdot: np.ndarray) -> np.ndarray:
     """The permutation sums of a stack of curvature arrays comps[s] in the
-    frame `vecs` along gdot."""
+    frame `vecs` along gdot: sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)]
+    for every choice of stack entry per slot."""
     # A[s,a][l,j] = X_a^i gdot^m R_s[i,j,m,l];  E[s,a,b][l,k] = X_a^i X_b^j R_s[i,j,k,l]
     A = np.einsum("ai,m,sijml->salj", vecs, gdot, comps)
     E = np.einsum("ai,bj,sijkl->sablk", vecs, vecs, comps)
-    return _contract(A, E)
+    dim = comps.shape[-1]
+    return np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
+                     *[E] * (dim // 2), optimize=_PERMUTATION_PATHS[dim])
 
 
 def permutation_density_raw(
@@ -210,6 +209,8 @@ def prop39_bound(sigma: int, volume: float, r_inf: float, k: int) -> tuple[float
     """Sufficient-condition left-hand side and its strict positivity:
 
         k^2 ( 96 pi^2 sigma - 224 k^2 |R|_inf vol + 192 k^4 vol )
+
+    with 224 = `prop39_middle_coefficient()`.
     """
     if volume <= 0:
         raise ValueError("volume must be positive")
@@ -218,15 +219,16 @@ def prop39_bound(sigma: int, volume: float, r_inf: float, k: int) -> tuple[float
     k2 = float(k) ** 2
     lhs = k2 * (
         96.0 * np.pi**2 * sigma
-        - 224.0 * k2 * r_inf * volume
+        - _PROP39_MIDDLE * k2 * r_inf * volume
         + 192.0 * k2**2 * volume
     )
     return lhs, lhs > 0.0
 
 
 def prop39_middle_coefficient() -> float:
-    """32 x (sum of |coefficients| of the five curvature terms) = 224."""
-    return 32.0 * sum(abs(c) for c, _ in CURVATURE_TERMS)
+    """32 x (sum of |coefficients| of the five curvature terms) = 224, the
+    coefficient `prop39_bound` uses."""
+    return _PROP39_MIDDLE
 
 
 def prop39_crossover(sigma: int, volume: float, r_inf: float, kmax: int = 50) -> int | None:
@@ -265,12 +267,11 @@ def _permutation_cubic(parts: tuple[RiemannTensor, RiemannTensor]) -> list[float
     lift R0 + k^2 R1, a cubic in k^2.
 
     The sum is trilinear in the lift, so c_m sums the 2^3 slot choices
-    that take R1 in m slots and R0 in the rest.  In the identity frame
-    along xi = e_0, A and E are views of the stack (R0, R1).
+    that take R1 in m slots and R0 in the rest, from the permutation sums
+    of the stack (R0, R1) in the identity frame along xi = e_0.
     """
-    comps = np.stack([part.comp for part in parts])
-    # A[s,a][l,j] = R_s[a,j,0,l];  E[s,a,b][l,k] = R_s[a,b,k,l]
-    sums = _contract(comps[:, :, :, 0, :].transpose(0, 1, 3, 2), comps.transpose(0, 1, 2, 4, 3))
+    frame = np.eye(5)
+    sums = _permutation_sums(np.stack([part.comp for part in parts]), frame, frame[0])
     return [sums[mask].sum() for mask in _CUBIC_MASKS]
 
 

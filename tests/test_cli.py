@@ -612,6 +612,17 @@ def test_config_naming_a_surface_twice_is_usage_error(capsys, tmp_path, argv):
                    "(the first is at line 2)\n")
 
 
+@pytest.mark.parametrize("argv", [("decide", "--surface", "cp2", "--k", "2"), ("catalog",)])
+def test_config_section_named_after_a_type_is_usage_error(capsys, tmp_path, argv):
+    # It would shadow the built-in: --surface cp2 would print t4's row.
+    path = tmp_path / "shadow.cfg"
+    path.write_text(CONFIG_FILE + "\n[surface cp2]\ntype = t4\n")
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: line 8, column 1: section [surface cp2] would shadow the "
+                   "built-in type 'cp2'; choose another name\n")
+
+
 class TestParserReuse:
     """main builds its parser once per process; reusing it is invisible."""
 

@@ -268,14 +268,16 @@ def search_case(seed):
 class TestStackedSearch:
     @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_rotation_matches_einsum(self, rng, dim):
-        for _ in range(10):
-            comp = rng.standard_normal((dim,) * 4)
-            bases = np.array([random_rotation(rng, dim) for _ in range(7)])
-            stacked = geometry._rotate_tensor(comp, bases)
-            assert stacked.shape == (7,) + (dim,) * 4
-            for basis, got in zip(bases, stacked):
-                want = einsum_rotation(comp, basis)
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # Rank 4 (curvature) and rank 3 (the prop-2.2 moment).
+        for rank, subscripts in ((4, "ijkl,ai,bj,ck,dl->abcd"), (3, "ijk,ai,bj,ck->abc")):
+            for _ in range(10):
+                comp = rng.standard_normal((dim,) * rank)
+                bases = np.array([random_rotation(rng, dim) for _ in range(7)])
+                stacked = geometry._rotate_tensor(comp, bases)
+                assert stacked.shape == (7,) + (dim,) * rank
+                for basis, got in zip(bases, stacked):
+                    want = np.einsum(subscripts, comp, *[basis] * rank)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_einsum_reference(self, seed):

@@ -6,6 +6,7 @@ import pytest
 from wcslab.catalog import (
     KahlerSurface,
     UnsupportedSurfaceError,
+    _unit_sphere,
     cp2_fubini_study,
     flat_torus,
     generic_bounds,
@@ -150,6 +151,14 @@ class TestLiftParts:
         assert np.array_equal(r1.comp, lift_curvature(flat_torus(), 1).curvature5.comp)
         for part in (r0, r1):
             assert symmetry_violation(part) <= 1e-12
+
+    def test_cp2_unit_level_is_the_round_sphere(self):
+        # R1 is the unit S^5 tensor minus the c = 4 space form, and cp2 is
+        # that space form: at k = +-1 the lift is the round S^5, bit for bit.
+        r0, r1 = lift_parts(cp2_fubini_study())
+        assert np.array_equal(r0.comp + r1.comp, _unit_sphere(5))
+        assert np.array_equal(lift_curvature(cp2_fubini_study(), -1).curvature5.comp,
+                              _unit_sphere(5))
 
     def test_broken_first_bianchi_is_rejected(self):
         # Antisymmetric in every pair and pair-symmetric, but the cyclic sum

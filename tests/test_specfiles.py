@@ -237,6 +237,14 @@ class TestLoadSurfaces:
         with pytest.raises(ParseError):
             load_surfaces("[not a surface header here]\n")
 
+    @pytest.mark.parametrize("stype", ["t4", "cp2", "cp1xcp1", "generic"])
+    def test_section_named_after_a_type(self, stype):
+        # It would shadow the built-in type in every --surface lookup.
+        text = f"[surface ok]\ntype = t4\n\n[surface {stype}]\ntype = t4\n"
+        with pytest.raises(ParseError, match=rf"^line 4, .*section \[surface {stype}\] "
+                                             rf"would shadow the built-in type '{stype}'"):
+            load_surfaces(text)
+
     def test_second_section_of_a_name(self):
         # Later sections would replace the first: cp1xcp1's rows would be t4's.
         text = "[surface x]\ntype = cp1xcp1\na = 2\nb = 3\n\n[surface x]\ntype = t4\n"
