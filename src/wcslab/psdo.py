@@ -21,19 +21,21 @@ array.
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
 with d_x by spectral differentiation and d_xi acting degree-wise.  One
-kernel, `_add_products`, serves compose, parametrix and the commutator trace
-test, and every product it makes is a stack: ladders with one stack axis
-after the place axis, the grid still on axis -3, and one order per element.
-compose and parametrix pass a stack of one; the commutator trace test
-passes [Q, P] on the right and [P, Q] on the left, so one build, one
-derivative table and one kernel walk give row j of PQ and of QP.  For each
-(p, m) in lexicographic order the kernel multiplies sigma_p by d_x^m of the
-whole right-hand ladder in one batched matmul and adds the products into
-output rows p + m onward, so every output degree gets its terms in the
-order p, then m, from +0.  The x-derivatives of a ladder take one forward
-FFT and one inverse FFT per m.  Terms that are exactly zero are skipped:
-those of a vanishing component, d_x^m (m >= 1) of a component whose grid
-rows are all equal bit for bit, and those of a zero falling factorial.
+kernel, `_add_products`, serves compose and parametrix.  It works on
+stacks: ladders with one stack axis after the place axis, the grid still on
+axis -3, and one order per element; compose and parametrix pass a stack of
+one.  For each (p, m) in lexicographic order the kernel multiplies sigma_p
+by d_x^m of the whole right-hand ladder in one batched matmul and adds the
+products into output rows p + m onward, so every output degree gets its
+terms in the order p, then m, from +0.  The x-derivatives of a ladder take
+one forward FFT and one inverse FFT per m.  Terms that are exactly zero are
+skipped: those of a vanishing component, d_x^m (m >= 1) of a component whose
+grid rows are all equal bit for bit, and those of a zero falling factorial.
+
+The commutator trace test reads only the trace of one row of PQ and of QP,
+so it forms no matrix product: over the stack [Q, P] it adds, per (p, m) in
+the kernel's order, the trace of each term as one einsum
+(`_commutator_traces`), with the kernel's derivative table and scales.
 """
 
 from __future__ import annotations
@@ -366,18 +368,18 @@ def _scales(orders: tuple, p: int, count: int) -> tuple:
 
 def _add_products(acc: np.ndarray, lo: int, orders: tuple, left: np.ndarray,
                   first: int, dQ: list) -> None:
-    """The product kernel.  Adds to acc[j - lo], lo <= j < lo + len(acc), the
-    terms ((-i)^m / m!) d_xi^m sigma_p d_x^m sigma_q with p + m + q = j, for
-    sigma_p = left[p - first] (places first, first + 1, ...) and d_x^m
-    sigma_q from the table of `_derivatives`.  acc, left and the table are
-    stacks, with a stack axis after the place axis: element e of left, of
-    order orders[e] as a (numerator, denominator) pair, multiplies element e
-    of the table, with the scales of `_scales`.  For each (p, m) in
-    lexicographic order the live q of every row in range are one batched
-    matmul.  Exactly zero terms are skipped: those of a vanishing sigma_p,
-    of a place that is not live, and of an m where every falling factorial
-    is zero; an element whose own one is zero adds zeros, which leave its
-    nonzero values as they are."""
+    """The product kernel of compose and parametrix.  Adds to acc[j - lo],
+    lo <= j < lo + len(acc), the terms ((-i)^m / m!) d_xi^m sigma_p d_x^m
+    sigma_q with p + m + q = j, for sigma_p = left[p - first] (places first,
+    first + 1, ...) and d_x^m sigma_q from the table of `_derivatives`.  acc,
+    left and the table are stacks, with a stack axis after the place axis:
+    element e of left, of order orders[e] as a (numerator, denominator) pair,
+    multiplies element e of the table, with the scales of `_scales`.  For
+    each (p, m) in lexicographic order the live q of every row in range are
+    one batched matmul.  Exactly zero terms are skipped: those of a
+    vanishing sigma_p, of a place that is not live, and of an m where every
+    falling factorial is zero; an element whose own one is zero adds zeros,
+    which leave its nonzero values as they are."""
     rows = len(acc)
     nonzero = left.any(axis=tuple(range(1, left.ndim))).tolist()
     for p, sigma in enumerate(left, start=first):
@@ -584,11 +586,16 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
     The residue reads component j = op + oq + 1 (degree -1) of [P, Q] only,
     and that reads components 0..j of P and Q.  Below j = 0 the residue is
     exactly 0 and nothing is built.  Otherwise P and Q are built as one
-    stack [Q, P], and one derivative table and one walk of the product
-    kernel over it, with a stack axis after the place axis, give row j of PQ
-    and of QP (`_commutator_residue`).  Each residue's absolute value is
-    Python's abs of the complex residue.  The result is, bit for bit, the
-    max over trials of |wodzicki_residue(compose(P, Q) - compose(Q, P))|.
+    stack [Q, P], and one derivative table and one walk over it give the
+    trace of row j of PQ and of QP at each point, without forming the
+    matrices (`_commutator_residue`).  Each residue's absolute value is
+    Python's abs of the complex residue.
+
+    The result is the max over trials of |wodzicki_residue(compose(P, Q) -
+    compose(Q, P))| up to rounding: each trial's value agrees with that one
+    within 8 eps S, where S is the same trace sum taken over absolute values
+    (the tests hold this bound).  The two sum the same terms in another
+    order, so their bits can differ.
     """
     for name, value in (("seed", seed), ("trials", trials), ("depth", depth)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -615,22 +622,36 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
 def _commutator_residue(op: int, oq: int, p_draws: np.ndarray, q_draws: np.ndarray,
                         j: int, grid: int) -> float:
     """|res[P, Q]| for the symbols of orders op, oq drawn as `p_draws` and
-    `q_draws`, with j = op + oq + 1 >= 0.
+    `q_draws`, with j = op + oq + 1 >= 0: the traces of `_commutator_traces`,
+    tr PQ - tr QP taken at each point, then summed over xi = +1 and xi = -1
+    and averaged over the grid in the order of `_residue`, and its absolute
+    value with Python's abs, which np.abs can miss by one ulp."""
+    traces = _commutator_traces(op, oq, p_draws, q_draws, j, grid)
+    return abs(complex(np.mean((traces[0] - traces[1]).sum(axis=0))))
+
+
+def _commutator_traces(op: int, oq: int, p_draws: np.ndarray, q_draws: np.ndarray,
+                       j: int, grid: int) -> np.ndarray:
+    """The traces of row j of PQ (element 0) and of QP (element 1) at each
+    point, (2, 2, G), with xi = +1 first.
 
     One build makes the stack [Q, P] of their components 0..j; read
-    backwards it is [P, Q].  So one derivative table of the stack and one
-    walk of the product kernel, with the reversed stack on the left, give
-    row j of PQ in element 0 and of QP in element 1.  The residue is then
-    taken by `_residue`, as wodzicki_residue takes it, and its absolute
-    value with Python's abs, which np.abs can miss by one ulp."""
+    backwards it is [P, Q].  One derivative table of the stack serves both
+    products.  For each (p, m) in the product kernel's order, with
+    q = j - p - m, the trace of sigma_p d_x^m sigma_q is one einsum over the
+    stack, times the kernel's scale, so no matrix product is formed."""
     rows = np.stack([d[: 2 * (j + 1)].reshape(j + 1, 2, *d.shape[1:]) for d in (q_draws, p_draws)],
                     axis=1)
     ladders = _band_limited_ladders(rows, grid)  # (j + 1, 2, 2, G, d, d)
-    acc = np.zeros((1,) + ladders.shape[1:], dtype=complex)
     every = list(range(j + 1))  # random and band-limited: every place is nonzero and varies
-    _add_products(acc, j, ((op, 1), (oq, 1)), ladders[:, ::-1], 0,
-                  _derivatives(ladders, (every, every), j + 1))
-    return abs(_residue(acc[0, 0] - acc[0, 1]))
+    dQ = _derivatives(ladders, (every, every), j + 1)
+    left = ladders[:, ::-1]
+    traces = np.zeros((2, 2, grid), dtype=complex)
+    for p in range(j + 1):
+        for m, scale in enumerate(_scales(((op, 1), (oq, 1)), p, j + 1 - p)):
+            terms = np.einsum("esgik,esgki->esg", left[p], dQ[m][0][j - p - m])
+            traces += scale[:, :, :, 0, 0] * terms
+    return traces
 
 
 # ---------------------------------------------------------------------------

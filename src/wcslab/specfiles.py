@@ -41,7 +41,8 @@ class Section:
 def parse_sections(text: str) -> tuple[dict, list[Section]]:
     """Parse `key = value` lines grouped under `[header ...]` sections.
 
-    Returns (top-level entries, sections).  Comments start with '#'.
+    Returns (top-level entries, sections).  Comments start with '#'.  A key
+    appears at most once at the top level and once in each section.
     """
     top: dict = {}
     sections: list[Section] = []
@@ -64,6 +65,9 @@ def parse_sections(text: str) -> tuple[dict, list[Section]]:
         if not key:
             raise ParseError("empty key", lineno)
         target = top if current is None else current.entries
+        if key in target:
+            raise ParseError(f"second key {key!r} (the first is at line {target[key][1]})",
+                             lineno)
         target[key] = (value, lineno)
     return top, sections
 
@@ -106,10 +110,12 @@ def _rational(text: str) -> Fraction:
 def _component_values(entries: dict, prefix: str, values: np.ndarray, line: int) -> None:
     """Add the constant matrix and the optional cos/sin Fourier terms, sampled
     on the periodic grid, to the zero (G, d, d) array `values`.  A Fourier
-    mode is written in ASCII decimal digits only."""
+    mode is written in ASCII decimal digits only, and each mode of each wave
+    at most once: `_cos1` and `_cos01` are the same term."""
     grid, dim = values.shape[:2]
     x = 2.0 * np.pi * np.arange(grid) / grid
     seen = False
+    modes: dict = {}  # (wave, mode) -> (key, line)
     for key, (text, lineno) in entries.items():
         if key == prefix:
             term = _parse_matrix(text, lineno, dim)[None, :, :]
@@ -118,10 +124,15 @@ def _component_values(entries: dict, prefix: str, values: np.ndarray, line: int)
             try:
                 if not (digits.isascii() and digits.isdigit()):
                     raise ValueError(digits)
-                phase = int(digits) * x
+                mode = int(digits)
+                phase = mode * x
             except (ValueError, OverflowError):  # not digits, too long, or no float
                 raise ParseError(f"bad Fourier key {key!r}", lineno) from None
             wave = np.cos if key.startswith(prefix + "_cos") else np.sin
+            first = modes.setdefault((wave, mode), (key, lineno))
+            if first[1] != lineno:
+                raise ParseError(f"{key!r} repeats the term {first[0]!r} "
+                                 f"(line {first[1]})", lineno)
             term = wave(phase)[:, None, None] * _parse_matrix(text, lineno, dim)
         else:
             continue
@@ -160,7 +171,12 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
         parts = sec.header.split()
         if parts[0] != "component":
             raise ParseError(f"unknown section {parts[0]!r}", sec.line)
-        kv = dict(p.split("=", 1) for p in parts[1:] if "=" in p)
+        kv = {}
+        for part in (p for p in parts[1:] if "=" in p):
+            key, value = part.split("=", 1)
+            if key in kv:
+                raise ParseError(f"second {key + '='!r} in the section header", sec.line)
+            kv[key] = value
         if "degree" not in kv:
             raise ParseError("component section needs degree=", sec.line)
         degree = _value((kv["degree"], sec.line), _rational,

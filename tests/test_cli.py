@@ -612,6 +612,32 @@ def test_config_naming_a_surface_twice_is_usage_error(capsys, tmp_path, argv):
                    "(the first is at line 2)\n")
 
 
+@pytest.mark.parametrize("argv", [("decide", "--surface", "k3ish", "--k", "1"), ("catalog",)])
+def test_config_repeating_a_key_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "twice.cfg"
+    path.write_text(CONFIG_FILE + "sigma = -8\n")
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 7, column 1: second key 'sigma' (the first is at line 4)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (SYMBOL_FILE + "plus = 5\n", "line 9, column 1: second key 'plus' (the first is at line 7)"),
+    (SYMBOL_FILE.replace("order = -1\n", "order = -1\norder = 0\n"),
+     "line 3, column 1: second key 'order' (the first is at line 2)"),
+    (SYMBOL_FILE.replace("degree=-1]", "degree=-1 degree=0]"),
+     "line 6, column 1: second 'degree=' in the section header"),
+    (SYMBOL_FILE + "plus_cos1 = 1\nplus_cos01 = 1\n",
+     "line 10, column 1: 'plus_cos01' repeats the term 'plus_cos1' (line 9)"),
+], ids=["side", "order", "header", "mode"])
+def test_symbol_file_repeating_a_key_is_usage_error(capsys, tmp_path, text, message):
+    path = tmp_path / "twice.sym"
+    path.write_text(text)
+    code, out, err = run(capsys, "psdo", "--symbol-file", str(path), "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [("decide", "--surface", "cp2", "--k", "2"), ("catalog",)])
 def test_config_section_named_after_a_type_is_usage_error(capsys, tmp_path, argv):
     # It would shadow the built-in: --surface cp2 would print t4's row.

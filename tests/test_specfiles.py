@@ -69,6 +69,22 @@ class TestParseSections:
         with pytest.raises(ParseError, match="line 2"):
             parse_sections("a = 1\nbogus line\n")
 
+    @pytest.mark.parametrize("text, key, line, first", [
+        ("a = 1\nb = 2\na = 3\n", "a", 3, 1),
+        ("a = 1\n[s]\nb = 2\n# note\nb = 3\n", "b", 5, 3),
+        ("[s]\na = 1\n[t]\na = 2\na = 3\n", "a", 5, 4),
+    ], ids=["top-level", "section", "later-section"])
+    def test_second_key(self, text, key, line, first):
+        # The second value would silently replace the first.
+        with pytest.raises(ParseError, match=rf"^line {line}, .*second key '{key}' "
+                                             rf"\(the first is at line {first}\)"):
+            parse_sections(text)
+
+    def test_same_key_in_two_places(self):
+        top, sections = parse_sections("a = 1\n[s]\na = 2\n[t]\na = 3\n")
+        assert top == {"a": ("1", 1)}
+        assert [sec.entries for sec in sections] == [{"a": ("2", 3)}, {"a": ("3", 5)}]
+
     def test_unterminated_header(self):
         with pytest.raises(ParseError):
             parse_sections("[oops\n")
@@ -182,6 +198,43 @@ class TestLoadSymbol:
                                              r"\(the first is at line 3\)"):
             load_symbol(text)
 
+    @pytest.mark.parametrize("key", ["order", "dim", "grid"])
+    def test_second_top_level_key(self, key):
+        text = ("order = -1\ndim = 1\ngrid = 32\n[component degree=-1]\nplus = 1\nminus = 1\n"
+                .replace(f"{key} =", f"{key} = 2\n{key} =", 1))
+        first = {"order": 1, "dim": 2, "grid": 3}[key]
+        with pytest.raises(ParseError, match=rf"^line {first + 1}, .*second key '{key}' "
+                                             rf"\(the first is at line {first}\)"):
+            load_symbol(text)
+
+    def test_second_matrix_of_a_side(self):
+        text = "order = -1\ndim = 1\n[component degree=-1]\nplus = 1\nminus = 1\nplus = 5\n"
+        with pytest.raises(ParseError, match=r"^line 6, .*second key 'plus' "
+                                             r"\(the first is at line 4\)"):
+            load_symbol(text)
+
+    def test_second_degree_in_a_header(self):
+        text = "order = -1\ndim = 1\n[component degree=-1 degree=0]\nplus = 1\nminus = 1\n"
+        with pytest.raises(ParseError, match=r"^line 3, .*second 'degree=' in the section header"):
+            load_symbol(text)
+
+    @pytest.mark.parametrize("first, second", [("plus_cos1", "plus_cos01"),
+                                               ("minus_sin002", "minus_sin2"),
+                                               ("plus_cos0", "plus_cos00")])
+    def test_one_mode_written_twice(self, first, second):
+        # Both spellings are the same Fourier term; the file would add it twice.
+        text = (f"order = 0\ndim = 1\n[component degree=0]\nplus = 1\nminus = 1\n"
+                f"{first} = 1\n{second} = 2\n")
+        with pytest.raises(ParseError, match=rf"^line 7, .*'{second}' repeats the term "
+                                             rf"'{first}' \(line 6\)"):
+            load_symbol(text)
+
+    def test_cos_and_sin_of_one_mode(self):
+        sym = load_symbol("order = 0\ndim = 1\ngrid = 16\n[component degree=0]\n"
+                          "plus = 0\nplus_cos1 = 1\nplus_sin01 = 1\nminus = 0\n")
+        x = 2.0 * np.pi * np.arange(16) / 16
+        assert np.allclose(sym.ladder[0, 0, :, 0, 0], np.cos(x) + np.sin(x), rtol=0, atol=1e-15)
+
     # A mode is ASCII decimal digits: int() alone would read "1_0" as 10,
     # the Arabic-Indic digit two as 2, and accept a sign.
     @pytest.mark.parametrize("key", ["plus_cosx", "minus_sin", "plus_cos1.5", "plus_cos1_0",
@@ -243,6 +296,13 @@ class TestLoadSurfaces:
         text = f"[surface ok]\ntype = t4\n\n[surface {stype}]\ntype = t4\n"
         with pytest.raises(ParseError, match=rf"^line 4, .*section \[surface {stype}\] "
                                              rf"would shadow the built-in type '{stype}'"):
+            load_surfaces(text)
+
+    def test_second_parameter_in_a_section(self):
+        # The second a would replace the first: x would be cp1xcp1 (3, 2).
+        text = "[surface x]\ntype = cp1xcp1\na = 1\nb = 2\na = 3\n"
+        with pytest.raises(ParseError, match=r"^line 5, .*second key 'a' "
+                                             r"\(the first is at line 3\)"):
             load_surfaces(text)
 
     def test_second_section_of_a_name(self):
