@@ -21,21 +21,20 @@ array.
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
 with d_x by spectral differentiation and d_xi acting degree-wise.  One
-kernel, `_add_products`, serves compose and parametrix.  It works on
-stacks: ladders with one stack axis after the place axis, the grid still on
-axis -3, and one order per element; compose and parametrix pass a stack of
-one.  For each (p, m) in lexicographic order the kernel multiplies sigma_p
-by d_x^m of the whole right-hand ladder in one batched matmul and adds the
-products into output rows p + m onward, so every output degree gets its
-terms in the order p, then m, from +0.  The x-derivatives of a ladder take
-one forward FFT and one inverse FFT per m.  Terms that are exactly zero are
-skipped: those of a vanishing component, d_x^m (m >= 1) of a component whose
-grid rows are all equal bit for bit, and those of a zero falling factorial.
+kernel, `_add_products`, serves compose and parametrix.  For each (p, m)
+in lexicographic order it multiplies sigma_p by d_x^m of the whole
+right-hand ladder in one batched matmul and adds the products into output
+rows p + m onward, so every output degree gets its terms in the order p,
+then m, from +0.  The x-derivatives of a ladder take one forward FFT and
+one inverse FFT per m.  Terms that are exactly zero are skipped: those of a
+vanishing component, d_x^m (m >= 1) of a component whose grid rows are all
+equal bit for bit, and those of a zero falling factorial.
 
 The commutator trace test reads only the trace of one row of PQ and of QP,
-so it forms no matrix product: over the stack [Q, P] it adds, per (p, m) in
-the kernel's order, the trace of each term as one einsum
-(`_commutator_traces`), with the kernel's derivative table and scales.
+so it forms no matrix product: over the stack [Q, P] (one stack axis after
+the place axis, one order per element) it adds, per (p, m) in the kernel's
+order, the trace of each term as one einsum (`_commutator_traces`), with
+the kernel's derivative table and scales, which also take stacks.
 """
 
 from __future__ import annotations
@@ -317,9 +316,9 @@ def _wavenumbers(grid: int) -> np.ndarray:
 
 
 def _derivatives(stored: np.ndarray, live: tuple, depth: int) -> list:
-    """table[m] = (d_x^m of places 0 .. depth - 1 - m of the stack `stored`,
-    live), for a (depth, S, 2, G, d, d) stack of S ladders: places on axis
-    0, grid on axis -3.  `live` is
+    """table[m] = (d_x^m of places 0 .. depth - 1 - m of `stored`, live),
+    for a (depth, 2, G, d, d) ladder or a (depth, S, 2, G, d, d) stack of S
+    ladders: places on axis 0, grid on axis -3.  `live` is
     (nonzero, varying), the places that hold a nonzero value and those whose
     grid rows differ (ClassicalSymbol._live), and the live list of table[m]
     holds the places whose terms are not exactly zero: the nonzero ones for
@@ -366,26 +365,23 @@ def _scales(orders: tuple, p: int, count: int) -> tuple:
     return tuple(scales)
 
 
-def _add_products(acc: np.ndarray, lo: int, orders: tuple, left: np.ndarray,
+def _add_products(acc: np.ndarray, lo: int, order: tuple, left: np.ndarray,
                   first: int, dQ: list) -> None:
     """The product kernel of compose and parametrix.  Adds to acc[j - lo],
     lo <= j < lo + len(acc), the terms ((-i)^m / m!) d_xi^m sigma_p d_x^m
     sigma_q with p + m + q = j, for sigma_p = left[p - first] (places first,
-    first + 1, ...) and d_x^m sigma_q from the table of `_derivatives`.  acc,
-    left and the table are stacks, with a stack axis after the place axis:
-    element e of left, of order orders[e] as a (numerator, denominator) pair,
-    multiplies element e of the table, with the scales of `_scales`.  For
-    each (p, m) in lexicographic order the live q of every row in range are
-    one batched matmul.  Exactly zero terms are skipped: those of a
-    vanishing sigma_p, of a place that is not live, and of an m where every
-    falling factorial is zero; an element whose own one is zero adds zeros,
-    which leave its nonzero values as they are."""
+    first + 1, ...) of order `order`, a (numerator, denominator) pair, and
+    d_x^m sigma_q from the table of `_derivatives`, with the scales of
+    `_scales`.  For each (p, m) in lexicographic order the live q of every
+    row in range are one batched matmul.  Exactly zero terms are skipped:
+    those of a vanishing sigma_p, of a place that is not live, and of a zero
+    falling factorial."""
     rows = len(acc)
     nonzero = left.any(axis=tuple(range(1, left.ndim))).tolist()
     for p, sigma in enumerate(left, start=first):
         if not nonzero[p - first]:
             continue
-        for m, scale in enumerate(_scales(orders, p, len(dQ))):
+        for m, scale in enumerate(_scales((order,), p, len(dQ))):
             dq, live = dQ[m]
             shift = p + m - lo  # output row of q = 0
             q = [q for q in live if -shift <= q < rows - shift]
@@ -422,11 +418,11 @@ def compose(P: ClassicalSymbol, Q: ClassicalSymbol, depth: int | None = None) ->
     if depth is None:
         depth = available
     _check_depth(depth, available)
-    dQ = _derivatives(Q.stored[:, None], Q._live, depth)  # a stack of one
+    dQ = _derivatives(Q.stored, Q._live, depth)
     grid = max(P.stored.shape[2], dQ[0][0].shape[-3])  # one row when both ladders are
     acc = np.zeros((depth, 2, grid) + (P.fiber_dim,) * 2, dtype=complex)
-    orders = ((P.order.numerator, P.order.denominator),)
-    _add_products(acc[:, None], 0, orders, P.stored[:depth, None], 0, dQ)
+    order = (P.order.numerator, P.order.denominator)
+    _add_products(acc, 0, order, P.stored[:depth], 0, dQ)
     return ClassicalSymbol._of(P.order + Q.order, acc, P.grid)
 
 
@@ -466,20 +462,20 @@ def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
     stored as one row is inverted and solved on that row.
     """
     _check_depth(depth, A.depth)
-    dA = _derivatives(A.stored[:, None], A._live, depth)  # a stack of one
+    dA = _derivatives(A.stored, A._live, depth)
     inverses = []
-    for side, values in zip(("+1", "-1"), dA[0][0][0, 0]):  # a_0, as the kernel reads it
+    for side, values in zip(("+1", "-1"), dA[0][0][0]):  # a_0, as the kernel reads it
         try:
             inverses.append(np.linalg.inv(values))
         except np.linalg.LinAlgError:
             raise SymbolError(f"leading component is singular at xi = {side}") from None
     a0inv = np.stack(inverses)
     order = -A.order
-    orders = ((order.numerator, order.denominator),)
     b = np.zeros((depth,) + a0inv.shape, dtype=complex)  # the other terms, then b_j
     b[0] = a0inv
     for j in range(1, depth):
-        _add_products(b[j:, None], j, orders, b[j - 1: j, None], j - 1, dA)  # the terms of b_{j-1}
+        # the terms of b_{j-1}
+        _add_products(b[j:], j, (order.numerator, order.denominator), b[j - 1: j], j - 1, dA)
         b[j] = -np.matmul(b[j], a0inv)
     return ClassicalSymbol._of(order, b, A.grid)
 

@@ -129,10 +129,11 @@ def _component_values(entries: dict, prefix: str, values: np.ndarray, line: int)
             except (ValueError, OverflowError):  # not digits, too long, or no float
                 raise ParseError(f"bad Fourier key {key!r}", lineno) from None
             wave = np.cos if key.startswith(prefix + "_cos") else np.sin
-            first = modes.setdefault((wave, mode), (key, lineno))
-            if first[1] != lineno:
-                raise ParseError(f"{key!r} repeats the term {first[0]!r} "
-                                 f"(line {first[1]})", lineno)
+            if (wave, mode) in modes:
+                first, first_line = modes[(wave, mode)]
+                raise ParseError(f"{key!r} repeats the term {first!r} (line {first_line})",
+                                 lineno)
+            modes[(wave, mode)] = (key, lineno)
             term = wave(phase)[:, None, None] * _parse_matrix(text, lineno, dim)
         else:
             continue

@@ -125,11 +125,11 @@ def derivatives_reference(stored, live, depth):
     return table
 
 
-def add_products_reference(acc, lo, orders, left, first, dQ):
+def add_products_reference(acc, lo, order, left, first, dQ):
     """The product kernel term by term: every (p, m, q) with p + m + q in
     range is multiplied and added on its own, exactly-zero terms included,
-    and each stack element's scale is made on its own from its order, a
-    (numerator, denominator) pair."""
+    and each scale is made on its own from the order, a (numerator,
+    denominator) pair."""
 
     def falling(a, m):
         out = 1.0
@@ -142,9 +142,8 @@ def add_products_reference(acc, lo, orders, left, first, dQ):
             for q, dx in enumerate(dq):
                 if lo <= p + m + q < lo + len(acc):
                     coeff = (-1j) ** m / factorial(m)
-                    scale = np.array([coeff * falling(Fraction(*o) - p, m) * np.array([1.0, (-1.0) ** m])
-                                      for o in orders])
-                    acc[p + m + q - lo] += scale[:, :, None, None, None] * np.matmul(sigma, dx)
+                    scale = coeff * falling(Fraction(*order) - p, m) * np.array([1.0, (-1.0) ** m])
+                    acc[p + m + q - lo] += scale[:, None, None, None] * np.matmul(sigma, dx)
 
 
 @pytest.fixture
@@ -601,7 +600,9 @@ class TestCommutatorTrace:
                         self.assert_within_bound(rows)
                     assert (commutator_trace_test(seed, trials, depth)
                             == max((got for got, _, _ in rows), default=0.0))
-        self.assert_within_bound(commutator_trace_reference(0, 200, depth))
+        rows = commutator_trace_reference(0, 200, depth)  # the CLI's default trials
+        self.assert_within_bound(rows)
+        assert commutator_trace_test(0, 200, depth) == max(got for got, _, _ in rows)
 
     @pytest.mark.parametrize("grid", [16, 32, 128])
     def test_matches_full_build_within_rounding_on_each_grid(self, grid):
