@@ -83,6 +83,7 @@ def _unit_sphere(n: int) -> np.ndarray:
 
 _SPHERE_2 = _unit_sphere(2)
 _SPHERE_4 = _unit_sphere(4)
+_SPHERE_5 = _unit_sphere(5)
 
 
 def complex_space_form(c: float, J: ComplexStructure = STANDARD_J) -> RiemannTensor:

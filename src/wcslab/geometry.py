@@ -128,15 +128,29 @@ class OrthonormalFrame:
 
 
 def symmetry_violation(R: RiemannTensor) -> float:
-    """Max violation over the three classical curvature identities."""
-    c = R.comp
-    anti_ij = np.max(np.abs(c + np.transpose(c, (1, 0, 2, 3))))
-    anti_kl = np.max(np.abs(c + np.transpose(c, (0, 1, 3, 2))))
-    pair = np.max(np.abs(c - np.transpose(c, (2, 3, 0, 1))))
-    bianchi = np.max(
-        np.abs(c + np.transpose(c, (1, 2, 0, 3)) + np.transpose(c, (2, 0, 1, 3)))
-    )
-    return max(anti_ij, anti_kl, pair, bianchi)
+    """Max violation over the three classical curvature identities: the
+    largest |residual| of antisymmetry in each index pair, pair symmetry
+    and the first Bianchi identity (`_violations` of the one tensor).
+    NaN when a component is NaN."""
+    return _violations(R.comp)[()]
+
+
+def _violations(comps: np.ndarray) -> np.ndarray:
+    """symmetry_violation of each tensor of a stack (..., d, d, d, d), shape
+    (...): the four identity residuals of the whole stack go into one
+    buffer, read by one abs and one max per tensor.  Each residual adds its
+    terms in the order of the one-tensor formula, so every value is the one
+    of its tensor checked alone.  An inf component can make an inf - inf
+    residual, which numpy warns of, and a NaN one gives a NaN value."""
+    c = comps.reshape((-1,) + comps.shape[-4:])
+    res = np.empty((4,) + c.shape)
+    np.add(c, c.transpose(0, 2, 1, 3, 4), out=res[0])        # antisymmetry in (i, j)
+    np.add(c, c.transpose(0, 1, 2, 4, 3), out=res[1])        # antisymmetry in (k, l)
+    np.subtract(c, c.transpose(0, 3, 4, 1, 2), out=res[2])   # pair symmetry
+    np.add(c, c.transpose(0, 2, 3, 1, 4), out=res[3])        # first Bianchi
+    np.add(res[3], c.transpose(0, 3, 1, 2, 4), out=res[3])
+    np.abs(res, out=res)
+    return res.reshape(4, len(c), -1).max(axis=(0, 2)).reshape(comps.shape[:-4])
 
 
 def validate_symmetries(R: RiemannTensor, tol: float = 1e-10) -> bool:

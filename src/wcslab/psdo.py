@@ -241,26 +241,8 @@ class ClassicalSymbol:
     def _binary(self, other, f):
         if not isinstance(other, ClassicalSymbol):
             return NotImplemented
-        if other.fiber_dim != self.fiber_dim or other.grid != self.grid:
-            raise FiberMismatchError("fiber dimension or grid mismatch")
-        shift = self.order - other.order
-        if shift.denominator != 1:
-            raise SymbolError("orders must differ by an integer to combine")
-        # The result starts at the higher order and ends at the higher floor.
-        tops = (max(-int(shift), 0), max(int(shift), 0))
-        depth = min(tops[0] + self.depth, tops[1] + other.depth)
-
-        def ladder(sym, top):  # sym's stored values at the result's places 0 .. depth - 1
-            stored = sym.stored[: max(depth - top, 0)]
-            if top == 0 and len(stored) == depth:
-                return stored
-            out = np.zeros((depth,) + stored.shape[1:], dtype=complex)
-            out[top: top + len(stored)] = stored
-            return out
-
-        order = self.order if shift >= 0 else other.order
-        return ClassicalSymbol._of(order, f(ladder(self, tops[0]), ladder(other, tops[1])),
-                                   self.grid)
+        order, (a, b) = _aligned((self, other))
+        return ClassicalSymbol._of(order, f(a, b), self.grid)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b)
@@ -270,6 +252,56 @@ class ClassicalSymbol:
 
     def __rmul__(self, scalar):
         return ClassicalSymbol._of(self.order, complex(scalar) * self.stored, self.grid)
+
+
+def _aligned(syms) -> tuple:
+    """(order, ladders): the order of syms[0] + syms[1] + ..., and each
+    symbol's stored values at that sum's places.  The sum starts at the
+    highest order and ends at the highest floor.  A ladder is the symbol's
+    `stored` itself when it fills those places, and otherwise a fresh array
+    with exact zeros (+0.0) at the places it does not reach, the zeros the
+    sum adds there.
+
+    Integer orders are shifted as ints: a Fraction operation costs about a
+    microsecond, more than the sum of small ladders.
+    """
+    first = syms[0]
+    for sym in syms[1:]:
+        if sym.fiber_dim != first.fiber_dim or sym.grid != first.grid:
+            raise FiberMismatchError("fiber dimension or grid mismatch")
+    orders = [sym.order for sym in syms]
+    if all(order.denominator == 1 for order in orders):
+        orders = [order.numerator for order in orders]
+    top = max(orders)
+    shifts = [top - order for order in orders]
+    if any(shift.denominator != 1 for shift in shifts):
+        raise SymbolError("orders must differ by an integer to combine")
+    shifts = [int(shift) for shift in shifts]
+    depth = min(shift + sym.depth for shift, sym in zip(shifts, syms))
+    ladders = []
+    for shift, sym in zip(shifts, syms):
+        stored = sym.stored[: max(depth - shift, 0)]
+        if shift or len(stored) < depth:
+            placed = np.zeros((depth,) + stored.shape[1:], dtype=complex)
+            placed[shift: shift + len(stored)] = stored
+            stored = placed
+        ladders.append(stored)
+    return syms[orders.index(top)].order, ladders
+
+
+def _sum(syms) -> ClassicalSymbol:
+    """syms[0] + syms[1] + ..., two or more symbols, with every bit of that
+    chain of +, from one alignment: the aligned ladders are added into one
+    array in term order, starting from the first ladder (a start from zeros
+    would turn its -0.0 into +0.0)."""
+    order, ladders = _aligned(syms)
+    total = ladders[0] + ladders[1]
+    for ladder in ladders[2:]:
+        if ladder.shape[2] > total.shape[2]:
+            total = total + ladder  # a full grid after one-row ladders
+        else:
+            total += ladder
+    return ClassicalSymbol._of(order, total, syms[0].grid)
 
 
 def identity_symbol(dim: int = 1, grid: int = DEFAULT_GRID, depth: int = 1) -> ClassicalSymbol:
@@ -663,55 +695,73 @@ def connection_difference_terms(lift, depth: int = 6, grid: int = DEFAULT_GRID):
     Returns a fresh list of (name, ClassicalSymbol).
 
     The build reads the lift only through six 5x5 matrices: Gamma = (k/2) J
-    and the curvature endomorphisms E_Xg, N, M4, P_free and M6 of
-    `_terms_for`.  The symbols are built once per (those six matrices,
+    and the curvature endomorphisms E_Xg, N, P_free, M4 and M6 of
+    `_orbit_matrices`.  The symbols are built once per (those six matrices,
     depth, grid) per process, keyed by the matrices' bytes, and kept in a
     bounded cache (`_terms`); a repeat, such as the audit followed by the
     summed symbol, or another surface with the same matrices, shares the
     read-only symbols of the first build, bit for bit.  A build that raises
     is not kept.
     """
-    return _terms_for(lift, np.eye(5)[1], depth, grid)
+    return _terms_for(lift, _E2, depth, grid)
+
+
+#: The field X = e2 of the adapted frame (xi, e2, Je2, e3, Je3).
+_E2 = np.eye(5)[1]
+_E2.setflags(write=False)
 
 
 def _terms_for(lift, X: np.ndarray, depth: int, grid: int) -> list:
     """connection_difference_terms with the field X, a 5-vector in the
     adapted frame.  X enters E_Xg, N and P_free, and M4 and M6 through
     Z0 = Gamma X."""
+    return list(_terms(_orbit_matrices(lift, X).tobytes(), depth, grid))
+
+
+def _orbit_matrices(lift, X: np.ndarray) -> np.ndarray:
+    """Gamma, E_Xg, N, P_free, M4 and M6 of the field X, (6, 5, 5): all
+    that the terms read of the lift.
+
+    gamma_dot = xi is e0, so each endomorphism reads one slice of the
+    curvature, R[:, 0] (gamma_dot in the second slot) or R[:, :, 0] (in the
+    third), contracted with X or with Z0 = Gamma X.  The three contractions
+    in use are laid side by side in one (5, 75) array and multiplied by the
+    stack (X, Z0) in one matmul.  M[l, j] is
+        E_Xg    sum_i X_i R[i, 0, j, l]     Z -> R(X, gdot) Z
+        N       sum_m X_m R[j, 0, m, l]     Y -> R(Y, gdot) X
+        P_free  sum_i X_i R[i, j, 0, l]     Z -> R(X, Z) gdot
+        M4      sum_m Z0_m R[j, 0, m, l]    Y -> R(Y, gdot) Z0
+        M6      sum_i Z0_i R[i, j, 0, l]    Z -> R(Z0, Z) gdot
+    On a lift each of these sums has at most one nonzero term, since a
+    component with exactly one vertical slot vanishes.
+    """
     comp5 = lift.curvature5.comp
-    k = lift.k
-    gdot = np.eye(5)[0]
     # Orbit connection coefficient in the adapted frame: (k/2) J on the
     # horizontal block.  Only the orders of the audited terms are
     # insensitive to this convention; individual values are reported as
     # convention-dependent.
-    Gamma = np.zeros((5, 5))
-    Gamma[1:, 1:] = 0.5 * k * lift.base.J.matrix
-
-    # Endomorphism of the pair (X, gdot):  Z -> R(X, gdot) Z
-    E_Xg = np.einsum("i,m,imjl->lj", X, gdot, comp5)
-    # Y -> R(Y, gdot) X
-    N = np.einsum("a,m,jaml->lj", gdot, X, comp5)
-    Z0 = Gamma @ X  # covariant derivative of X along the orbit
-    # Y -> R(Y, gdot) Z0
-    M4 = np.einsum("a,m,jaml->lj", gdot, Z0, comp5)
-    # Z -> R(X, Z) gdot
-    P_free = np.einsum("i,a,ijal->lj", X, gdot, comp5)
-    # Z -> R(Z0, Z) gdot
-    M6 = np.einsum("i,a,ijal->lj", Z0, gdot, comp5)
-    key = tuple(m.tobytes() for m in (Gamma, E_Xg, N, M4, P_free, M6))
-    return list(_terms(key, depth, grid))
+    mats = np.zeros((6, 5, 5))
+    mats[0, 1:, 1:] = 0.5 * lift.k * lift.base.J.matrix
+    XZ = np.array((X, mats[0] @ X))  # Z0: the covariant derivative of X along the orbit
+    slices = np.concatenate((comp5[:, 0].transpose(0, 2, 1),      # [i, l, j] = R[i, 0, j, l]
+                             comp5[:, 0].transpose(1, 2, 0),      # [m, l, j] = R[j, 0, m, l]
+                             comp5[:, :, 0].transpose(0, 2, 1)),  # [i, l, j] = R[i, j, 0, l]
+                            axis=1)
+    products = (XZ @ slices.reshape(5, 75)).reshape(2, 3, 5, 5)
+    mats[1:4] = products[0]     # E_Xg, N, P_free
+    mats[4:] = products[1, 1:]  # M4, M6
+    return mats
 
 
 @lru_cache(maxsize=64)
-def _terms(key: tuple, depth: int, grid: int) -> tuple:
+def _terms(key: bytes, depth: int, grid: int) -> tuple:
     """The six (name, symbol) pairs of connection_difference_terms, built
-    from the float64 5x5 matrices (Gamma, E_Xg, N, M4, P_free, M6) whose
-    bytes are `key`: everything the build reads, so equal keys give the
-    same symbols bit for bit.  An entry holds six one-row ladders, about
-    30 KB at depth 6."""
+    from the float64 5x5 matrices Gamma, E_Xg, N, P_free, M4 and M6 whose
+    bytes, in that order, are `key`: everything the build reads, so equal
+    keys give the same symbols bit for bit.  An entry holds six one-row
+    ladders, about 30 KB at depth 6."""
     _check_grid(grid)
-    Gamma, E_Xg, N, M4, P_free, M6 = (np.frombuffer(b).reshape(5, 5) for b in key)
+    Gamma, E_Xg, N, P_free, M4, M6 = np.frombuffer(key).reshape(6, 5, 5)
     # Every product below is truncated at `depth`, so D and the
     # multiplications are built at that depth too.
     B = resolvent_parametrix(Gamma.astype(complex), depth=depth, dim=5, grid=grid)
@@ -735,19 +785,25 @@ def _terms(key: tuple, depth: int, grid: int) -> tuple:
 
 def connection_difference_order_audit(lift, depth: int = 6, grid: int = DEFAULT_GRID):
     """Highest nonvanishing homogeneity degree of each term of the
-    connection difference; None for identically zero terms.
+    connection difference, as `leading_degree` finds it (an int here);
+    None for identically zero terms.  The six ladders, all built at
+    `depth` as one grid row, are stacked and read in one sup-norm pass.
 
     The orders depend on the surface only through k: the terms read only
     curvature with a gamma_dot slot, which on a lift depends on k alone, so
     every catalog surface gives the same terms bit for bit."""
-    out = []
-    for name, sym in connection_difference_terms(lift, depth, grid):
-        deg = sym.leading_degree()
-        out.append((name, None if deg is None else int(deg)))
-    return out
+    terms = connection_difference_terms(lift, depth, grid)
+    # Sup norm of each component against leading_degree's default tol.
+    above = (np.abs(np.stack([sym.stored for _, sym in terms])).reshape(len(terms), depth, -1)
+             .max(axis=2) > 1e-11)
+    places = above.argmax(axis=1).tolist()
+    return [(name, int(sym.order) - place if row[place] else None)
+            for (name, sym), row, place in zip(terms, above.tolist(), places)]
 
 
 def connection_difference_symbol(lift, depth: int = 6, grid: int = DEFAULT_GRID) -> ClassicalSymbol:
-    """Sum of the six terms: the full difference of the two connections."""
-    (_, first), *rest = connection_difference_terms(lift, depth, grid)
-    return sum((sym for _, sym in rest), first)
+    """Sum of the six terms: the full difference of the two connections.
+
+    The six ladders are aligned once and added into one array in term
+    order, with every bit of the chain of + over the terms."""
+    return _sum([sym for _, sym in connection_difference_terms(lift, depth, grid)])

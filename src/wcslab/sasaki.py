@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import KahlerSurface, _unit_sphere, complex_space_form
-from .geometry import RiemannTensor, symmetry_violation
+from .catalog import _SPHERE_5, KahlerSurface, complex_space_form
+from .geometry import RiemannTensor, _violations
 
 __all__ = ["SasakiLift", "LiftConsistencyError", "lift_parts", "lift_curvature",
            "total_volume", "FIBER_LENGTH"]
@@ -42,12 +42,31 @@ class SasakiLift:
         return self.fiber_length * self.base.volume
 
 
-def _check_identities(R: RiemannTensor, what: str, tol: float = 1e-12) -> None:
-    viol = symmetry_violation(R)
-    if viol > tol:
-        raise LiftConsistencyError(
-            f"{what} violates curvature identities (max violation {viol:.3e})"
-        )
+def _check_identities(stack: np.ndarray, whats: tuple, tols: tuple) -> None:
+    """Check a stack (n, 5, 5, 5, 5) in one pass: tensor i, named whats[i],
+    fails unless its symmetry violation is <= tols[i], so NaN fails, and
+    the first failing tensor raises.  An inf - inf residual is NaN, so it
+    fails too, and numpy's warning of it is silenced."""
+    with np.errstate(invalid="ignore"):
+        viols = _violations(stack)
+    for what, viol, tol in zip(whats, viols, tols):
+        if not viol <= tol:
+            raise LiftConsistencyError(
+                f"{what} violates curvature identities (max violation {viol:.3e})"
+            )
+
+
+def _parts(base: KahlerSurface) -> np.ndarray:
+    """The stack [R0, R1] of `lift_parts`, (2, 5, 5, 5, 5), unchecked."""
+    parts = np.zeros((2, 5, 5, 5, 5))
+    parts[0, 1:, 1:, 1:, 1:] = base.require_curvature().comp
+    parts[1] = _SPHERE_5
+    parts[1, 1:, 1:, 1:, 1:] -= complex_space_form(4.0, base.J).comp
+    return parts
+
+
+def _part_names(base: KahlerSurface) -> tuple:
+    return tuple(f"lift part {name} of {base.name!r}" for name in ("R0", "R1"))
 
 
 def lift_parts(base: KahlerSurface) -> tuple[RiemannTensor, RiemannTensor]:
@@ -61,31 +80,40 @@ def lift_parts(base: KahlerSurface) -> tuple[RiemannTensor, RiemannTensor]:
     R1(xi,X,Y,xi) = <X,Y>, and mixed components with a single vertical
     slot vanish.  The curvature identities are linear, so when both parts
     satisfy them the lift does at every k, up to the rounding of the sum.
+
+    Both parts are checked in one identity pass over the stack [R0, R1],
+    each against an absolute 1e-12: a NaN or inf component fails, and R0
+    is reported first.
     """
-    r0 = np.zeros((5, 5, 5, 5))
-    r0[1:, 1:, 1:, 1:] = base.require_curvature().comp
-    r1 = _unit_sphere(5).copy()
-    r1[1:, 1:, 1:, 1:] -= complex_space_form(4.0, base.J).comp
-    parts = RiemannTensor(r0), RiemannTensor(r1)
-    for name, part in zip(("R0", "R1"), parts):
-        _check_identities(part, f"lift part {name} of {base.name!r}")
-    return parts
+    parts = _parts(base)
+    _check_identities(parts, _part_names(base), (1e-12, 1e-12))
+    return RiemannTensor(parts[0]), RiemannTensor(parts[1])
 
 
 def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
     """The full 5d curvature tensor R0 + k^2 R1 of the level-k circle
-    bundle, from `lift_parts`.
+    bundle, with R0 and R1 as in `lift_parts`.
 
-    The sum rounds at the scale of its largest component (about k^2), so
-    its check is relative to that: 1e-12 * max(1, max |component|).  Each
-    part was already checked against an absolute 1e-12.
+    R0, R1 and the sum are checked in one identity pass over the stack of
+    the three; the first that fails raises, and a NaN or inf component
+    fails.  Each part is held to an absolute 1e-12.  The sum rounds at the
+    scale of its largest component (about k^2), so its check is relative
+    to that: 1e-12 * max(1, max |component|).
+
+    k must be an int or a numpy integer, not a bool: the level is stored
+    with the tensor, and density_closed_form reads it, so any other k
+    raises ValueError rather than being stored as a level it is not.
     """
-    r0, r1 = lift_parts(base)
-    comp = r0.comp + float(k) ** 2 * r1.comp
-    lift = SasakiLift(base=base, k=int(k), curvature5=RiemannTensor(comp))
-    _check_identities(lift.curvature5, f"lift of {base.name!r} at k={k}",
-                      tol=1e-12 * max(1.0, float(np.max(np.abs(comp)))))
-    return lift
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an int, got {k!r}")
+    stack = np.empty((3, 5, 5, 5, 5))
+    stack[:2] = _parts(base)
+    np.multiply(float(k) ** 2, stack[1], out=stack[2])
+    stack[2] += stack[0]
+    top = float(np.max(np.abs(stack[2])))
+    _check_identities(stack, _part_names(base) + (f"lift of {base.name!r} at k={k}",),
+                      (1e-12, 1e-12, 1e-12 * max(1.0, top)))
+    return SasakiLift(base=base, k=int(k), curvature5=RiemannTensor(stack[2]))
 
 
 def total_volume(lift: SasakiLift) -> float:

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from wcslab.geometry import (
     symmetry_violation,
     validate_symmetries,
 )
-from wcslab.sasaki import FIBER_LENGTH, lift_curvature
+from wcslab.sasaki import FIBER_LENGTH, lift_curvature, lift_parts
 from wcslab.catalog import flat_torus
 from wcslab.wcs import permutation_density_raw
 
@@ -63,6 +64,65 @@ class TestValidateSymmetries:
             RiemannTensor(np.zeros((4, 4, 4, 3)))
         with pytest.raises(ShapeError):
             RiemannTensor(np.zeros((6, 6, 6, 6)))
+
+
+def violation_reference(c):
+    """The four identity maxima of one tensor, each residual formed on its
+    own, as symmetry_violation once computed them."""
+    anti_ij = np.max(np.abs(c + np.transpose(c, (1, 0, 2, 3))))
+    anti_kl = np.max(np.abs(c + np.transpose(c, (0, 1, 3, 2))))
+    pair = np.max(np.abs(c - np.transpose(c, (2, 3, 0, 1))))
+    bianchi = np.max(
+        np.abs(c + np.transpose(c, (1, 2, 0, 3)) + np.transpose(c, (2, 0, 1, 3)))
+    )
+    return max(anti_ij, anti_kl, pair, bianchi)
+
+
+def lift_stack():
+    """Lift tensors of catalog surfaces and of cp2 with a conjugated J, and
+    their parts, (m, 5, 5, 5, 5): their violations are exact zeros on the
+    catalog and rounding-level values with the conjugated J."""
+    Q = random_rotation(np.random.default_rng(11), 4)
+    J = ComplexStructure(Q @ STANDARD_J.matrix @ Q.T)
+    turned = replace(cp2_fubini_study(), J=J, curvature=complex_space_form(4.0, J))
+    out = []
+    for base in (flat_torus(), cp2_fubini_study(), product_cp1(2, 3), product_cp1(1, 5), turned):
+        out += [part.comp for part in lift_parts(base)]
+        out += [lift_curvature(base, k).curvature5.comp for k in (1, 3, -7, 10**4)]
+    return np.array(out)
+
+
+class TestViolationsOnAStack:
+    """geometry._violations, the one-pass form behind symmetry_violation and
+    the lift checks, against each tensor checked on its own."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 3)])
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_random_stack_equals_each_tensor(self, rng, shape, dim):
+        comps = rng.standard_normal(shape + (dim,) * 4)
+        got = geometry._violations(comps)
+        assert got.shape == shape
+        for idx in np.ndindex(shape):
+            want = violation_reference(comps[idx])
+            assert got[idx] == want == symmetry_violation(RiemannTensor(comps[idx]))
+
+    def test_lift_stack_equals_each_tensor(self):
+        comps = lift_stack()
+        got = geometry._violations(comps)
+        assert got.shape == (len(comps),)
+        assert 0.0 in got and np.any(got > 0.0)  # both exact and rounded cases
+        assert got.tolist() == [violation_reference(c) for c in comps]
+
+    def test_result_is_a_float(self):
+        value = symmetry_violation(complex_space_form(4.0))
+        assert isinstance(value, float) and value == violation_reference(complex_space_form(4.0).comp)
+
+    def test_nan_marks_only_its_tensor(self):
+        comps = lift_stack()[:4].copy()
+        comps[2, 1, 2, 2, 1] = np.nan
+        got = geometry._violations(comps)
+        assert np.isnan(got[2]) and np.isnan(symmetry_violation(RiemannTensor(comps[2])))
+        assert [got[i] for i in (0, 1, 3)] == [violation_reference(comps[i]) for i in (0, 1, 3)]
 
 
 class TestEndomorphismOfPair:

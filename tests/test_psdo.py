@@ -1,4 +1,6 @@
+import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -14,7 +16,8 @@ from commutator_reference import (
     trace_scale,
 )
 from wcslab import psdo
-from wcslab.catalog import cp2_fubini_study, flat_torus, product_cp1
+from wcslab.catalog import complex_space_form, cp2_fubini_study, flat_torus, product_cp1
+from wcslab.geometry import STANDARD_J, ComplexStructure
 from wcslab.psdo import (
     ClassicalSymbol,
     FiberMismatchError,
@@ -1073,6 +1076,160 @@ CATALOG = [flat_torus(), cp2_fubini_study()] + [
 
 def stored_terms(terms):
     return [(name, sym.order, sym.stored.tobytes()) for name, sym in terms]
+
+
+def turned_cp2(seed=5):
+    """cp2 with J conjugated by a seeded rotation, Q J Q^T, and its space
+    form: a J whose entries are not 0 or +-1."""
+    Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))[0]
+    J = ComplexStructure(Q @ STANDARD_J.matrix @ Q.T)
+    return replace(cp2_fubini_study(), name="cp2-turned", J=J, curvature=complex_space_form(4.0, J))
+
+
+def orbit_matrices_reference(lift, X):
+    """Gamma and the five gamma_dot-slot endomorphisms of the field X, each
+    as its einsum definition, in the order of psdo._orbit_matrices."""
+    comp5 = lift.curvature5.comp
+    gdot = np.eye(5)[0]
+    Gamma = np.zeros((5, 5))
+    Gamma[1:, 1:] = 0.5 * lift.k * lift.base.J.matrix
+    Z0 = Gamma @ X
+    return np.stack([
+        Gamma,
+        np.einsum("i,m,imjl->lj", X, gdot, comp5),   # E_Xg: Z -> R(X, gdot) Z
+        np.einsum("a,m,jaml->lj", gdot, X, comp5),   # N: Y -> R(Y, gdot) X
+        np.einsum("i,a,ijal->lj", X, gdot, comp5),   # P_free: Z -> R(X, Z) gdot
+        np.einsum("a,m,jaml->lj", gdot, Z0, comp5),  # M4: Y -> R(Y, gdot) Z0
+        np.einsum("i,a,ijal->lj", Z0, gdot, comp5),  # M6: Z -> R(Z0, Z) gdot
+    ])
+
+
+def plus_chain(syms):
+    """syms[0] + syms[1] + ..., one + at a time."""
+    total, *rest = syms
+    for sym in rest:
+        total = total + sym
+    return total
+
+
+AUDIT_BASES = [flat_torus(), cp2_fubini_study(), product_cp1(2, 3), turned_cp2()]
+
+
+class TestAuditInOnePass:
+    """The audit path in one pass per stage (the endomorphisms as slices,
+    one sup-norm pass, one aligned sum) against the per-term definitions."""
+
+    @pytest.mark.parametrize("depth, grid", [(6, 32), (4, 64)])
+    @pytest.mark.parametrize("k", [1, 2, 3, -2, 5])
+    @pytest.mark.parametrize("base", AUDIT_BASES, ids=lambda s: s.name)
+    def test_symbol_is_the_chain_of_plus(self, base, k, depth, grid):
+        lift = lift_curvature(base, k)
+        total = connection_difference_symbol(lift, depth, grid)
+        chain = plus_chain([sym for _, sym in connection_difference_terms(lift, depth, grid)])
+        assert total.order == chain.order and total.grid == chain.grid
+        assert total.stored.shape == chain.stored.shape
+        assert total.stored.tobytes() == chain.stored.tobytes()
+
+    @pytest.mark.parametrize("depth, grid", [(6, 32), (4, 64)])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, -2, 5])
+    @pytest.mark.parametrize("base", AUDIT_BASES, ids=lambda s: s.name)
+    def test_audit_is_each_terms_leading_degree(self, base, k, depth, grid):
+        lift = lift_curvature(base, k)
+        want = []
+        for name, sym in connection_difference_terms(lift, depth, grid):
+            degree = sym.leading_degree()
+            want.append((name, None if degree is None else int(degree)))
+        audit = connection_difference_order_audit(lift, depth, grid)
+        assert audit == want
+        assert all(order is None or type(order) is int for _, order in audit)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, -3, 7])
+    @pytest.mark.parametrize("base", AUDIT_BASES, ids=lambda s: s.name)
+    def test_orbit_matrices_are_the_einsum_definitions(self, base, k):
+        lift = lift_curvature(base, k)
+        for X in np.eye(5):  # bit for bit in each frame direction
+            got = psdo._orbit_matrices(lift, X)
+            assert got.tobytes() == orbit_matrices_reference(lift, X).tobytes()
+        rng = np.random.default_rng(k + 10)
+        tol = 4 * np.finfo(float).eps * np.abs(lift.curvature5.comp).max()
+        for v in rng.standard_normal((10, 5)):  # unit fields off the frame
+            X = v / np.linalg.norm(v)
+            got, want = psdo._orbit_matrices(lift, X), orbit_matrices_reference(lift, X)
+            assert got[0].tobytes() == want[0].tobytes()  # Gamma
+            assert np.abs(got - want).max() <= tol
+
+    def test_terms_read_the_orbit_matrices(self):
+        # The memo key is the bytes of the six matrices, in that order.
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        psdo._terms.cache_clear()
+        terms = connection_difference_terms(lift, 6, GRID)
+        key = orbit_matrices_reference(lift, np.eye(5)[1]).tobytes()
+        assert all(a is b for (_, a), (_, b) in zip(terms, psdo._terms(key, 6, GRID), strict=True))
+        assert psdo._terms.cache_info()[:2] == (1, 1)
+
+
+class TestAlignedSum:
+    """psdo._sum against the chain of + it replaces, bit for bit, on ladders
+    full of -0.0, at shifted and rational orders, one-row and full."""
+
+    @staticmethod
+    def signed(rng, order, depth, row):
+        """Random entries, a third of them -0.0 and a third +0.0."""
+        shape = (depth, 2, 1 if row else GRID, 2, 2)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        pick = rng.integers(0, 3, shape)
+        values = np.where(pick == 0, -0.0 - 0.0j, np.where(pick == 1, 0.0j, values))
+        ladder = np.broadcast_to(values, shape[:2] + (GRID,) + shape[3:])
+        return ClassicalSymbol.from_ladder(Fraction(order), ladder)
+
+    CASES = [
+        [("-1", 6, 1), ("-1", 6, 1), ("-1", 6, 1), ("-2", 6, 1), ("-1", 6, 1), ("-2", 6, 1)],
+        [("-2", 3, 1), ("0", 5, 1), ("-1", 4, 0), ("1", 2, 1)],
+        [("1/2", 3, 0), ("-3/2", 4, 1), ("1/2", 5, 1)],
+        [("0", 1, 1), ("-3", 6, 1)],
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_equals_the_chain_of_plus(self, case):
+        rng = np.random.default_rng(case)
+        for _ in range(5):
+            syms = [self.signed(rng, order, depth, row) for order, depth, row in self.CASES[case]]
+            got, want = psdo._sum(syms), plus_chain(syms)
+            assert got.order == want.order and got.stored.shape == want.stored.shape
+            assert got.stored.tobytes() == want.stored.tobytes()
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_plus_pads_with_plus_zero(self, case):
+        # Each + against binary_reference, which pads with +0.0 on its own,
+        # compared as bytes: a -0.0 pad would keep a -0.0 that 0.0 + -0.0
+        # turns into +0.0.
+        rng = np.random.default_rng(case + 100)
+        syms = [self.signed(rng, order, depth, row) for order, depth, row in self.CASES[case]]
+        for a, b in itertools.product(syms, repeat=2):
+            order, want = binary_reference(a, b, lambda x, y: x + y)
+            got = a + b
+            assert got.order == order
+            assert got.ladder.tobytes() == np.array(want).tobytes()
+
+    def test_keeps_the_sign_of_zero(self):
+        # Where every term is -0.0 the chain gives -0.0; a sum started from
+        # +0.0 would give +0.0 there.
+        rng = np.random.default_rng(0)
+        minus = [ClassicalSymbol.from_ladder(Fraction(-1), np.full((3, 2, GRID, 2, 2), -0.0 - 0.0j))
+                 for _ in range(3)]
+        syms = minus + [self.signed(rng, "-1", 3, 1)]
+        got = psdo._sum(syms)
+        assert got.stored.tobytes() == plus_chain(syms).stored.tobytes()
+        assert np.signbit(got.stored.real).any()
+
+    def test_refuses_what_plus_refuses(self):
+        rng = np.random.default_rng(1)
+        a, b = self.signed(rng, "0", 3, 1), self.signed(rng, "1/2", 3, 1)
+        with pytest.raises(SymbolError, match="differ by an integer"):
+            psdo._sum([a, a, b])
+        other = multiplication_symbol(np.eye(3), GRID, 3)
+        with pytest.raises(FiberMismatchError):
+            psdo._sum([a, other])
 
 
 class TestConnectionDifferenceAudit:

@@ -1,4 +1,7 @@
 import itertools
+import warnings
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from wcslab.sasaki import (
     lift_parts,
     total_volume,
 )
-from wcslab.wcs import decide_levels
+from wcslab.wcs import decide_levels, density_closed_form
 
 
 def brute_force_lift(base, k):
@@ -176,6 +179,76 @@ class TestLiftParts:
     def test_bounds_only_rejected(self):
         with pytest.raises(UnsupportedSurfaceError):
             lift_parts(generic_bounds(-16, 1.0, 1.0))
+
+
+class TestLevel:
+    """The level is stored with the tensor and read by density_closed_form,
+    so only a whole number is taken."""
+
+    @pytest.mark.parametrize("k", [1.5, np.float64(2.7), 2.0, np.float64(2.0), True, False,
+                                   float("nan"), float("inf"), Fraction(2), "2", None],
+                             ids=repr)
+    def test_level_that_is_not_an_int_is_refused(self, k):
+        with pytest.raises(ValueError, match=r"^k must be an int, got ") as info:
+            lift_curvature(cp2_fubini_study(), k)
+        assert str(info.value) == f"k must be an int, got {k!r}"
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(-3), np.uint8(5), np.int16(0)], ids=repr)
+    def test_numpy_integer_is_taken_as_its_int(self, k):
+        base = cp2_fubini_study()
+        lift, want = lift_curvature(base, k), lift_curvature(base, int(k))
+        assert type(lift.k) is int and lift.k == int(k)
+        assert lift.curvature5.comp.tobytes() == want.curvature5.comp.tobytes()
+        assert density_closed_form(lift) == density_closed_form(want)
+
+    def test_half_level_is_not_stored_as_one(self):
+        # R0 + 2.25 R1 once went out labelled k = 1, and cp2's closed form
+        # read that label as its zero at k = 1.
+        assert density_closed_form(lift_curvature(cp2_fubini_study(), 1)) == 0.0
+        with pytest.raises(ValueError, match="got 1.5"):
+            lift_curvature(cp2_fubini_study(), 1.5)
+
+
+def with_component(base, value, at=(0, 1, 1, 0)):
+    """A copy of base whose curvature has `value` at one component."""
+    comp = base.curvature.comp.copy()
+    comp[at] = value
+    return replace(base, name=f"{base.name}-bad", curvature=RiemannTensor(comp))
+
+
+class TestNonFiniteCurvature:
+    """A NaN or inf component fails the lift check, with one
+    LiftConsistencyError and no numpy warning."""
+
+    # At (0, 1, 0, 1) the pair swap meets the component itself, so an inf
+    # there makes an inf - inf residual, which numpy warns of.
+    @pytest.mark.parametrize("at", [(0, 1, 1, 0), (0, 1, 0, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("base", [cp2_fubini_study(), flat_torus(), product_cp1(2, 3)],
+                             ids=lambda s: s.name)
+    def test_every_entry_point_raises(self, base, value, at):
+        bad = with_component(base, value, at)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LiftConsistencyError, match=f"^lift part R0 of '{bad.name}'"):
+                lift_parts(bad)
+            for k in (0, 1, 2, -5):
+                with pytest.raises(LiftConsistencyError, match=f"^lift part R0 of '{bad.name}'"):
+                    lift_curvature(bad, k)
+            with pytest.raises(LiftConsistencyError, match=f"^lift part R0 of '{bad.name}'"):
+                decide_levels(bad, [1, 2])
+
+    def test_nan_violation_is_reported(self):
+        with pytest.raises(LiftConsistencyError, match=r"\(max violation nan\)$"):
+            lift_curvature(with_component(cp2_fubini_study(), np.nan), 2)
+
+    def test_the_parts_are_reported_before_the_sum(self):
+        # R0 breaks Bianchi, so the stack's first failure is R0, at every k.
+        broken = KahlerSurface(name="broken", volume=1.0, signature=0, r_inf=1.0,
+                               curvature=RiemannTensor(LEVI_CIVITA[4]), J=STANDARD_J)
+        for k in (0, 3):
+            with pytest.raises(LiftConsistencyError, match="^lift part R0 of 'broken'"):
+                lift_curvature(broken, k)
 
 
 class TestTotalVolume:
