@@ -30,6 +30,10 @@ one inverse FFT per m.  Terms that are exactly zero are skipped: those of a
 vanishing component, d_x^m (m >= 1) of a component whose grid rows are all
 equal bit for bit, and those of a zero falling factorial.
 
+One routine, `band_limited_values`, evaluates every band-limited symbol
+t_0 + sum_n (cos(n x) a_n + sin(n x) b_n) s_n: a symbol file's sides, their
+terms in file order (specfiles), and the random symbols, s_n = 1 / n.
+
 The commutator trace test reads only the trace of one row of PQ and of QP,
 so it forms no matrix product: over the stack [Q, P] (one stack axis after
 the place axis, one order per element) it adds, per (p, m) in the kernel's
@@ -548,46 +552,51 @@ def _symbol_draws(rng: np.random.Generator, depth: int, dim: int, modes: int = 3
     return rng.standard_normal((2 * depth, 1 + 2 * modes, 2, dim, dim))
 
 
+@lru_cache(maxsize=256)
+def _wave(wave: str, n: int, grid: int) -> np.ndarray:
+    """cos(n x) or sin(n x) on the grid x = 2 pi g / G, read-only; ("cos", 0)
+    is a constant's row of ones, and a phase past the float range gives NaN."""
+    row = (np.cos if wave == "cos" else np.sin)(n * (2.0 * np.pi * np.arange(grid) / grid))
+    row.setflags(write=False)
+    return row
+
+
+def band_limited_values(coefficients: np.ndarray, terms, scales, grid: int) -> np.ndarray:
+    """sum_t (w_t(x) C_t) s_t, read-only (..., grid, d, d), for the complex
+    C_t = coefficients[..., t, :, :], the wave w_t of terms[t] = (wave, n)
+    (`_wave`) and the real s_t = scales[t].  Each part (re, im) of a term is
+    (w_t c) s_t, added in the order of t from +0.0, with no warning: the
+    complex sum's values, but for signs of zero that the +0.0 drops."""
+    coef = np.ascontiguousarray(coefficients, dtype=complex)
+    lead, (count, dim) = coef.shape[:-3], coef.shape[-3:-1]
+    parts = coef.view(float).reshape(-1, count, 2 * dim * dim, 1)  # (rows, term, 2 d d, 1)
+    total = np.zeros((len(parts), 2 * dim * dim, grid))  # the grid last: long inner loops
+    term = np.empty_like(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, ((wave, n), scale) in enumerate(zip(terms, scales)):
+            np.multiply(_wave(wave, n, grid), parts[:, t], out=term)
+            if scale != 1.0:  # a product with 1.0 keeps every bit
+                term *= scale
+            total += term
+    values = np.ascontiguousarray(total.transpose(0, 2, 1))
+    values.setflags(write=False)  # so no one can change a symbol built on it
+    return values.view(complex).reshape(lead + (grid, dim, dim))
+
+
 @cache
-def _band_waves(grid: int, modes: int) -> np.ndarray:
-    """cos(n x), sin(n x) for n = 1 .. modes on the periodic grid, in the
-    order of the draw terms, (2 modes, grid) (read-only)."""
-    x = 2.0 * np.pi * np.arange(grid) / grid
-    waves = np.array([f(n * x) for n in range(1, modes + 1) for f in (np.cos, np.sin)])
-    waves = waves.reshape(2 * modes, grid)
-    waves.setflags(write=False)
-    return waves
+def _band_terms(modes: int) -> tuple:
+    """(terms, scales) of a random symbol's draw terms: the constant, then
+    cos(n x) and sin(n x) scaled 1 / n for n = 1 .. modes."""
+    terms = (("cos", 0),) + tuple((wave, n) for n in range(1, modes + 1) for wave in ("cos", "sin"))
+    return terms, tuple(1.0 / max(n, 1) for _, n in terms)
 
 
 def _band_limited_ladders(draws: np.ndarray, grid: int) -> np.ndarray:
-    """The values built from `draws`, (..., 1 + 2 modes, 2, d, d) normals:
-    one (grid, d, d) matrix function t_0 + sum_n (cos(n x) a_n + sin(n x) b_n) / n
-    per draw row, with t = re + 1j im, (..., grid, d, d) in all, read-only.
-    Each row is built on its own, so a row's values do not depend, bit for
-    bit, on the rows built with it.
-
-    The sum runs over the real and imaginary parts with the grid last, and
-    gives what the complex sum gives in numpy: a real wave times a complex
-    coefficient rounds each part of c * t once, numpy divides a complex
-    number by n as each part times 1 / n, and the terms are added in the
-    same order.  Only the sign of a zero can differ, which leaves every
-    nonzero value as it is."""
-    lead = draws.shape[:-4]
-    draws = draws.reshape((-1,) + draws.shape[-4:])
-    rows, count, _, dim, _ = draws.shape
-    # (rows, term, 2 d d, 1): the real and imaginary parts of each coefficient
-    coef = (draws[:, :, 0] + 1j * draws[:, :, 1]).view(float).reshape(rows, count, -1, 1)
-    acc = np.zeros((rows, coef.shape[2], grid))
-    acc += coef[:, 0]
-    term = np.empty_like(acc)
-    for k, wave in enumerate(_band_waves(grid, (count - 1) // 2), start=1):
-        np.multiply(wave, coef[:, k], out=term)
-        if k > 2:
-            term *= 1.0 / ((k + 1) // 2)
-        acc += term
-    values = np.ascontiguousarray(acc.transpose(0, 2, 1))
-    values.setflags(write=False)  # so no one can change a symbol built on it
-    return values.view(complex).reshape(lead + (grid, dim, dim))
+    """t_0 + sum_n (cos(n x) a_n + sin(n x) b_n) / n, t = re + 1j im, for each
+    row of `draws`, (..., 1 + 2 modes, 2, d, d) normals: (..., grid, d, d),
+    read-only.  Each row is summed on its own, bit for bit."""
+    terms, scales = _band_terms((draws.shape[-4] - 1) // 2)
+    return band_limited_values(draws[..., 0, :, :] + 1j * draws[..., 1, :, :], terms, scales, grid)
 
 
 def _band_limited_symbol(draws: np.ndarray, order: int, grid: int) -> ClassicalSymbol:

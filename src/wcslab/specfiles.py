@@ -2,7 +2,8 @@
 
 Two dialects share one syntax: surface configuration files (sections define
 catalog entries or parameter overrides) and symbol specification files
-(sections define homogeneous components of a matrix-valued symbol).
+(sections define homogeneous components of a matrix-valued symbol).  Only
+parsing and line-numbered errors are here: psdo evaluates the symbols.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog
+from . import catalog, psdo
 from .psdo import ClassicalSymbol
 
 __all__ = ["ParseError", "parse_sections", "load_symbol", "load_surfaces"]
@@ -107,53 +108,50 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _component_values(entries: dict, prefix: str, values: np.ndarray, line: int) -> None:
-    """Add the constant matrix and the optional cos/sin Fourier terms, sampled
-    on the periodic grid, to the zero (G, d, d) array `values`.  A Fourier
-    mode is written in ASCII decimal digits only, and each mode of each wave
-    at most once: `_cos1` and `_cos01` are the same term."""
-    grid, dim = values.shape[:2]
-    x = 2.0 * np.pi * np.arange(grid) / grid
-    seen = False
+def _side_values(entries: dict, prefix: str, dim: int, grid: int, line: int) -> np.ndarray:
+    """The values of one side, the sum of the matrices `prefix` and
+    `prefix_cos<n>` / `prefix_sin<n>` times their waves, in file order.  A
+    mode is ASCII decimal digits with a float value, and each mode of each
+    wave appears at most once: `_cos1` and `_cos01` are the same term."""
+    mats, waves = [], []
     modes: dict = {}  # (wave, mode) -> (key, line)
     for key, (text, lineno) in entries.items():
         if key == prefix:
-            term = _parse_matrix(text, lineno, dim)[None, :, :]
+            wave = ("cos", 0)  # a row of ones
         elif key.startswith((prefix + "_cos", prefix + "_sin")):
             digits = key[len(prefix) + 4:]
             try:
                 if not (digits.isascii() and digits.isdigit()):
                     raise ValueError(digits)
-                mode = int(digits)
-                phase = mode * x
+                wave = (key[len(prefix) + 1: len(prefix) + 4], int(digits))
+                float(wave[1])
             except (ValueError, OverflowError):  # not digits, too long, or no float
                 raise ParseError(f"bad Fourier key {key!r}", lineno) from None
-            wave = np.cos if key.startswith(prefix + "_cos") else np.sin
-            if (wave, mode) in modes:
-                first, first_line = modes[(wave, mode)]
+            if wave in modes:
+                first, first_line = modes[wave]
                 raise ParseError(f"{key!r} repeats the term {first!r} (line {first_line})",
                                  lineno)
-            modes[(wave, mode)] = (key, lineno)
-            term = wave(phase)[:, None, None] * _parse_matrix(text, lineno, dim)
+            modes[wave] = (key, lineno)
         else:
             continue
-        # Finite entries can still sum past the float range; checked below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values += term
-        seen = True
-    if not seen:
+        mats.append(_parse_matrix(text, lineno, dim))
+        waves.append(wave)
+    if not mats:
         raise ParseError(f"component is missing a {prefix!r} matrix", line)
+    values = psdo.band_limited_values(np.array(mats), waves, (1.0,) * len(mats), grid)
     if not np.isfinite(values).all():
         raise ParseError(f"the {prefix!r} values overflow", line)
+    return values
 
 
-def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
+def load_symbol(text: str, grid: int = psdo.DEFAULT_GRID) -> ClassicalSymbol:
     """Build a ClassicalSymbol from a symbol specification file.
 
-    Top level: order, dim, optional grid.  Each `[component degree=D]`
-    section gives plus/minus matrices with optional `_cos<n>` / `_sin<n>`
-    Fourier terms; D = order - j puts it at place j of the ladder, and
-    places without a section are zero.
+    Top level: order, dim, optional grid (psdo.DEFAULT_GRID).  Each
+    `[component degree=D]` section gives plus/minus matrices with optional
+    `_cos<n>` / `_sin<n>` Fourier terms; D = order - j puts it at place j of
+    the ladder, and places without a section are zero.  psdo.band_limited_values
+    sums each side's terms in file order, with unit scales.
     """
     top, sections = parse_sections(text)
     for key in ("order", "dim"):
@@ -196,7 +194,7 @@ def load_symbol(text: str, grid: int = 64) -> ClassicalSymbol:
     values = np.zeros((max(by_place) + 1, 2, grid, dim, dim), dtype=complex)
     for j, sec in sorted(by_place.items()):
         for prefix, side in zip(("plus", "minus"), values[j]):
-            _component_values(sec.entries, prefix, side, sec.line)
+            side[...] = _side_values(sec.entries, prefix, dim, grid, sec.line)
     values.setflags(write=False)  # so the symbol keeps the ladder without a copy
     return ClassicalSymbol.from_ladder(order, values)
 

@@ -29,7 +29,13 @@ from wcslab.sasaki import FIBER_LENGTH, lift_curvature, lift_parts
 from wcslab.catalog import flat_torus
 from wcslab.wcs import permutation_density_raw
 
-from conftest import KAHLER_BASIS, random_curvature_3d, random_rotation
+from conftest import (
+    KAHLER_BASIS,
+    exact_r_inf,
+    random_curvature_3d,
+    random_curvature_4d,
+    random_rotation,
+)
 
 
 def endomorphism_oracle(R, X, Y):
@@ -255,6 +261,65 @@ class TestMaxAbsComponent:
 # Reference search, kept from before each sweep became one stacked
 # contraction: the 5-operand einsum rotation of one frame, and a coordinate
 # descent that rotates and tests one candidate frame at a time.
+
+
+class TestExactRInf:
+    """The frame search against |R|_inf in closed form (conftest.exact_r_inf):
+    Thorpe's sectional extremes and the disjoint-pair bound on Lambda+ and
+    Lambda-, with no frame search."""
+
+    @pytest.mark.parametrize("surface", [flat_torus(), cp2_fubini_study(), product_cp1(1, 1),
+                                         product_cp1(2, 3), product_cp1(6, 5)],
+                             ids=lambda s: f"{s.name}{s.params.get('a', '')}{s.params.get('b', '')}")
+    def test_catalog_r_inf(self, surface):
+        assert abs(exact_r_inf(surface.curvature) - surface.r_inf) <= 1e-12
+
+    def test_frame_independent(self):
+        rng = np.random.default_rng(4)
+        tensors = [cp2_fubini_study().curvature, product_cp1(2, 3).curvature,
+                   RiemannTensor(KAHLER_BASIS[4])] + [random_curvature_4d(rng) for _ in range(3)]
+        for R in tensors:
+            want = exact_r_inf(R)
+            for _ in range(3):
+                Q = random_rotation(rng, 4)
+                turned = RiemannTensor(np.einsum("ai,bj,ck,dl,ijkl->abcd", Q, Q, Q, Q, R.comp))
+                assert abs(exact_r_inf(turned) - want) <= 1e-13 * np.abs(R.comp).max()
+
+    def test_random_tensors_satisfy_symmetries(self):
+        rng = np.random.default_rng(5)
+        assert all(validate_symmetries(random_curvature_4d(rng)) for _ in range(5))
+
+    @staticmethod
+    def search_cases():
+        """(seed, R): the nine KAHLER_BASIS tensors, then six random
+        algebraic tensors, each searched with its index in its kind as the
+        seed."""
+        rng = np.random.default_rng(21)
+        return (list(enumerate(RiemannTensor(b) for b in KAHLER_BASIS))
+                + list(enumerate(random_curvature_4d(rng) for _ in range(6))))
+
+    def test_search_rounds_above_by_a_few_ulps_at_most(self):
+        # As its basis drifts off orthonormality the search can round above
+        # the maximum (cp2 with seed 5 and one sample: 4.000000000000049).
+        for seed, R in self.search_cases():
+            got = max_abs_component(R, seed=seed, samples=30)
+            assert got <= exact_r_inf(R) + 64 * np.finfo(float).eps * np.abs(R.comp).max(), seed
+
+    def test_search_reaches_the_exact_value_on_the_kahler_basis(self):
+        for seed, R in self.search_cases()[:9]:
+            got = max_abs_component(R, seed=seed, samples=30)
+            assert got >= exact_r_inf(R) - 1e-9, (seed, got)
+
+    def test_search_can_stop_short(self):
+        # The first random algebraic tensor: 30 samples from seed 0 end at a
+        # local maximum 20 % below |R|_inf (2.567 for 3.222); 300 samples
+        # from seed 100 reach it.  The other five reach it within 1e-9.
+        cases = self.search_cases()[9:]
+        (seed, R), exact = cases[0], exact_r_inf(cases[0][1])
+        assert max_abs_component(R, seed=seed, samples=30) < 0.8 * exact
+        assert abs(max_abs_component(R, seed=100, samples=300) - exact) <= 1e-9
+        for seed, R in cases[1:]:
+            assert max_abs_component(R, seed=seed, samples=30) >= exact_r_inf(R) - 1e-9, seed
 
 
 def einsum_rotation(comp, basis):

@@ -1,8 +1,10 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from wcslab import psdo
 from wcslab.psdo import wodzicki_residue
 from wcslab.specfiles import (
     MAX_SYMBOL_DEPTH,
@@ -256,6 +258,135 @@ class TestLoadSymbol:
         sym = load_symbol(text)
         assert sym.depth == 3
         assert np.abs(sym.ladder[1]).max() == 0.0
+
+
+def ladder_reference(text: str) -> np.ndarray:
+    """The ladder of load_symbol(text), for a valid file, as the per-term
+    loop before the one psdo routine built it: each side starts from
+    complex zeros and adds its terms in file order, the constant matrix as
+    it is and a Fourier term as wave(mode x)[:, None, None] * matrix, a real
+    row times a complex matrix."""
+    top, sections = parse_sections(text)
+    order, dim = Fraction(top["order"][0]), int(top["dim"][0])
+    grid = int(top["grid"][0]) if "grid" in top else 64
+    x = 2.0 * np.pi * np.arange(grid) / grid
+    places = {int(order - Fraction(sec.header.split("=")[1])): sec for sec in sections}
+    values = np.zeros((max(places) + 1, 2, grid, dim, dim), dtype=complex)
+    for j, sec in places.items():
+        for prefix, side in zip(("plus", "minus"), values[j]):
+            for key, (matrix, _) in sec.entries.items():
+                mat = np.array([[complex(v) for v in row.split()]
+                                for row in matrix.split(";") if row.strip()])
+                if key == prefix:
+                    side += mat[None, :, :]
+                elif key.startswith((prefix + "_cos", prefix + "_sin")):
+                    wave = np.cos if key.startswith(prefix + "_cos") else np.sin
+                    side += wave(int(key[len(prefix) + 4:]) * x)[:, None, None] * mat
+    return values
+
+
+#: Matrix entries with signed zeros, subnormals, large values and parts
+#: that round, so that a changed product or order of sums shows in the bits.
+ENTRIES = ["0", "-0", "-0-0j", "0-0j", "1", "-1.5", "2.25-0.5j", "-7j", "5e-324", "-3e-310",
+           "1e300", "-2.5e299+1e299j", "0.1"]
+
+
+def symbol_file(rng: np.random.Generator) -> list:
+    """A valid symbol file as a list of sections, each a list of lines; the
+    top-level lines first.  Every side has its constant matrix and 0 to 5
+    Fourier terms with distinct (wave, mode), in a random order, so the
+    constant can come after them."""
+    dim = int(rng.integers(1, 4))
+    order = int(rng.integers(-2, 2))
+    top = [f"order = {order}", f"dim = {dim}"]
+    grid = [None, 16, 32, 64][int(rng.integers(0, 4))]
+    if grid is not None:
+        top.append(f"grid = {grid}")
+
+    def matrix():
+        def entry():
+            if rng.random() < 0.5:
+                return ENTRIES[int(rng.integers(0, len(ENTRIES)))]
+            return f"{rng.standard_normal():.17g}{rng.standard_normal():+.17g}j"
+        return "; ".join(" ".join(entry() for _ in range(dim)) for _ in range(dim))
+
+    sections = [top]
+    floor = min(order, -1) - int(rng.integers(0, 3))
+    for degree in range(order, floor - 1, -1):
+        if degree not in (order, floor) and rng.random() < 0.3:
+            continue
+        lines = []
+        for side in ("plus", "minus"):
+            lines.append(f"{side} = {matrix()}")
+            modes = rng.choice([0, 1, 2, 3, 7, 64, 10**6, 2**70], size=int(rng.integers(0, 6)),
+                               replace=False)
+            for mode in modes:
+                for wave in ("cos", "sin"):
+                    if rng.random() < 0.6:
+                        lines.append(f"{side}_{wave}{mode} = {matrix()}")
+        order_of_lines = rng.permutation(len(lines))
+        sections.append([f"[component degree={degree}]"] + [lines[i] for i in order_of_lines])
+    return sections
+
+
+class TestOneFourierRoutine:
+    """Every band-limited symbol is evaluated by psdo.band_limited_values.
+    A symbol file's ladder keeps the bits of the per-term loop, signs of
+    zero included, whatever the order of its lines."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ladder_matches_per_term_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        fourier_first = 0
+        for _ in range(60):
+            sections = symbol_file(rng)
+            for flip in (False, True):  # each section's lines as drawn, then reversed
+                parts = [sections[0]] + [[sec[0]] + (sec[:0:-1] if flip else sec[1:])
+                                         for sec in sections[1:]]
+                text = "\n".join("\n".join(part) for part in parts) + "\n"
+                want = ladder_reference(text)
+                got = load_symbol(text)
+                assert got.stored.shape == want.shape
+                assert got.stored.tobytes() == want.tobytes(), text
+                fourier_first += any(not line.startswith(("plus =", "minus ="))
+                                     for sec in parts[1:] for line in sec[1:2])
+        assert fourier_first > 30  # files whose sections open with a Fourier term
+
+    def test_default_grid(self):
+        sym = load_symbol("order = 0\ndim = 1\n[component degree=0]\nplus = 1\nminus = 1\n")
+        assert sym.grid == psdo.DEFAULT_GRID
+
+    def test_files_and_random_symbols_share_the_routine(self, monkeypatch):
+        calls = []
+        routine = psdo.band_limited_values
+
+        def counted(coefficients, terms, scales, grid):
+            calls.append((list(terms), list(scales), grid))
+            return routine(coefficients, terms, scales, grid)
+
+        monkeypatch.setattr(psdo, "band_limited_values", counted)
+        load_symbol(FOURIER_SYMBOL)
+        # One call per side, its terms in file order, with unit scales.
+        assert calls == [([("cos", 0)], [1.0], 32), ([("cos", 0)], [1.0], 32),
+                         ([("cos", 0), ("cos", 1)], [1.0, 1.0], 32),
+                         ([("cos", 0), ("sin", 2)], [1.0, 1.0], 32)]
+        calls.clear()
+        psdo.random_symbol(np.random.default_rng(0), 0, 3, dim=2, grid=16, modes=2)
+        assert calls == [([("cos", 0), ("cos", 1), ("sin", 1), ("cos", 2), ("sin", 2)],
+                          [1.0, 1.0, 1.0, 0.5, 0.5], 16)]
+
+    def test_waves(self):
+        x = 2.0 * np.pi * np.arange(16) / 16
+        for (wave, n), want in [(("cos", 0), np.ones(16)), (("sin", 3), np.sin(3 * x)),
+                                (("cos", 2), np.cos(2 * x))]:
+            got = psdo._wave(wave, n, 16)
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+
+    def test_symbol_keeps_the_ladder_it_was_given(self):
+        # The ladder load_symbol builds is frozen, so the symbol keeps it
+        # without a copy.
+        sym = load_symbol(FOURIER_SYMBOL)
+        assert not sym.stored.flags.writeable and sym.ladder is sym.stored
 
 
 class TestLoadSurfaces:

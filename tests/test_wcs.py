@@ -172,6 +172,13 @@ class TestProp39:
         assert prop39_crossover(-16, 1.0, 1.0) == 4
         assert prop39_crossover(0, 1.0, 0.0) == 1
 
+    @pytest.mark.parametrize("k", [10**80, 10**400, -(10**155)],
+                             ids=["1e80", "1e400", "-1e155"])
+    def test_level_beyond_the_float_range(self, k):
+        # Python's float ** raised OverflowError here, and float(10**400) too.
+        with pytest.raises(ValueError, match=rf"^level k={k} is too large"):
+            prop39_bound(1, 1.0, 1.0, k)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             prop39_bound(0, 0.0, 0.0, 1)
@@ -306,6 +313,14 @@ class TestDecideLevels:
         for surface in (cp2_fubini_study(), generic_bounds(-16, 1.0, 1.0)):
             assert decide_levels(surface, [-2, 0, 5]) == [decide_pi1(surface, k) for k in (-2, 0, 5)]
         assert decide_levels(cp2_fubini_study(), []) == []
+
+    @pytest.mark.parametrize("surface", [generic_bounds(-3, 1.0, 1.0), cp2_fubini_study()],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("k", [10**80, 10**200, 10**400], ids=["1e80", "1e200", "1e400"])
+    def test_level_beyond_the_float_range(self, surface, k):
+        for decide in (lambda: decide_levels(surface, [2, k]), lambda: decide_pi1(surface, k)):
+            with pytest.raises(ValueError, match=rf"^level k={k} is too large"):
+                decide()
 
     def test_cp2_unit_levels_stay_exactly_zero(self):
         for v in decide_levels(cp2_fubini_study(), [-1, 0, 1]):
