@@ -575,28 +575,21 @@ def band_limited_values(coefficients: np.ndarray, terms, scales, grid: int) -> n
     with np.errstate(over="ignore", invalid="ignore"):
         for t, ((wave, n), scale) in enumerate(zip(terms, scales)):
             np.multiply(_wave(wave, n, grid), parts[:, t], out=term)
-            if scale != 1.0:  # a product with 1.0 keeps every bit
-                term *= scale
+            term *= scale
             total += term
     values = np.ascontiguousarray(total.transpose(0, 2, 1))
     values.setflags(write=False)  # so no one can change a symbol built on it
     return values.view(complex).reshape(lead + (grid, dim, dim))
 
 
-@cache
-def _band_terms(modes: int) -> tuple:
-    """(terms, scales) of a random symbol's draw terms: the constant, then
-    cos(n x) and sin(n x) scaled 1 / n for n = 1 .. modes."""
-    terms = (("cos", 0),) + tuple((wave, n) for n in range(1, modes + 1) for wave in ("cos", "sin"))
-    return terms, tuple(1.0 / max(n, 1) for _, n in terms)
-
-
 def _band_limited_ladders(draws: np.ndarray, grid: int) -> np.ndarray:
     """t_0 + sum_n (cos(n x) a_n + sin(n x) b_n) / n, t = re + 1j im, for each
     row of `draws`, (..., 1 + 2 modes, 2, d, d) normals: (..., grid, d, d),
-    read-only.  Each row is summed on its own, bit for bit."""
-    terms, scales = _band_terms((draws.shape[-4] - 1) // 2)
-    return band_limited_values(draws[..., 0, :, :] + 1j * draws[..., 1, :, :], terms, scales, grid)
+    read-only, by `band_limited_values`; each row on its own, bit for bit."""
+    modes = range(1, (draws.shape[-4] + 1) // 2)
+    terms = [("cos", 0)] + [(w, n) for n in modes for w in ("cos", "sin")]
+    return band_limited_values(draws[..., 0, :, :] + 1j * draws[..., 1, :, :], terms,
+                               [1.0 / max(n, 1) for _, n in terms], grid)
 
 
 def _band_limited_symbol(draws: np.ndarray, order: int, grid: int) -> ClassicalSymbol:

@@ -90,16 +90,14 @@ def lift_parts(base: KahlerSurface) -> tuple[RiemannTensor, RiemannTensor]:
     return RiemannTensor(parts[0]), RiemannTensor(parts[1])
 
 
-def _level_squared(k) -> float:
-    """float(k) ** 2, the level as every formula reads it.  A level whose
-    square or fourth power is beyond the float range raises ValueError
-    naming it, where Python's float arithmetic would raise OverflowError."""
+def _level_power(k, p: int, base: float | None = None) -> float:
+    """base ** p, base = float(k) unless given: a power of the level k as a
+    formula reads it.  Where Python's float arithmetic would raise
+    OverflowError, this raises ValueError naming the level."""
     try:
-        k2 = float(k) ** 2
-        k2 ** 2, float(k) ** 4  # the k^4 of the closed form and of prop 3.9
+        return (float(k) if base is None else base) ** p
     except OverflowError:
-        raise ValueError(f"level k={k} is too large: k**4 is beyond the float range") from None
-    return k2
+        raise ValueError(f"level k={k} is too large for the float range") from None
 
 
 def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
@@ -115,13 +113,13 @@ def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
     k must be an int or a numpy integer, not a bool: the level is stored
     with the tensor, and density_closed_form reads it, so any other k
     raises ValueError rather than being stored as a level it is not.  So
-    does a level too large for k**4 to be a float (`_level_squared`).
+    does a level too large for k**2 to be a float (`_level_power`).
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an int, got {k!r}")
     stack = np.empty((3, 5, 5, 5, 5))
     stack[:2] = _parts(base)
-    np.multiply(_level_squared(k), stack[1], out=stack[2])
+    np.multiply(_level_power(k, 2), stack[1], out=stack[2])
     stack[2] += stack[0]
     top = float(np.max(np.abs(stack[2])))
     _check_identities(stack, _part_names(base) + (f"lift of {base.name!r} at k={k}",),

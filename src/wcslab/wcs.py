@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import KahlerSurface
 from .geometry import LEVI_CIVITA, OrthonormalFrame, RiemannTensor, pontrjagin_density
-from .sasaki import FIBER_LENGTH, SasakiLift, _level_squared, lift_parts
+from .sasaki import FIBER_LENGTH, SasakiLift, _level_power, lift_parts
 
 __all__ = [
     "Verdict",
@@ -100,8 +100,8 @@ def _closed_form_terms(R: RiemannTensor) -> tuple[float, float]:
 
 
 def _closed_form(p1: float, B: float, k: int) -> float:
-    k2 = _level_squared(k)
-    return (k2 / 30.0) * (32.0 * np.pi**2 * p1 + 32.0 * k2 * B + 192.0 * float(k) ** 4)
+    k2 = _level_power(k, 2)
+    return (k2 / 30.0) * (32.0 * np.pi**2 * p1 + 32.0 * k2 * B + 192.0 * _level_power(k, 4))
 
 
 def density_closed_form(lift: SasakiLift) -> float:
@@ -216,11 +216,11 @@ def prop39_bound(sigma: int, volume: float, r_inf: float, k: int) -> tuple[float
         raise ValueError("volume must be positive")
     if r_inf < 0:
         raise ValueError("r_inf must be nonnegative")
-    k2 = _level_squared(k)
+    k2 = _level_power(k, 2)
     lhs = k2 * (
         96.0 * np.pi**2 * sigma
         - _PROP39_MIDDLE * k2 * r_inf * volume
-        + 192.0 * k2**2 * volume
+        + 192.0 * _level_power(k, 2, k2) * volume
     )
     return lhs, lhs > 0.0
 
@@ -337,7 +337,7 @@ def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
             )
             densities = integral = None
             if surface.curvature_known:
-                k2 = _level_squared(k)
+                k2 = _level_power(k, 2)
                 total = c0 + k2 * (c1 + k2 * (c2 + k2 * c3))
                 densities = WcsDensity(
                     surface=surface.name,
