@@ -1,5 +1,7 @@
 """Curvature tensors in orthonormal frames: symmetry checks, Pontrjagin
-density and frame maximization of curvature components.
+density, and |R|_inf, the largest curvature component over all orthonormal
+frames, in closed form from the curvature operator on Lambda^2 (no frame
+search).
 
 All tensors use the index convention R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>,
 with sectional curvature K(X,Y) = R(X,Y,Y,X).
@@ -9,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -234,100 +235,82 @@ def pontrjagin_density(R: RiemannTensor, frame: OrthonormalFrame | None = None) 
     return _P1_SIGN * total / (4.0 * 8.0 * np.pi**2)
 
 
-def _max_abs_per_frame(rotated: np.ndarray) -> np.ndarray:
-    return np.abs(rotated.reshape(len(rotated), -1)).max(axis=1)
+# The orthonormal basis e_i ^ e_j (i < j) of Lambda^2 R^4, as index arrays.
+_PAIR_I, _PAIR_J = np.array(list(itertools.combinations(range(4), 2))).T
 
 
-@cache
-def _givens_stack(dim: int, step: float) -> np.ndarray:
-    """The rotations by +step and -step in every coordinate plane (i, j),
-    planes in lexicographic order, +step first, and then the same rotations
-    again: shape (4 C(dim, 2), dim, dim).  Listed twice so that every cyclic
-    run of one sweep's length is the slice stack[pos:pos + 2 C(dim, 2)].
-
-    Read-only and built once per (dim, step): every search halves its step
-    through the same floats 0.2 * 2**-n, at most 38 of them."""
-    planes = list(itertools.combinations(range(dim), 2))
-    stack = np.tile(np.eye(dim), (2 * len(planes), 1, 1))
-    for m, ((i, j), angle) in enumerate(itertools.product(planes, (step, -step))):
-        c, s = np.cos(angle), np.sin(angle)
-        stack[m, i, i] = c
-        stack[m, j, j] = c
-        stack[m, i, j] = -s
-        stack[m, j, i] = s
-    stack = np.concatenate([stack, stack])
-    stack.setflags(write=False)
-    return stack
+def _curvature_operator(comp: np.ndarray) -> np.ndarray:
+    """The 6 x 6 matrix of a 4-tensor on Lambda^2 R^4 in the basis e_i ^ e_j
+    (i < j): M[(i, j), (k, l)] = comp[i, j, k, l]."""
+    return comp[_PAIR_I[:, None], _PAIR_J[:, None], _PAIR_I, _PAIR_J]
 
 
-def _refine_frame(comp: np.ndarray, basis: np.ndarray, steps: int = 200) -> float:
-    """Coordinate descent over plane rotations, step halving on stall.
+#: The Hodge star H on Lambda^2 R^4, and orthonormal bases (columns) of its
+#: eigenspaces Lambda+ (eigenvalue +1) and Lambda- (-1): the first three
+#: columns of the projections (I +- H)/2, times sqrt 2.  Built without
+#: LAPACK, so that importing the module starts no solver.
+_HODGE = _frozen_array(_curvature_operator(LEVI_CIVITA[4]))
+_LAMBDA_PLUS, _LAMBDA_MINUS = (_frozen_array((np.eye(6) + sign * _HODGE)[:, :3] / np.sqrt(2.0))
+                               for sign in (1.0, -1.0))
 
-    A sweep tries every rotation of the Givens stack in turn and moves to the
-    first candidate that improves on the best value; a sweep without a move
-    halves the step, and at most `steps` sweeps run.  Each call rotates one
-    sweep's length of candidates from the current basis, in cyclic order
-    from the position after the last move, so no candidate is rotated twice
-    from the same basis: a hit past the end of the stack is a move in the
-    next sweep, and no hit means that sweep fails.
-    """
-    dim = basis.shape[0]
-    size = dim * (dim - 1)
-    best = float(_max_abs_per_frame(_rotate_tensor(comp, basis[None]))[0])
-    step = 0.2
-    givens = _givens_stack(dim, step)
-    # The next candidate is at `pos` of sweep `sweep`; pos == size stands
-    # for position 0 of the sweep after, reached by a move at the last one.
-    sweep, pos = 0, 0
-    while True:
-        cands = givens[pos:pos + size] @ basis
-        vals = _max_abs_per_frame(_rotate_tensor(comp, cands))
-        hits = vals > best + 1e-15
-        h = int(np.argmax(hits))
-        if hits[h]:
-            sweep += (pos + h) // size
-            if sweep >= steps:
-                return best
-            best, basis = float(vals[h]), cands[h]
-            pos = (pos + h) % size + 1
+
+def _golden_min(f, lo: float, hi: float) -> float:
+    """The minimum of a convex f on [lo, hi] by golden-section search, to
+    the last bits of the interval."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo + (1.0 - ratio) * (hi - lo), lo + ratio * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(200):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = lo + (1.0 - ratio) * (hi - lo)
+            fa = f(a)
         else:
-            # The sweep of `pos` ends; if pos > 0 it moved, and this call
-            # also covered the whole next sweep, which fails.
-            sweep += (pos > 0) + 1
-            step *= 0.5
-            if sweep >= steps or step < 1e-12:
-                return best
-            givens = _givens_stack(dim, step)
-            pos = 0
+            lo, a, fa = a, b, fb
+            b = lo + ratio * (hi - lo)
+            fb = f(b)
+        if not lo < a < b < hi:
+            break
+    return min(fa, fb)
 
 
 def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> float:
-    """Estimate of |R|_inf by seeded frame sampling plus refinement.
+    """|R|_inf, the largest |R(e_a, e_b, e_c, e_d)| over orthonormal frames,
+    of a 4-dimensional curvature tensor, in closed form from its curvature
+    operator M on Lambda^2 and the Hodge star H, with no frame search.
 
-    Neither a lower nor an upper bound.  A search may stop below the true
-    maximum, and its basis, a running product of rotations, drifts off
-    orthonormality, so at the maximum it can round above: on cp2
-    (|R|_inf = 4), seed 5 with samples=1 returns 4.000000000000049.
+    Every component is, up to sign, one of three kinds:
+    - a sectional curvature K(a, b) = <M w, w>, w = e_a ^ e_b.  A unit
+      2-form w is decomposable iff <H w, w> = 0 (Thorpe 1971), and the
+      joint range of (M, H) is convex in dimension 6, so (Finsler's lemma)
+      K_max = min_t lambda_max(M - t H) and K_min = max_t lambda_min(M - t H),
+      each a one-variable convex search;
+    - R(a, b, a, c) = (K(a, b') - K(a, c')) / 2 with b', c' = (b +- c)/sqrt 2,
+      never above the larger of K_max and -K_min;
+    - the disjoint pair R(e1, e2, e3, e4) = (<A u, u> - <C v, v>) / 2 for
+      e1 ^ e2 = (u + v)/sqrt 2 with u, v unit in Lambda+ and Lambda-, which
+      take any pair of values as the frame turns (Singer-Thorpe 1969): A and
+      C are the blocks of M on Lambda+ and Lambda-, and the max is
+      max(lambda_max A - lambda_min C, lambda_max C - lambda_min A) / 2.
 
-    Deterministic for a fixed seed and monotone nondecreasing in `samples`:
-    local refinement is rerun from every prefix-improving sample.  Raises
-    ValueError on a non-finite component, which no frame search can bound,
-    and on a `seed` that is not an int >= 0 or `samples` not an int >= 1.
+    The zero tensor gives 0.0 exactly.  `seed` and `samples` are ignored:
+    they are the arguments of the frame search this replaced, kept so that
+    callers that pass them, the perfbench orbit_checks job among them,
+    still run.  Raises ShapeError unless R has dimension 4, and ValueError
+    on a non-finite component.
     """
-    for name, value, low in (("samples", samples, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
-    comp = R.comp
-    if not np.all(np.isfinite(comp)):
+    if R.dim != 4:
+        raise ShapeError("|R|_inf in closed form requires dim 4")
+    if not np.all(np.isfinite(R.comp)):
         raise ValueError("curvature components must be finite")
-    rng = np.random.default_rng(seed)
-    best_raw = -np.inf
-    result = 0.0
-    for _ in range(samples):
-        A = rng.standard_normal((R.dim, R.dim))
-        Q, _r = np.linalg.qr(A)
-        raw = float(_max_abs_per_frame(_rotate_tensor(comp, Q[None]))[0])
-        if raw > best_raw:
-            best_raw = raw
-            result = max(result, _refine_frame(comp, Q))
-    return result
+    if not R.comp.any():
+        return 0.0
+    M = _curvature_operator(R.comp)
+    a = np.linalg.eigvalsh(_LAMBDA_PLUS.T @ M @ _LAMBDA_PLUS)
+    c = np.linalg.eigvalsh(_LAMBDA_MINUS.T @ M @ _LAMBDA_MINUS)
+    disjoint = 0.5 * max(a[-1] - c[0], c[-1] - a[0])
+    # |t| <= 2 |M| at the optimum, since lambda_max(M - t H) >= |t| - |M|.
+    span = 2.0 * np.linalg.norm(M, 2) + 1.0
+    k_max = _golden_min(lambda t: np.linalg.eigvalsh(M - t * _HODGE)[-1], -span, span)
+    k_min = -_golden_min(lambda t: -np.linalg.eigvalsh(M - t * _HODGE)[0], -span, span)
+    return float(max(k_max, -k_min, disjoint))

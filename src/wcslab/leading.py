@@ -46,11 +46,16 @@ def _sphere_quadrature(n_colat: int, n_long: int):
 @cache
 def _moment(n_colat: int, n_long: int) -> np.ndarray:
     """M_ijk = sum over the parameter grid of W t_phi_i t_lambda_j x_k
-    (a pairwise sum on the grid axis), read-only.  The rule itself is not
-    kept: a grid's cache entry is these 27 floats."""
+    (a pairwise sum on the grid axis), read-only.  Each (i, j) forms and
+    sums one (3, N) product rather than all 27 rows at once: the rows and
+    their sums are the same, and the product takes a ninth of the memory.
+    The rule itself is not kept: a grid's cache entry is these 27 floats."""
     points, t_phi, t_lam, W = _sphere_quadrature(n_colat, n_long)
-    M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
-    M = M.reshape(3, 3, 3, -1).sum(axis=-1)
+    weighted = (W * points).reshape(3, -1)
+    t_phi, t_lam = t_phi.reshape(3, -1), t_lam.reshape(3, -1)
+    M = np.empty((3, 3, 3))
+    for i, j in np.ndindex(3, 3):
+        M[i, j] = (t_phi[i] * t_lam[j] * weighted).sum(axis=-1)
     M.setflags(write=False)
     return M
 

@@ -4,7 +4,8 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 
-from wcslab.geometry import LEVI_CIVITA, STANDARD_J, OrthonormalFrame, RiemannTensor
+from wcslab import geometry
+from wcslab.geometry import STANDARD_J, OrthonormalFrame, RiemannTensor
 
 
 def random_curvature_3d(rng: np.random.Generator) -> RiemannTensor:
@@ -124,70 +125,11 @@ def random_curvature_4d(rng: np.random.Generator) -> RiemannTensor:
     M on Lambda^2 R^4 with its Hodge-star part removed, which in dimension
     4 is the first Bianchi identity (tr(M *) = 0)."""
     wedges = np.array([np.outer(a, b) - np.outer(b, a) for a, b in combinations(np.eye(4), 2)])
-    star = _curvature_operator(LEVI_CIVITA[4])
+    star = geometry._HODGE
     M = rng.standard_normal((6, 6))
     M = 0.5 * (M + M.T)
     M -= np.trace(M @ star) / 6.0 * star
     return RiemannTensor(np.einsum("pq,pij,qkl->ijkl", M, wedges, wedges))
-
-
-def _curvature_operator(comp: np.ndarray) -> np.ndarray:
-    """The 6 x 6 matrix of a 4-tensor on Lambda^2 R^4, in the orthonormal
-    basis e_i ^ e_j (i < j): M[(i,j), (k,l)] = comp[i, j, k, l]."""
-    pairs = list(combinations(range(4), 2))
-    return np.array([[comp[i, j, k, l] for k, l in pairs] for i, j in pairs])
-
-
-def _golden_min(f, lo: float, hi: float) -> float:
-    """The minimum of a convex f on [lo, hi] by golden-section search, to
-    the last bits of the interval."""
-    ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo + (1.0 - ratio) * (hi - lo), lo + ratio * (hi - lo)
-    fa, fb = f(a), f(b)
-    for _ in range(200):
-        if fa <= fb:
-            hi, b, fb = b, a, fa
-            a = lo + (1.0 - ratio) * (hi - lo)
-            fa = f(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + ratio * (hi - lo)
-            fb = f(b)
-        if not lo < a < b < hi:
-            break
-    return min(fa, fb)
-
-
-def exact_r_inf(R: RiemannTensor) -> float:
-    """|R|_inf, the max of |R(e_a, e_b, e_c, e_d)| over orthonormal frames,
-    of a 4-dimensional algebraic curvature tensor, from its curvature
-    operator M on Lambda^2 and the Hodge star H, with no frame search.
-
-    Every component is, up to sign, one of three kinds:
-    - a sectional curvature K(a, b) = <M w, w>, w = e_a ^ e_b.  A unit
-      2-form w is decomposable iff <H w, w> = 0 (Thorpe 1971), and the
-      joint range of (M, H) is convex in dimension 6, so (Finsler's lemma)
-      K_max = min_t lambda_max(M - t H) and K_min = max_t lambda_min(M - t H);
-    - R(a, b, a, c) = (K(a, b') - K(a, c')) / 2 with b', c' = (b +- c)/sqrt 2,
-      never above the larger of |K_max| and |K_min|;
-    - the disjoint-pair R(e1, e2, e3, e4) = (<A u, u> - <C v, v>) / 2 for
-      e1 ^ e2 = (u + v)/sqrt 2 with u, v unit in Lambda+ and Lambda-, which
-      take any pair of values as the frame turns: A and C are the blocks of
-      M on Lambda+ and Lambda-, and the max is
-      max(lambda_max A - lambda_min C, lambda_max C - lambda_min A) / 2.
-    """
-    M = _curvature_operator(R.comp)
-    H = _curvature_operator(LEVI_CIVITA[4])
-    _, basis = np.linalg.eigh(H)  # Lambda- (eigenvalue -1), then Lambda+
-    minus, plus = basis[:, :3], basis[:, 3:]
-    a = np.linalg.eigvalsh(plus.T @ M @ plus)
-    c = np.linalg.eigvalsh(minus.T @ M @ minus)
-    disjoint = 0.5 * max(a[-1] - c[0], c[-1] - a[0])
-    # |t| <= 2 |M| at the optimum, since lambda_max(M - t H) >= |t| - |M|.
-    span = 2.0 * np.linalg.norm(M, 2) + 1.0
-    k_max = _golden_min(lambda t: np.linalg.eigvalsh(M - t * H)[-1], -span, span)
-    k_min = -_golden_min(lambda t: -np.linalg.eigvalsh(M - t * H)[0], -span, span)
-    return float(max(k_max, -k_min, disjoint))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,12 +142,18 @@ class TestBatchedContraction:
         assert fam.rotation(0.0).shape == (3, 3)
 
 
+def broadcast_moment(fam):
+    """Reference: the moment as one (3, 3, 3, N) product, summed on the grid
+    axis."""
+    points, t_phi, t_lam, W = fam.parameter_grid()
+    M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
+    return M.reshape(3, 3, 3, -1).sum(axis=-1)
+
+
 def per_side_pullback_integrals(fam, L, thetas):
     """Reference: the pullback integrals as each side built them before the
     family held its moment: the grid and the moment rebuilt on every call."""
-    points, t_phi, t_lam, W = fam.parameter_grid()
-    M = t_phi[:, None, None] * t_lam[None, :, None] * (W * points)[None, None, :]
-    M = M.reshape(3, 3, 3, -1).sum(axis=-1)
+    M = broadcast_moment(fam)
     R = fam.rotation(thetas)
     dA = np.einsum("abc,tai,tbj,tck,ijk->t", LEVI_CIVITA[3], R, R, R, M, optimize=True)
     return np.real((1j / (2.0 * np.pi)) * L.coefficient * dA)
@@ -205,6 +212,28 @@ class TestMomentOncePerFamily:
             outputs.append(out.getvalue())
         assert calls == [(16, 32)]
         assert outputs[0] == outputs[1] and '"pass": true' in outputs[0]
+
+
+class TestMomentBuild:
+    @pytest.mark.parametrize("grid", [16, 56, 256])
+    def test_bytes_equal_the_broadcast_formula(self, grid):
+        """Each (i, j) sums the rows the broadcast product has, in the same
+        pairwise order, so the moment is the same bit for bit."""
+        want = broadcast_moment(MappedFamily(grid, 2 * grid, 4))
+        assert leading._moment.__wrapped__(grid, 2 * grid).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("grid", [56, 256])
+    def test_build_holds_a_few_grid_arrays(self, grid):
+        """A cold build peaks at about 17 floats per grid point, the rule's
+        arrays included; the (27, N) product alone was 27 of them."""
+        n = grid * 2 * grid
+        tracemalloc.start()
+        try:
+            leading._moment.__wrapped__(grid, 2 * grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * n, peak / (8 * n)
 
 
 class TestCachedWork:
