@@ -217,10 +217,17 @@ class TestMaxAbsComponent:
         assert max_abs_component(RiemannTensor.zero(4)) == 0.0
         assert max_abs_component(flat_torus().curvature) == 0.0
 
-    def test_constant_sectional_curvature_one(self):
+    @pytest.mark.parametrize("kappa", [-3.0, -1.0, 0.5, 1.0, 2.0])
+    def test_constant_sectional_curvature(self, kappa):
         d = np.eye(4)
-        comp = np.einsum("il,jk->ijkl", d, d) - np.einsum("ik,jl->ijkl", d, d)
-        assert abs(max_abs_component(RiemannTensor(comp)) - 1.0) <= 1e-12
+        comp = kappa * (np.einsum("il,jk->ijkl", d, d) - np.einsum("ik,jl->ijkl", d, d))
+        assert abs(max_abs_component(RiemannTensor(comp)) - abs(kappa)) <= 1e-12
+
+    @pytest.mark.parametrize("c", [-8.0, -4.0, -1.0, -0.25, 0.25, 1.0, 4.0, 8.0])
+    def test_complex_space_form(self, c):
+        # Holomorphic sectional curvature c: the sectional curvatures fill
+        # [c/4, c] (or [c, c/4]), and no other component is larger.
+        assert abs(max_abs_component(complex_space_form(c)) - abs(c)) <= 1e-12 * abs(c)
 
     def test_frame_independent(self):
         rng = np.random.default_rng(4)
@@ -237,19 +244,43 @@ class TestMaxAbsComponent:
         rng = np.random.default_rng(5)
         assert all(validate_symmetries(random_curvature_4d(rng)) for _ in range(5))
 
-    def test_bounds_and_nearly_meets_sampled_frames(self):
-        """On the nine KAHLER_BASIS tensors and six random algebraic ones, no
-        component in 4,000 random frames exceeds the closed form by more than
-        rounding, and the best of them comes within 5 % of it."""
+    @pytest.fixture(scope="class")
+    def sampled_frames(self):
+        """The nine KAHLER_BASIS tensors, six random algebraic ones, and
+        4,000 random frames."""
         rng = np.random.default_rng(21)
         tensors = ([RiemannTensor(b) for b in KAHLER_BASIS]
                    + [random_curvature_4d(rng) for _ in range(6)])
+        return tensors, np.array([random_rotation(rng, 4) for _ in range(4000)])
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_bounds_and_nearly_meets_sampled_frames(self, sampled_frames, n):
+        """No component in the sampled frames exceeds the closed form by more
+        than rounding, and the best of them comes within 5 % of it."""
+        tensors, frames = sampled_frames
+        R = tensors[n]
+        value = max_abs_component(R)
+        sampled = np.abs(geometry._rotate_tensor(R.comp, frames)).max()
+        assert sampled <= value + 64 * np.finfo(float).eps * np.abs(R.comp).max()
+        assert sampled >= 0.95 * value
+
+    @pytest.mark.parametrize("plus, minus", [([1.0, 1.0, -2.0], [2.0, -1.0, -1.0]),
+                                             ([2.0, -1.0, -1.0], [1.0, 1.0, -2.0])])
+    def test_disjoint_pair_can_exceed_every_sectional_curvature(self, plus, minus):
+        """A Weyl tensor with blocks diag(plus) on Lambda+ and diag(minus) on
+        Lambda-: the sectional curvatures fill [-1.5, 1.5], and R(e1, e2, e3,
+        e4) reaches 2 = (max(plus) - min(minus), max(minus) - min(plus)) / 2
+        at its larger end, which the sampled frames nearly meet."""
+        wedges = np.array([np.outer(a, b) - np.outer(b, a)
+                           for a, b in itertools.combinations(np.eye(4), 2)])
+        P, N = geometry._LAMBDA_PLUS, geometry._LAMBDA_MINUS
+        M = P @ np.diag(plus) @ P.T + N @ np.diag(minus) @ N.T
+        R = RiemannTensor(np.einsum("pq,pij,qkl->ijkl", M, wedges, wedges))
+        assert validate_symmetries(R)
+        assert abs(max_abs_component(R) - 2.0) <= 1e-12
+        rng = np.random.default_rng(3)
         frames = np.array([random_rotation(rng, 4) for _ in range(4000)])
-        for n, R in enumerate(tensors):
-            value = max_abs_component(R)
-            sampled = np.abs(geometry._rotate_tensor(R.comp, frames)).max()
-            assert sampled <= value + 64 * np.finfo(float).eps * np.abs(R.comp).max(), n
-            assert sampled >= 0.95 * value, n
+        assert 1.95 <= np.abs(geometry._rotate_tensor(R.comp, frames)).max() <= 2.0 + 1e-12
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_other_dimensions_rejected(self, dim):
@@ -268,6 +299,58 @@ class TestMaxAbsComponent:
         comp[0, 1, 1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             max_abs_component(RiemannTensor(comp))
+
+
+def norm_case(seed):
+    """Seed s gives a random algebraic tensor (s even) or a random Kahler
+    one (s odd), with a second tensor of the same kind and a frame in O(4)
+    that reverses the orientation, all drawn from s."""
+    rng = np.random.default_rng([seed, 4])
+    if seed % 2:
+        def draw():
+            return RiemannTensor(np.tensordot(rng.uniform(-2.0, 2.0, 9), KAHLER_BASIS, axes=1))
+    else:
+        def draw():
+            return random_curvature_4d(rng)
+    R, S = draw(), draw()
+    return R, S, random_rotation(rng, 4) @ np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+class TestClosedFormIsANorm:
+    """|R|_inf is the largest of the |linear functionals| R -> R(e_a, e_b,
+    e_c, e_d) over orthonormal frames: a norm on curvature tensors that is
+    invariant under O(4).  The closed form must behave as one."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_between_the_frame_max_and_the_operator_norm(self, seed):
+        # The standard frame is one orthonormal frame, and each component is
+        # <M w, w'> for unit 2-forms w, w'.
+        R, _S, _Q = norm_case(seed)
+        value = max_abs_component(R)
+        assert np.abs(R.comp).max() <= value
+        assert value <= np.linalg.norm(geometry._curvature_operator(R.comp), 2) * (1.0 + 1e-13)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_invariant_under_an_orientation_reversing_frame(self, seed):
+        # Reversing the orientation swaps Lambda+ and Lambda-, hence A and C.
+        R, _S, Q = norm_case(seed)
+        turned = RiemannTensor(np.einsum("ai,bj,ck,dl,ijkl->abcd", Q, Q, Q, Q, R.comp))
+        assert abs(max_abs_component(turned) - max_abs_component(R)) <= 1e-13 * np.abs(R.comp).max()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_absolutely_homogeneous(self, seed):
+        R, _S, _Q = norm_case(seed)
+        value = max_abs_component(R)
+        for scale in (-2.5, -1.0, 3.0):
+            got = max_abs_component(RiemannTensor(scale * R.comp))
+            assert abs(got - abs(scale) * value) <= 1e-13 * abs(scale) * np.abs(R.comp).max()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_triangle_inequality(self, seed):
+        R, S, _Q = norm_case(seed)
+        total = max_abs_component(RiemannTensor(R.comp + S.comp))
+        bound = max_abs_component(R) + max_abs_component(S)
+        assert total <= bound + 1e-13 * (np.abs(R.comp).max() + np.abs(S.comp).max())
 
 
 class TestRotateTensor:
