@@ -254,13 +254,16 @@ _LAMBDA_PLUS, _LAMBDA_MINUS = (_frozen_array((np.eye(6) + sign * _HODGE)[:, :3] 
                                for sign in (1.0, -1.0))
 
 
-def _golden_min(f, lo: float, hi: float) -> float:
-    """The minimum of a convex f on [lo, hi] by golden-section search, to
-    the last bits of the interval."""
+def _golden_min(f, lo: float, hi: float, tol: float) -> float:
+    """The minimum of a convex f on [lo, hi] by golden-section search,
+    stopped once the bracket is at most `tol` wide (or can shrink no more
+    in floating point).  The bracket always holds a minimizer, so for an f
+    with slopes in [-1, 1] the value returned is within `tol` of the
+    minimum, apart from the rounding in f itself."""
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo + (1.0 - ratio) * (hi - lo), lo + ratio * (hi - lo)
     fa, fb = f(a), f(b)
-    for _ in range(200):
+    while hi - lo > tol:
         if fa <= fb:
             hi, b, fb = b, a, fa
             a = lo + (1.0 - ratio) * (hi - lo)
@@ -293,6 +296,14 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
       C are the blocks of M on Lambda+ and Lambda-, and the max is
       max(lambda_max A - lambda_min C, lambda_max C - lambda_min A) / 2.
 
+    Each search stops once its bracket of t is 4 ulps of |M|_2 wide, after
+    about 78 eigvalsh solves at any scale of R.  Every eigenvalue of
+    M - t H has slope in [-1, 1], so the value is then within a few ulps of
+    |M|_2 of |R|_inf: the catalog's r_inf within 3.3e-16, and R scaled by
+    1e+-100 or 2^+-900 gives the value scaled within 8 eps relative.
+    It is a rounded value, not a certified upper bound: cp2 in a rotated
+    frame can give 3.999999999999999 for the exact 4.
+
     The zero tensor gives 0.0 exactly.  `seed` and `samples` are ignored:
     they are the arguments of the frame search this replaced, kept so that
     callers that pass them, the perfbench orbit_checks job among them,
@@ -310,7 +321,9 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
     c = np.linalg.eigvalsh(_LAMBDA_MINUS.T @ M @ _LAMBDA_MINUS)
     disjoint = 0.5 * max(a[-1] - c[0], c[-1] - a[0])
     # |t| <= 2 |M| at the optimum, since lambda_max(M - t H) >= |t| - |M|.
-    span = 2.0 * np.linalg.norm(M, 2) + 1.0
-    k_max = _golden_min(lambda t: np.linalg.eigvalsh(M - t * _HODGE)[-1], -span, span)
-    k_min = -_golden_min(lambda t: -np.linalg.eigvalsh(M - t * _HODGE)[0], -span, span)
+    norm = np.linalg.norm(M, 2)
+    tol = 4.0 * np.spacing(norm)
+    span = 2.0 * norm + tol
+    k_max = _golden_min(lambda t: np.linalg.eigvalsh(M - t * _HODGE)[-1], -span, span, tol)
+    k_min = -_golden_min(lambda t: -np.linalg.eigvalsh(M - t * _HODGE)[0], -span, span, tol)
     return float(max(k_max, -k_min, disjoint))

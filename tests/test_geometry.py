@@ -353,6 +353,92 @@ class TestClosedFormIsANorm:
         assert total <= bound + 1e-13 * (np.abs(R.comp).max() + np.abs(S.comp).max())
 
 
+def unstopped_search(R: RiemannTensor) -> float:
+    """|R|_inf as the closed form computed it with a fixed bracket: each
+    golden-section search over t in +-(2 |M| + 1) ran until lo < a < b < hi
+    failed or for 200 steps, whatever the scale of M."""
+    M = geometry._curvature_operator(R.comp)
+    a = np.linalg.eigvalsh(geometry._LAMBDA_PLUS.T @ M @ geometry._LAMBDA_PLUS)
+    c = np.linalg.eigvalsh(geometry._LAMBDA_MINUS.T @ M @ geometry._LAMBDA_MINUS)
+
+    def golden_min(f, lo, hi):
+        ratio = (np.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo + (1.0 - ratio) * (hi - lo), lo + ratio * (hi - lo)
+        fa, fb = f(a), f(b)
+        for _ in range(200):
+            if fa <= fb:
+                hi, b, fb = b, a, fa
+                a = lo + (1.0 - ratio) * (hi - lo)
+                fa = f(a)
+            else:
+                lo, a, fa = a, b, fb
+                b = lo + ratio * (hi - lo)
+                fb = f(b)
+            if not lo < a < b < hi:
+                break
+        return min(fa, fb)
+
+    span = 2.0 * np.linalg.norm(M, 2) + 1.0
+    k_max = golden_min(lambda t: np.linalg.eigvalsh(M - t * geometry._HODGE)[-1], -span, span)
+    k_min = -golden_min(lambda t: -np.linalg.eigvalsh(M - t * geometry._HODGE)[0], -span, span)
+    return float(max(k_max, -k_min, 0.5 * max(a[-1] - c[0], c[-1] - a[0])))
+
+
+#: Powers of ten round the components; powers of two scale them exactly but
+#: move LAPACK's own scaling, which starts below about 1e-146.
+SCALES = (1.0, 1e100, 1e-100, 2.0**900, 2.0**-900)
+
+
+class TestSearchStop:
+    """Each golden-section search of max_abs_component stops once its
+    bracket is 4 ulps of |M|_2 wide.  That width is relative to |M|, so the
+    number of eigvalsh solves and the relative accuracy are the same at
+    every scale, down to 2^-900."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """A list that counts the eigvalsh calls made while the test runs."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(None)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @staticmethod
+    def check_scales(R, solves):
+        """156-160 solves at every scale (two for the Lambda+- blocks, the
+        rest for the two searches), and the value scaled within 8 eps."""
+        want = None
+        for scale in SCALES:
+            solves.clear()
+            value = max_abs_component(RiemannTensor(scale * R.comp))
+            assert 156 <= len(solves) <= 160, (scale, len(solves))
+            if want is None:
+                want = value
+            assert abs(value - scale * want) <= 8 * np.finfo(float).eps * scale * want, scale
+
+    def test_catalog(self, solves):
+        # cp1xcp1 has its optimum at t = 0, where a stop relative to t
+        # shrinks the bracket through the tiny floats near zero.
+        tensors = [cp2_fubini_study().curvature] + [product_cp1(a, b).curvature
+                                                    for a in range(1, 7) for b in range(1, 7)]
+        for R in tensors:
+            self.check_scales(R, solves)
+
+    @pytest.mark.parametrize("chunk", range(10))
+    def test_random_tensors(self, solves, chunk):
+        # Random algebraic tensors (even seeds) and Kahler ones (odd).
+        for seed in range(20 * chunk, 20 * chunk + 20):
+            R, _S, _Q = norm_case(seed)
+            self.check_scales(R, solves)
+            value = max_abs_component(R)
+            assert abs(value - unstopped_search(R)) <= 2e-15 * value
+
+
 class TestRotateTensor:
     @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_rotation_matches_einsum(self, rng, dim):

@@ -1,27 +1,31 @@
 """Polynomial identities of the density formulas, proved with sympy for
-every algebraic Kahler curvature tensor at once.
+every algebraic Kahler curvature tensor at once, and for every algebraic
+curvature tensor on R^3.
 
-A tensor is R = sum_i a_i B_i over EXACT_KAHLER_BASIS, whose entries are
-small integers, with the nine a_i as symbols; the lift is R0 + t R1 with
-t = k^2 (sasaki.lift_parts).  The entries are polynomials over QQ, so every
-sum and product below is exact, and an identity holds when two polynomials
-are equal.
+A Kahler tensor is R = sum_i a_i B_i over EXACT_KAHLER_BASIS, whose entries
+are small integers, with the nine a_i as symbols; the lift is R0 + t R1 with
+t = k^2 (sasaki.lift_parts).  A tensor on R^3 is sum_m h_m (H_m wedge g)
+over the six symmetric unit matrices H_m, with the h_m as symbols.  The
+entries are polynomials over QQ, so every sum and product below is exact,
+and an identity holds when two polynomials are equal.
 """
 
+import functools
 import itertools
 
 import numpy as np
 from sympy import QQ, ring
 
 from wcslab.catalog import flat_torus
-from wcslab.geometry import _P1_SIGN, perm_sign
+from wcslab.geometry import _P1_SIGN, RiemannTensor, perm_sign, validate_symmetries
 from wcslab.sasaki import lift_parts
 from wcslab.wcs import CURVATURE_TERMS
 
 from conftest import EXACT_KAHLER_BASIS
 
-POLYS, *GENS = ring("a1:10,t", QQ)
+POLYS, *GENS = ring("a1:10,t,h1:7,g1:4", QQ)
 COEFFICIENTS, T = GENS[:9], GENS[9]
+COEFFICIENTS_3D, GAMMA_DOT = GENS[10:16], GENS[16:19]
 
 
 def exact(values: np.ndarray) -> np.ndarray:
@@ -52,14 +56,40 @@ def closed_form_terms(R: np.ndarray) -> tuple:
     return P, B, s
 
 
-def raw_permutation_sum(R5: np.ndarray):
-    """sum over the 120 permutations of sgn(sigma) tr[A_s1 E_s2s3 E_s4s5]
-    in the identity frame along xi = e_0, with A_a[l, j] = R(e_a, e_j, xi, e_l)
-    and E_bc[l, k] = R(e_b, e_c, e_k, e_l): 5 x 5 matrix products."""
-    A = [R5[a, :, 0, :].T for a in range(5)]
-    E = {(b, c): R5[b, c].T for b in range(5) for c in range(5)}
-    return sum(perm_sign(p) * np.trace(A[p[0]] @ E[p[1], p[2]] @ E[p[3], p[4]])
-               for p in itertools.permutations(range(5)))
+def raw_permutation_sum(R: np.ndarray, gdot):
+    """sum over the permutations of range(n) of sgn(sigma)
+    tr[A_s1 E_s2s3 ... E_s(n-1)sn] in the identity frame along gdot, with
+    A_a[l, j] = R(e_a, e_j, gdot, e_l) and E_bc[l, k] = R(e_b, e_c, e_k, e_l):
+    n x n matrix products, n = 3 or 5."""
+    n = R.shape[0]
+    A = [sum(times(g, R[a, :, m, :]) for m, g in enumerate(gdot) if g).T for a in range(n)]
+    E = {(b, c): R[b, c].T for b in range(n) for c in range(n)}
+
+    def term(p):
+        factors = [A[p[0]]] + [E[p[i], p[i + 1]] for i in range(1, n, 2)]
+        return perm_sign(p) * np.trace(functools.reduce(np.matmul, factors))
+
+    return sum(term(p) for p in itertools.permutations(range(n)))
+
+
+def symmetric_units(n: int) -> list:
+    """The n (n + 1) / 2 symmetric n x n matrices with ones at (i, j) and
+    (j, i), i <= j, and zeros elsewhere."""
+    units = []
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        h = np.zeros((n, n), dtype=int)
+        h[i, j] = h[j, i] = 1
+        units.append(h)
+    return units
+
+
+def kulkarni_nomizu_with_identity(h: np.ndarray) -> np.ndarray:
+    """h wedge g for g the identity, in the sign convention in which
+    constant curvature kappa is (kappa / 2) g wedge g:
+    h_il g_jk + h_jk g_il - h_ik g_jl - h_jl g_ik."""
+    g = np.eye(len(h), dtype=int)
+    return (np.einsum("il,jk->ijkl", h, g) + np.einsum("il,jk->ijkl", g, h)
+            - np.einsum("ik,jl->ijkl", h, g) - np.einsum("ik,jl->ijkl", g, h))
 
 
 def test_b_is_minus_half_the_scalar_curvature():
@@ -75,5 +105,18 @@ def test_permutation_sum_is_the_closed_form():
     R5[1:, 1:, 1:, 1:] = R
     R5 = R5 + times(T, exact(lift_parts(flat_torus())[1].comp))
     P, B, _ = closed_form_terms(R)
-    assert raw_permutation_sum(R5) == T * (int(_P1_SIGN) * P + 32 * T * B + 192 * T**2)
+    assert raw_permutation_sum(R5, (1, 0, 0, 0, 0)) == T * (int(_P1_SIGN) * P + 32 * T * B + 192 * T**2)
     assert P != 0 and B != 0
+
+
+def test_3d_permutation_sum_vanishes():
+    # ACCEPT 05 at every point: the Weyl tensor vanishes on R^3, so the six
+    # H_m wedge g span the 3^2 (3^2 - 1) / 12 = 6 dimensional space of
+    # algebraic curvature tensors, and the sum vanishes for all of them and
+    # every gdot.  Another orthonormal frame turns R and gdot into another
+    # such pair, so the identity frame stands for all frames.
+    basis = np.array([kulkarni_nomizu_with_identity(h) for h in symmetric_units(3)])
+    assert np.linalg.matrix_rank(basis.reshape(6, -1)) == 6
+    assert all(validate_symmetries(RiemannTensor(b.astype(float))) for b in basis)
+    R = sum(times(h, b) for h, b in zip(COEFFICIENTS_3D, exact(basis)))
+    assert raw_permutation_sum(R, GAMMA_DOT) == 0
