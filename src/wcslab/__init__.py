@@ -17,7 +17,6 @@ from .catalog import (
 )
 from .geometry import (
     ComplexStructure,
-    OrthonormalFrame,
     RiemannTensor,
     endomorphism_of_pair,
     max_abs_component,
@@ -51,7 +50,6 @@ __all__ = [
     "product_cp1",
     "signature_from_curvature",
     "ComplexStructure",
-    "OrthonormalFrame",
     "RiemannTensor",
     "endomorphism_of_pair",
     "max_abs_component",

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import STANDARD_J, ComplexStructure, RiemannTensor, pontrjagin_density
+from .geometry import STANDARD_J, ComplexStructure, RiemannTensor, _is_int, pontrjagin_density
 
 __all__ = [
     "KahlerSurface",
@@ -135,10 +135,12 @@ def product_cp1(a: int, b: int) -> KahlerSurface:
     """CP^1 x CP^1 with Kahler class a*w1 + b*w2.
 
     Realized by the metric a*g1 + b*g2 on the product of unit round
-    spheres, so the factor sectional curvatures are 1/a and 1/b.
+    spheres, so the factor sectional curvatures are 1/a and 1/b.  a and b
+    are ints or numpy integers (stored as int), not bools.
     """
-    if a < 1 or b < 1:
+    if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
         raise ValueError("a and b must be positive integers")
+    a, b = int(a), int(b)
     volume = (4.0 * np.pi * a) * (4.0 * np.pi * b)
     if not volume < np.inf:
         raise ValueError("volume (4 pi a)(4 pi b) must be finite")

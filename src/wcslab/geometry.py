@@ -4,7 +4,8 @@ frames, in closed form from the curvature operator on Lambda^2 (no frame
 search).
 
 All tensors use the index convention R[i,j,k,l] = <R(e_i,e_j)e_k, e_l>,
-with sectional curvature K(X,Y) = R(X,Y,Y,X).
+with sectional curvature K(X,Y) = R(X,Y,Y,X).  Densities are evaluated in
+the tensor's own frame: rotate the tensor to change frames.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "RiemannTensor",
     "ComplexStructure",
-    "OrthonormalFrame",
     "ShapeError",
     "validate_symmetries",
     "symmetry_violation",
@@ -82,13 +82,6 @@ class ComplexStructure:
             raise ValueError("J is not orthogonal")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return 4
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)
-
 
 #: Standard J in the adapted frame (e2, Je2, e3, Je3).
 STANDARD_J = ComplexStructure(
@@ -103,29 +96,9 @@ STANDARD_J = ComplexStructure(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalFrame:
-    """A list of dim coordinate vectors, orthonormal to 1e-12."""
-
-    vectors: np.ndarray  # shape (dim, dim), rows are frame vectors
-
-    def __post_init__(self):
-        v = np.array(self.vectors, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeError(f"frame must be square, got {v.shape}")
-        gram = v @ v.T
-        if np.max(np.abs(gram - np.eye(v.shape[0]))) > 1e-12:
-            raise ValueError("frame is not orthonormal to 1e-12")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    @classmethod
-    def standard(cls, dim: int) -> "OrthonormalFrame":
-        return cls(np.eye(dim))
+def _is_int(value) -> bool:
+    """An int or a numpy integer, not a bool: a level, count or class number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def symmetry_violation(R: RiemannTensor) -> float:
@@ -154,9 +127,9 @@ def _violations(comps: np.ndarray) -> np.ndarray:
     return res.reshape(4, len(c), -1).max(axis=(0, 2)).reshape(comps.shape[:-4])
 
 
-def validate_symmetries(R: RiemannTensor, tol: float = 1e-10) -> bool:
-    """True iff antisymmetry, pair symmetry and first Bianchi hold to tol."""
-    return symmetry_violation(R) <= tol
+def validate_symmetries(R: RiemannTensor) -> bool:
+    """True iff antisymmetry, pair symmetry and first Bianchi hold to 1e-10."""
+    return symmetry_violation(R) <= 1e-10
 
 
 def endomorphism_of_pair(R: RiemannTensor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -214,23 +187,18 @@ def _rotate_tensor(comp: np.ndarray, bases: np.ndarray) -> np.ndarray:
 _P1_SIGN = -1.0
 
 
-def pontrjagin_density(R: RiemannTensor, frame: OrthonormalFrame | None = None) -> float:
-    """First Pontrjagin density p1(R)(f1,f2,f3,f4) in the given frame.
+def pontrjagin_density(R: RiemannTensor) -> float:
+    """First Pontrjagin density p1(R)(e1,e2,e3,e4) in the tensor's own frame.
 
     Normalized so that (1/3) * p1 * vol(M) equals the signature on the
-    frame-homogeneous catalog surfaces.
+    frame-homogeneous catalog surfaces.  p1 is invariant under oriented
+    frame changes; an orientation-reversing one changes its sign.
     """
     if R.dim != 4:
         raise ShapeError("Pontrjagin density requires dim 4")
-    if frame is None:
-        comp = R.comp  # the tensor's own frame: no rotation
-    elif frame.dim != 4:
-        raise ShapeError("frame dimension must be 4")
-    else:
-        comp = _rotate_tensor(R.comp, frame.vectors[None])[0]
     # sum_sigma sgn(sigma) tr(E_ab E_cd) over the curvature endomorphisms
     # E_ab[l,k] = R[a,b,k,l]
-    total = np.einsum("abcd,abkl,cdlk->", LEVI_CIVITA[4], comp, comp)
+    total = np.einsum("abcd,abkl,cdlk->", LEVI_CIVITA[4], R.comp, R.comp)
     # 1/(2! 2!) antisymmetrization factor for the wedge of two 2-forms
     return _P1_SIGN * total / (4.0 * 8.0 * np.pi**2)
 
@@ -296,13 +264,15 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
       C are the blocks of M on Lambda+ and Lambda-, and the max is
       max(lambda_max A - lambda_min C, lambda_max C - lambda_min A) / 2.
 
-    Each search stops once its bracket of t is 4 ulps of |M|_2 wide, after
-    about 78 eigvalsh solves at any scale of R.  Every eigenvalue of
-    M - t H has slope in [-1, 1], so the value is then within a few ulps of
-    |M|_2 of |R|_inf: the catalog's r_inf within 3.3e-16, and R scaled by
-    1e+-100 or 2^+-900 gives the value scaled within 8 eps relative.
-    It is a rounded value, not a certified upper bound: cp2 in a rotated
-    frame can give 3.999999999999999 for the exact 4.
+    The search runs on M / 2^e, max |M| < 2^e, and scales its value back:
+    both exact, so no solve overflows and cp2 x 1e307 gives 4e307.  Each
+    search stops once its bracket of t is 4 ulps of |M|_2 wide, after about
+    78 eigvalsh solves at any scale of R.  Every eigenvalue of M - t H has
+    slope in [-1, 1], so the value is then within a few ulps of |M|_2 of
+    |R|_inf: the catalog's r_inf within 3.3e-16, and R scaled by 1e+-100
+    or 2^+-900 gives the value scaled within 8 eps relative.  It is a
+    rounded value, not a certified upper bound: cp2 in a rotated frame can
+    give 3.999999999999999 for the exact 4.
 
     The zero tensor gives 0.0 exactly.  `seed` and `samples` are ignored:
     they are the arguments of the frame search this replaced, kept so that
@@ -317,6 +287,8 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
     if not R.comp.any():
         return 0.0
     M = _curvature_operator(R.comp)
+    exponent = np.frexp(np.abs(M).max())[1]
+    M = np.ldexp(M, -exponent)
     a = np.linalg.eigvalsh(_LAMBDA_PLUS.T @ M @ _LAMBDA_PLUS)
     c = np.linalg.eigvalsh(_LAMBDA_MINUS.T @ M @ _LAMBDA_MINUS)
     disjoint = 0.5 * max(a[-1] - c[0], c[-1] - a[0])
@@ -326,4 +298,4 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
     span = 2.0 * norm + tol
     k_max = _golden_min(lambda t: np.linalg.eigvalsh(M - t * _HODGE)[-1], -span, span, tol)
     k_min = -_golden_min(lambda t: -np.linalg.eigvalsh(M - t * _HODGE)[0], -span, span, tol)
-    return float(max(k_max, -k_min, disjoint))
+    return float(np.ldexp(max(k_max, -k_min, disjoint), exponent))

@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-from .geometry import LEVI_CIVITA, _rotate_tensor
+from .geometry import LEVI_CIVITA, _is_int, _rotate_tensor
 
 __all__ = ["MappedFamily", "LineBundleCurvature", "PASS_TOL", "c_lo_pairing",
            "rhs_prop22", "relative_error", "verify_prop22"]
@@ -73,7 +73,7 @@ class MappedFamily:
     def __post_init__(self):
         for name in ("n_colat", "n_long", "n_loop"):
             size = getattr(self, name)
-            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 4:
+            if not _is_int(size) or size < 4:
                 raise ValueError(f"{name} must be an int >= 4, got {size!r}")
             object.__setattr__(self, name, int(size))
 

@@ -78,6 +78,8 @@ DEFAULT_GRID = 64
 #: [P, Q] reads its component j = op + oq + 1 <= 3, so it needs depth >= 4.
 MIN_TRACE_TEST_DEPTH = 4
 
+_LEADING_TOL = 1e-11  # the sup norm above which a component counts as nonzero
+
 
 class SymbolError(ValueError):
     pass
@@ -237,9 +239,10 @@ class ClassicalSymbol:
         """Sup norm of each component, place 0 (degree order) first."""
         return np.abs(self.stored).reshape(self.depth, -1).max(axis=1)
 
-    def leading_degree(self, tol: float = 1e-11):
-        """Highest degree with a component above tol; None if all vanish."""
-        above = np.flatnonzero(self.sup_norms() > tol)
+    def leading_degree(self):
+        """Highest degree with a component whose sup norm is above
+        _LEADING_TOL (1e-11); None if all vanish."""
+        above = np.flatnonzero(self.sup_norms() > _LEADING_TOL)
         return self.order - int(above[0]) if above.size else None
 
     def _binary(self, other, f):
@@ -795,9 +798,9 @@ def connection_difference_order_audit(lift, depth: int = 6, grid: int = DEFAULT_
     curvature with a gamma_dot slot, which on a lift depends on k alone, so
     every catalog surface gives the same terms bit for bit."""
     terms = connection_difference_terms(lift, depth, grid)
-    # Sup norm of each component against leading_degree's default tol.
+    # Sup norm of each component against leading_degree's tolerance.
     above = (np.abs(np.stack([sym.stored for _, sym in terms])).reshape(len(terms), depth, -1)
-             .max(axis=2) > 1e-11)
+             .max(axis=2) > _LEADING_TOL)
     places = above.argmax(axis=1).tolist()
     return [(name, int(sym.order) - place if row[place] else None)
             for (name, sym), row, place in zip(terms, above.tolist(), places)]

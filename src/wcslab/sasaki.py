@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import _SPHERE_5, KahlerSurface, complex_space_form
-from .geometry import RiemannTensor, _violations
+from .geometry import RiemannTensor, _is_int, _violations
 
 __all__ = ["SasakiLift", "LiftConsistencyError", "lift_parts", "lift_curvature",
            "total_volume", "FIBER_LENGTH"]
@@ -115,7 +115,7 @@ def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
     raises ValueError rather than being stored as a level it is not.  So
     does a level too large for k**2 to be a float (`_level_power`).
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+    if not _is_int(k):
         raise ValueError(f"k must be an int, got {k!r}")
     stack = np.empty((3, 5, 5, 5, 5))
     stack[:2] = _parts(base)

@@ -144,7 +144,7 @@ def _side_values(entries: dict, prefix: str, dim: int, grid: int, line: int) -> 
     return values
 
 
-def load_symbol(text: str, grid: int = psdo.DEFAULT_GRID) -> ClassicalSymbol:
+def load_symbol(text: str) -> ClassicalSymbol:
     """Build a ClassicalSymbol from a symbol specification file.
 
     Top level: order, dim, optional grid (psdo.DEFAULT_GRID).  Each
@@ -160,10 +160,9 @@ def load_symbol(text: str, grid: int = psdo.DEFAULT_GRID) -> ClassicalSymbol:
     order = _value(top["order"], _rational, lambda v: True, "a rational order")
     dim = _value(top["dim"], int, lambda v: 1 <= v <= MAX_SYMBOL_DIM,
                  f"an integer dim in [1, {MAX_SYMBOL_DIM}]")
-    if "grid" in top:
-        grid = _value(top["grid"], int,
-                      lambda v: 16 <= v <= MAX_SYMBOL_GRID and v & (v - 1) == 0,
-                      f"a power-of-two grid in [16, {MAX_SYMBOL_GRID}]")
+    grid = psdo.DEFAULT_GRID if "grid" not in top else _value(
+        top["grid"], int, lambda v: 16 <= v <= MAX_SYMBOL_GRID and v & (v - 1) == 0,
+        f"a power-of-two grid in [16, {MAX_SYMBOL_GRID}]")
 
     by_place: dict[int, Section] = {}  # component j has degree order - j
     for sec in sections:

@@ -18,7 +18,7 @@ from math import factorial
 import numpy as np
 
 from .catalog import KahlerSurface
-from .geometry import LEVI_CIVITA, OrthonormalFrame, RiemannTensor, pontrjagin_density
+from .geometry import LEVI_CIVITA, RiemannTensor, _is_int, pontrjagin_density
 from .sasaki import FIBER_LENGTH, SasakiLift, _level_power, lift_parts
 
 __all__ = [
@@ -127,45 +127,41 @@ _PERMUTATION_PATHS = {
 }
 
 
-def _permutation_sums(comps: np.ndarray, vecs: np.ndarray, gdot: np.ndarray) -> np.ndarray:
-    """The permutation sums of a stack of curvature arrays comps[s] in the
-    frame `vecs` along gdot: sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)]
+def _permutation_sums(comps: np.ndarray, gdot: np.ndarray) -> np.ndarray:
+    """The permutation sums of a stack of curvature arrays comps[s] in their
+    own frame along gdot: sum_sigma sgn(sigma) tr[A_s1 E_s2s3 (E_s4s5)]
     for every choice of stack entry per slot."""
-    # A[s,a][l,j] = X_a^i gdot^m R_s[i,j,m,l];  E[s,a,b][l,k] = X_a^i X_b^j R_s[i,j,k,l]
-    A = np.einsum("ai,m,sijml->salj", vecs, gdot, comps)
-    E = np.einsum("ai,bj,sijkl->sablk", vecs, vecs, comps)
+    # A[s,a][l,j] = gdot^m R_s[a,j,m,l];  E[s,a,b][l,k] = R_s[a,b,k,l]
+    A = np.einsum("m,sajml->salj", gdot, comps)
+    E = comps.swapaxes(-1, -2)
     dim = comps.shape[-1]
     return np.einsum(_PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
                      *[E] * (dim // 2), optimize=_PERMUTATION_PATHS[dim])
 
 
-def permutation_density_raw(
-    R: RiemannTensor,
-    frame: OrthonormalFrame,
-    loop_speed: np.ndarray,
-) -> float:
-    """Signed permutation sum over curvature endomorphisms, uncalibrated.
+def permutation_density_raw(R: RiemannTensor, loop_speed: np.ndarray) -> float:
+    """Signed permutation sum over curvature endomorphisms, uncalibrated,
+    in the tensor's own frame (e_1, ..., e_n) along gamma_dot = loop_speed.
 
     For dim(M) = 2k-1, returns
 
         (4/(2k-1)!) sum_sigma sgn(sigma)
-            tr[ A(X_s1) B(X_s2, X_s3) ... B(X_s(2k-2), X_s(2k-1)) ]
+            tr[ A(e_s1) B(e_s2, e_s3) ... B(e_s(2k-2), e_s(2k-1)) ]
         * FIBER_LENGTH
 
     where A(X): Y -> R(X,Y) gamma_dot and B(X,Y): Z -> R(X,Y)Z.  The
     integrand is frame-constant along the loop, so the circle integral is
-    the pointwise value times FIBER_LENGTH.
+    the pointwise value times FIBER_LENGTH.  To use another oriented
+    frame, rotate R and loop_speed into it: the value is the same.
     """
     dim = R.dim
     if dim not in (3, 5):
         raise ValueError("permutation density supports dims 3 and 5 only")
-    if frame.dim != dim:
-        raise ValueError("frame dimension mismatch")
     gdot = np.asarray(loop_speed, dtype=float)
     if gdot.shape != (dim,):
         raise ValueError("loop speed dimension mismatch")
 
-    total = _permutation_sums(R.comp[None], frame.vectors, gdot).item()
+    total = _permutation_sums(R.comp[None], gdot).item()
     return (4.0 / factorial(dim)) * total * FIBER_LENGTH
 
 
@@ -181,23 +177,10 @@ def calibration_constant() -> float:
     return 1.0 / FIBER_LENGTH
 
 
-def density_permutation(
-    lift: SasakiLift,
-    frame: OrthonormalFrame | None = None,
-    loop_speed: np.ndarray | None = None,
-) -> float:
-    """Calibrated permutation-route density on the lift.
-
-    loop_speed must be a unit vector (the vertical frame vector for fiber
-    orbits); the default is xi.
-    """
-    if frame is None:
-        frame = OrthonormalFrame.standard(5)
-    gdot = np.eye(5)[0] if loop_speed is None else np.asarray(loop_speed, dtype=float)
-    if abs(np.linalg.norm(gdot) - 1.0) > 1e-12:
-        raise ValueError("loop_speed must be a unit vector")
-    raw = permutation_density_raw(lift.curvature5, frame, gdot)
-    return calibration_constant() * raw
+def density_permutation(lift: SasakiLift) -> float:
+    """Calibrated permutation-route density on the lift, in the lift's frame
+    (xi, e2, Je2, e3, Je3) along the fiber orbit: `iterate_value` at n = 1."""
+    return iterate_value(lift, 1)
 
 
 def integral_csw5(lift: SasakiLift) -> float:
@@ -210,8 +193,11 @@ def prop39_bound(sigma: int, volume: float, r_inf: float, k: int) -> tuple[float
 
         k^2 ( 96 pi^2 sigma - 224 k^2 |R|_inf vol + 192 k^4 vol )
 
-    with 224 = `prop39_middle_coefficient()`.
+    with 224 = `prop39_middle_coefficient()`.  A k that is not an int or a
+    numpy integer, or is a bool, raises ValueError.
     """
+    if not _is_int(k):
+        raise ValueError(f"k must be an int, got {k!r}")
     if volume <= 0:
         raise ValueError("volume must be positive")
     if r_inf < 0:
@@ -231,24 +217,24 @@ def prop39_middle_coefficient() -> float:
     return _PROP39_MIDDLE
 
 
-def prop39_crossover(sigma: int, volume: float, r_inf: float, kmax: int = 50) -> int | None:
-    """Smallest k >= 1 from which the bound holds for every k' in [k, kmax]."""
-    fails = [k for k in range(1, kmax + 1) if not prop39_bound(sigma, volume, r_inf, k)[1]]
+def prop39_crossover(sigma: int, volume: float, r_inf: float) -> int | None:
+    """Smallest k >= 1 from which the bound holds for every k' in [k, 50];
+    None if it fails at k = 50."""
+    fails = [k for k in range(1, 51) if not prop39_bound(sigma, volume, r_inf, k)[1]]
     start = fails[-1] + 1 if fails else 1
-    return start if start <= kmax else None
+    return start if start <= 50 else None
 
 
 def iterate_value(lift: SasakiLift, n: int) -> float:
     """Permutation route on the reparametrized orbit theta -> gamma(n theta).
 
     The loop speed scales by n while the parameter interval is unchanged,
-    so the value is exactly n times the n = 1 value.
+    so the value is n times the n = 1 value, `density_permutation`.  n must
+    be a positive int or numpy integer, not a bool.
     """
-    if n <= 0:
-        raise ValueError("n must be a positive integer")
-    frame = OrthonormalFrame.standard(5)
-    gdot = float(n) * np.eye(5)[0]
-    raw = permutation_density_raw(lift.curvature5, frame, gdot)
+    if not _is_int(n) or n <= 0:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    raw = permutation_density_raw(lift.curvature5, float(n) * np.eye(5)[0])
     return calibration_constant() * raw
 
 
@@ -268,10 +254,9 @@ def _permutation_cubic(parts: tuple[RiemannTensor, RiemannTensor]) -> list[float
 
     The sum is trilinear in the lift, so c_m sums the 2^3 slot choices
     that take R1 in m slots and R0 in the rest, from the permutation sums
-    of the stack (R0, R1) in the identity frame along xi = e_0.
+    of the stack (R0, R1) in the lift's frame along xi = e_0.
     """
-    frame = np.eye(5)
-    sums = _permutation_sums(np.stack([part.comp for part in parts]), frame, frame[0])
+    sums = _permutation_sums(np.stack([part.comp for part in parts]), np.eye(5)[0])
     return [sums[mask].sum() for mask in _CUBIC_MASKS]
 
 
@@ -312,10 +297,10 @@ def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
     distinct (curvature, J) per process; each level then costs scalar
     arithmetic.  The first sweep of a curvature pays for these terms; a
     repeat reads them.  The name, volume, signature and r_inf are read per
-    call.  The closed form is evaluated
-    as `density_closed_form` evaluates it.  A bounds-only surface is
-    decided by the prop-3.9 condition, and its verdicts carry no
-    densities.
+    call.  The closed form is evaluated as `density_closed_form` evaluates
+    it.  Each level is checked as an int by `prop39_bound`, read first.  A
+    bounds-only surface is decided by the prop-3.9 condition, and its
+    verdicts carry no densities.
 
     The level arithmetic runs on Python floats, as the terms are kept.
     numpy float64 would do the same IEEE operations on the same doubles,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wcslab import geometry
-from wcslab.geometry import STANDARD_J, OrthonormalFrame, RiemannTensor
+from wcslab.geometry import STANDARD_J, RiemannTensor
 
 
 def random_curvature_3d(rng: np.random.Generator) -> RiemannTensor:
@@ -36,9 +36,9 @@ def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q
 
 
-def random_j_adapted_frame(rng: np.random.Generator) -> OrthonormalFrame:
+def random_j_adapted_frame(rng: np.random.Generator) -> np.ndarray:
     """Positively oriented orthonormal 4-frame commuting with the standard
-    J: realification of a special unitary 2x2 matrix."""
+    J, its vectors as rows: realification of a special unitary 2x2 matrix."""
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     q = q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
@@ -51,7 +51,7 @@ def random_j_adapted_frame(rng: np.random.Generator) -> OrthonormalFrame:
             real[2 * a, 2 * b + 1] = -q[a, b].imag
             real[2 * a + 1, 2 * b] = q[a, b].imag
             real[2 * a + 1, 2 * b + 1] = q[a, b].real
-    return OrthonormalFrame(real)
+    return real
 
 
 def kahler_constraints(T: np.ndarray) -> np.ndarray:

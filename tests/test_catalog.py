@@ -117,6 +117,18 @@ class TestProductCp1:
             product_cp1(10**200, 10**200)  # (4 pi a)(4 pi b) overflows to inf
         assert np.isfinite(product_cp1(10**150, 10**150).volume)
 
+    @pytest.mark.parametrize("value", [1.5, True, np.float64(2.0)], ids=repr)
+    def test_class_numbers_that_are_not_ints_are_refused(self, value):
+        for a, b in ((value, 2), (2, value)):
+            with pytest.raises(ValueError, match="^a and b must be positive integers$"):
+                product_cp1(a, b)
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        S, want = product_cp1(np.int64(2), np.int64(3)), product_cp1(2, 3)
+        assert S.params == {"a": 2, "b": 3} and all(type(n) is int for n in S.params.values())
+        assert S.curvature.comp.tobytes() == want.curvature.comp.tobytes()
+        assert (S.volume, S.r_inf) == (want.volume, want.r_inf)
+
 
 class TestGenericBounds:
     def test_bounds_only(self):

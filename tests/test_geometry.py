@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,6 @@ from wcslab.geometry import (
     LEVI_CIVITA,
     STANDARD_J,
     ComplexStructure,
-    OrthonormalFrame,
     RiemannTensor,
     ShapeError,
     endomorphism_of_pair,
@@ -184,22 +184,16 @@ class TestPontrjaginDensity:
         assert pontrjagin_density(S.curvature) * S.volume == pytest.approx(0.0, abs=1e-10)
 
     def test_frame_invariance(self, rng):
+        # p1 in a rotated frame is p1 of the tensor rotated into it.
         R = complex_space_form(4.0)
         ref = pontrjagin_density(R)
         for _ in range(20):
-            F = OrthonormalFrame(random_rotation(rng, 4))
-            assert pontrjagin_density(R, F) == pytest.approx(ref, abs=1e-10)
-
-    def test_no_frame_is_the_standard_frame_exactly(self, rng):
-        tensors = [RiemannTensor(rng.standard_normal((4,) * 4)) for _ in range(20)]
-        for R in tensors + [cp2_fubini_study().curvature, product_cp1(2, 5).curvature]:
-            assert pontrjagin_density(R) == pontrjagin_density(R, OrthonormalFrame.standard(4))
+            turned = geometry._rotate_tensor(R.comp, random_rotation(rng, 4)[None])[0]
+            assert pontrjagin_density(RiemannTensor(turned)) == pytest.approx(ref, abs=1e-10)
 
     def test_wrong_dimension(self):
         with pytest.raises(ShapeError):
             pontrjagin_density(RiemannTensor.zero(5))
-        with pytest.raises(ShapeError):
-            pontrjagin_density(cp2_fubini_study().curvature, OrthonormalFrame.standard(5))
 
 
 class TestMaxAbsComponent:
@@ -429,6 +423,16 @@ class TestSearchStop:
         for R in tensors:
             self.check_scales(R, solves)
 
+    @pytest.mark.parametrize("scale, want", [(1e307, 4e307), (4e307, 1.6e308)])
+    def test_near_the_float_range(self, solves, scale, want):
+        # Unscaled, 2 |M| and the bracket width overflow here and eigvalsh
+        # fails to converge; on M / 2^e no step overflows or warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = max_abs_component(RiemannTensor(scale * cp2_fubini_study().curvature.comp))
+        assert value == want
+        assert 156 <= len(solves) <= 160, len(solves)
+
     @pytest.mark.parametrize("chunk", range(10))
     def test_random_tensors(self, solves, chunk):
         # Random algebraic tensors (even seeds) and Kahler ones (odd).
@@ -455,10 +459,6 @@ class TestRotateTensor:
 
 
 class TestFramesAndStructures:
-    def test_non_orthonormal_frame_rejected(self):
-        with pytest.raises(ValueError):
-            OrthonormalFrame(np.eye(4) * 1.001)
-
     def test_bad_complex_structure_rejected(self):
         with pytest.raises(ValueError):
             ComplexStructure(np.eye(4))
@@ -533,11 +533,9 @@ def test_pontrjagin_contraction_matches_permutation_loop(comp):
 def test_permutation_contraction_matches_permutation_loop(case):
     comp, seed = case
     dim = comp.shape[0]
-    rng = np.random.default_rng(seed)
-    vecs = random_rotation(rng, dim)
-    gdot = rng.standard_normal(dim)
-    A = np.einsum("ai,m,ijml->alj", vecs, gdot, comp)
-    E = np.einsum("ai,bj,ijkl->ablk", vecs, vecs, comp)
+    gdot = np.random.default_rng(seed).standard_normal(dim)
+    A = np.einsum("m,ajml->alj", gdot, comp)
+    E = np.transpose(comp, (0, 1, 3, 2))
 
     def term(s):
         prod = A[s[0]]
@@ -547,7 +545,7 @@ def test_permutation_contraction_matches_permutation_loop(case):
 
     total, scale = _signed_sum(dim, term)
     norm = 4.0 / math.factorial(dim) * FIBER_LENGTH
-    value = permutation_density_raw(RiemannTensor(comp), OrthonormalFrame(vecs), gdot)
+    value = permutation_density_raw(RiemannTensor(comp), gdot)
     assert abs(value - norm * total) <= 1e-12 * norm * scale + _rounding_floor(dim)
 
 
@@ -562,15 +560,14 @@ def _array_holders():
     return {
         "RiemannTensor": surface.curvature,
         "ComplexStructure": surface.J,
-        "OrthonormalFrame": OrthonormalFrame.standard(4),
         "KahlerSurface": surface,
         "SasakiLift": lift_curvature(surface, 2),
         "ClassicalSymbol": psdo.identity_symbol(2, grid=8, depth=2),
     }
 
 
-@pytest.mark.parametrize("name", ["RiemannTensor", "ComplexStructure", "OrthonormalFrame",
-                                  "KahlerSurface", "SasakiLift", "ClassicalSymbol"])
+@pytest.mark.parametrize("name", ["RiemannTensor", "ComplexStructure", "KahlerSurface",
+                                  "SasakiLift", "ClassicalSymbol"])
 def test_array_holders_compare_and_hash_by_identity(name):
     # A field-wise == would compare arrays and raise, and a field-wise hash
     # cannot hash an array; these compare and hash as objects.

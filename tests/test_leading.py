@@ -246,7 +246,8 @@ class TestCachedWork:
 
 class TestSizeChecks:
     @pytest.mark.parametrize("field", ["n_colat", "n_long", "n_loop"])
-    @pytest.mark.parametrize("size", [16.0, True, np.True_, "16", None, 3, np.int64(2), -4])
+    @pytest.mark.parametrize("size", [16.0, True, np.True_, "16", None, 3, np.int64(2), -4,
+                                      1.5, np.float64(32.0)])
     def test_bad_size_names_the_field(self, field, size):
         with pytest.raises(ValueError, match=f"^{field} must be an int >= 4"):
             MappedFamily(**{field: size})

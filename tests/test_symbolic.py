@@ -1,6 +1,6 @@
 """Polynomial identities of the density formulas, proved with sympy for
 every algebraic Kahler curvature tensor at once, and for every algebraic
-curvature tensor on R^3.
+curvature tensor on R^3; and the lift's k^2 part from an explicit metric.
 
 A Kahler tensor is R = sum_i a_i B_i over EXACT_KAHLER_BASIS, whose entries
 are small integers, with the nine a_i as symbols; the lift is R0 + t R1 with
@@ -120,3 +120,56 @@ def test_3d_permutation_sum_vanishes():
     assert all(validate_symmetries(RiemannTensor(b.astype(float))) for b in basis)
     R = sum(times(h, b) for h, b in zip(COEFFICIENTS_3D, exact(basis)))
     assert raw_permutation_sum(R, GAMMA_DOT) == 0
+
+
+METRIC_RING, *METRIC_GENS = ring("x1:5,k", QQ)
+X, LEVEL = METRIC_GENS[:4], METRIC_GENS[4]
+
+
+def at_most_linear(p):
+    """The terms of p of total degree <= 1 in x1..x4: all that the
+    curvature at the origin reads of a Christoffel symbol."""
+    return METRIC_RING.from_dict({m: c for m, c in p.terms() if sum(m[:4]) <= 1})
+
+
+def at_origin(p):
+    """p at x = 0, a polynomial in k."""
+    return METRIC_RING.from_dict({m: c for m, c in p.terms() if not any(m[:4])})
+
+
+def test_lift_k2_part_from_an_explicit_metric():
+    # R^5 with coordinates (t, x1..x4) and the orthonormal coframe (theta,
+    # dx1..dx4), theta = dt + k (x1 dx2 - x2 dx1 + x3 dx4 - x4 dx3): the
+    # level-k bundle over flat R^4, d theta = 2k (dx1 ^ dx2 + dx3 ^ dx4).
+    # The frame dual to it is (d_t, d_i - theta_i d_t), which is the
+    # coordinate frame at the origin, so the coordinate components of the
+    # curvature there are the frame components, with no O'Neill formula.
+    n = 5
+    theta = [METRIC_RING(1), -LEVEL * X[1], LEVEL * X[0], -LEVEL * X[3], LEVEL * X[2]]
+    g = [[theta[a] * theta[b] + (a == b and a > 0) for b in range(n)] for a in range(n)]
+    ginv = [[(1 + sum(th**2 for th in theta[1:])) if a == b == 0 else -theta[a + b] if 0 in (a, b)
+             else METRIC_RING(int(a == b)) for b in range(n)] for a in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        assert sum(g[a][m] * ginv[m][b] for m in range(n)) == int(a == b)
+
+    def d(p, a):  # the metric does not depend on t
+        return p.diff(X[a - 1]) if a else METRIC_RING(0)
+
+    # Gamma^l_ij = (1/2) g^lm (d_i g_mj + d_j g_mi - d_m g_ij), to first order.
+    gamma = [[[at_most_linear(sum(ginv[l][m] * (d(g[m][j], i) + d(g[m][i], j) - d(g[i][j], m))
+                                  for m in range(n)) * QQ(1, 2))
+               for j in range(n)] for i in range(n)] for l in range(n)]
+    # R(d_i, d_j) d_k = R^l_kij d_l, and R[i, j, k, l] = R^l_kij at the origin, g = I.
+    R = np.empty((n,) * 4, dtype=object)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        R[i, j, k, l] = at_origin(
+            d(gamma[l][j][k], i) - d(gamma[l][i][k], j)
+            + sum(gamma[l][i][m] * gamma[m][j][k] - gamma[l][j][m] * gamma[m][i][k]
+                  for m in range(n)))
+    R1 = lift_parts(flat_torus())[1].comp
+    assert np.array_equal(R1, np.round(R1))
+    assert all(R[idx] == LEVEL**2 * int(R1[idx]) for idx in np.ndindex(R.shape))
+    # At k = 1 and k = 2 this is R1 and 4 R1.
+    for level in (1, 2):
+        values = np.vectorize(lambda p: float(p(0, 0, 0, 0, level)), otypes=[float])(R)
+        assert np.array_equal(values, level**2 * R1)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,14 +18,13 @@ from wcslab.catalog import (
 from wcslab.geometry import (
     STANDARD_J,
     ComplexStructure,
-    OrthonormalFrame,
     RiemannTensor,
     pontrjagin_density,
     symmetry_violation,
 )
-from wcslab import wcs
+from wcslab import geometry, wcs
 from wcslab.geometry import LEVI_CIVITA
-from wcslab.sasaki import LiftConsistencyError, lift_curvature
+from wcslab.sasaki import LiftConsistencyError, lift_curvature, lift_parts
 from wcslab.wcs import (
     VERDICT_ATOL_FACTOR,
     _closed_form_terms,
@@ -98,36 +98,69 @@ class TestPermutationRoute:
         # The reference: the closed form over the raw permutation sum on the
         # flat torus at k = 1, along xi in the standard frame.
         lift = lift_curvature(flat_torus(), 1)
-        raw = permutation_density_raw(lift.curvature5, OrthonormalFrame.standard(5),
-                                      np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        raw = permutation_density_raw(lift.curvature5, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
         fit = density_closed_form(lift) / raw
         c = calibration_constant()
         assert type(c) is float and c == fit and c.hex() == float(fit).hex()
         assert c == 1.0 / lift.fiber_length == 0.15915494309189535
 
     def test_frame_independence(self, rng):
+        # The lift rotated into a frame (xi, J-adapted horizontal frame),
+        # with xi fixed, gives the density of the lift's own frame.
         lift = lift_curvature(cp2_fubini_study(), 2)
         ref = density_permutation(lift)
         for _ in range(20):
-            horiz = random_j_adapted_frame(rng).vectors
             vecs = np.zeros((5, 5))
             vecs[0, 0] = 1.0
-            vecs[1:, 1:] = horiz
-            val = density_permutation(lift, OrthonormalFrame(vecs))
+            vecs[1:, 1:] = random_j_adapted_frame(rng)
+            turned = geometry._rotate_tensor(lift.curvature5.comp, vecs[None])[0]
+            val = calibration_constant() * permutation_density_raw(RiemannTensor(turned),
+                                                                   np.eye(5)[0])
             assert val == pytest.approx(ref, abs=1e-9 * max(1.0, abs(ref)))
 
     def test_cs3_pointwise_vanishing(self, rng):
-        frame3 = OrthonormalFrame.standard(3)
         for _ in range(100):
             R3 = random_curvature_3d(rng)
             gdot = random_rotation(rng, 3)[0]
-            val = permutation_density_raw(R3, frame3, gdot)
+            val = permutation_density_raw(R3, gdot)
             assert abs(val) <= 1e-12
 
-    def test_non_unit_loop_speed_rejected(self):
-        lift = lift_curvature(flat_torus(), 1)
-        with pytest.raises(ValueError):
-            density_permutation(lift, loop_speed=2.0 * np.eye(5)[0])
+
+def identity_frame_sums(comps: np.ndarray, gdot: np.ndarray) -> np.ndarray:
+    """The permutation sums as the frame-taking contraction formed them in
+    the identity frame: A and E as einsums over the frame vectors."""
+    dim = comps.shape[-1]
+    vecs = np.eye(dim)
+    A = np.einsum("ai,m,sijml->salj", vecs, gdot, comps)
+    E = np.einsum("ai,bj,sijkl->sablk", vecs, vecs, comps)
+    return np.einsum(wcs._PERMUTATION_SUBSCRIPTS[dim], LEVI_CIVITA[dim], A,
+                     *[E] * (dim // 2), optimize=wcs._PERMUTATION_PATHS[dim])
+
+
+ALL_CATALOG = [flat_torus(), cp2_fubini_study()] + [
+    product_cp1(a, b) for a in range(1, 7) for b in range(1, 7)]
+
+
+class TestPermutationSumsInOwnFrame:
+    """wcs._permutation_sums reads A and E from each tensor in its own frame,
+    and gives the bytes of the identity-frame einsums."""
+
+    @pytest.mark.parametrize("surface", ALL_CATALOG, ids=lambda s: f"{s.name}{s.params}")
+    def test_catalog_lift_parts_and_lifts(self, surface):
+        xi = np.eye(5)[0]
+        stacks = [np.stack([part.comp for part in lift_parts(surface)])] + [
+            lift_curvature(surface, k).curvature5.comp[None] for k in range(-6, 7)]
+        for comps in stacks:
+            assert (wcs._permutation_sums(comps, xi).tobytes()
+                    == identity_frame_sums(comps, xi).tobytes())
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_random_tensors_and_loop_speeds(self, rng, dim):
+        for n in range(150):
+            comps = rng.standard_normal((1 + n % 3,) + (dim,) * 4)
+            gdot = rng.standard_normal(dim)
+            assert (wcs._permutation_sums(comps, gdot).tobytes()
+                    == identity_frame_sums(comps, gdot).tobytes())
 
 
 class TestIntegral:
@@ -548,7 +581,7 @@ class TestScalarCurvatureIdentity:
            st.integers(0, 2**32 - 1))
     def test_combinations_in_j_adapted_frames(self, coefficients, seed):
         comp = np.tensordot(coefficients, EXACT_KAHLER_BASIS, axes=1)
-        frame = random_j_adapted_frame(np.random.default_rng(seed)).vectors
+        frame = random_j_adapted_frame(np.random.default_rng(seed))
         for tensor in (comp, in_frame(comp, frame)):
             gap, size = b_plus_half_scalar(tensor)
             assert gap <= 1e-14 * size
@@ -558,6 +591,36 @@ class TestScalarCurvatureIdentity:
         # 9.9e-15 max |component| from their own constraint defect.
         for comp in EXACT_KAHLER_BASIS:
             for _ in range(10):
-                rotated = in_frame(comp, random_j_adapted_frame(rng).vectors)
+                rotated = in_frame(comp, random_j_adapted_frame(rng))
                 gap, size = b_plus_half_scalar(rotated)
                 assert gap <= 1e-14 * size
+
+
+#: Neither an int nor a numpy integer.
+NOT_INTS = [1.5, True, np.float64(2.0)]
+
+#: Every wcs entry point that reads a level or an iterate count.
+LEVEL_ENTRY_POINTS = {
+    "decide_levels": lambda k: decide_levels(cp2_fubini_study(), [2, k]),
+    "decide_pi1": lambda k: decide_pi1(cp2_fubini_study(), k),
+    "decide_pi1_bounds_only": lambda k: decide_pi1(generic_bounds(-16, 1.0, 1.0), k),
+    "route_comparison": lambda k: route_comparison(cp2_fubini_study(), k),
+    "prop39_bound": lambda k: prop39_bound(1, 1.0, 1.0, k),
+    "iterate_value": lambda n: iterate_value(lift_curvature(flat_torus(), 1), n),
+}
+
+
+class TestLevelsAreIntegers:
+    """A level or an iterate count is an int or a numpy integer, not a bool:
+    decide_pi1(cp2, 1.5) once decided a bundle that does not exist."""
+
+    @pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+    @pytest.mark.parametrize("name", LEVEL_ENTRY_POINTS)
+    def test_refused(self, name, value):
+        message = rf"^(k must be an int|n must be a positive integer), got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            LEVEL_ENTRY_POINTS[name](value)
+
+    @pytest.mark.parametrize("name", LEVEL_ENTRY_POINTS)
+    def test_numpy_integer_is_taken(self, name):
+        assert LEVEL_ENTRY_POINTS[name](np.int64(2)) == LEVEL_ENTRY_POINTS[name](2)
