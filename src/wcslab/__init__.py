@@ -23,7 +23,7 @@ from .geometry import (
     pontrjagin_density,
     validate_symmetries,
 )
-from .sasaki import SasakiLift, lift_curvature, total_volume
+from .sasaki import SasakiLift, lift_curvature
 from .wcs import (
     Pi1Verdict,
     Verdict,
@@ -57,7 +57,6 @@ __all__ = [
     "validate_symmetries",
     "SasakiLift",
     "lift_curvature",
-    "total_volume",
     "Pi1Verdict",
     "Verdict",
     "WcsDensity",

@@ -278,7 +278,7 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
     they are the arguments of the frame search this replaced, kept so that
     callers that pass them, the perfbench orbit_checks job among them,
     still run.  Raises ShapeError unless R has dimension 4, and ValueError
-    on a non-finite component.
+    on a non-finite component or a value past the float range.
     """
     if R.dim != 4:
         raise ShapeError("|R|_inf in closed form requires dim 4")
@@ -298,4 +298,7 @@ def max_abs_component(R: RiemannTensor, seed: int = 0, samples: int = 100) -> fl
     span = 2.0 * norm + tol
     k_max = _golden_min(lambda t: np.linalg.eigvalsh(M - t * _HODGE)[-1], -span, span, tol)
     k_min = -_golden_min(lambda t: -np.linalg.eigvalsh(M - t * _HODGE)[0], -span, span, tol)
-    return float(np.ldexp(max(k_max, -k_min, disjoint), exponent))
+    value = max(k_max, -k_min, disjoint)
+    if np.frexp(value)[1] + exponent > 1024:  # 2^1024 and above overflow
+        raise ValueError("|R|_inf is past the float range")
+    return float(np.ldexp(value, exponent))

@@ -15,8 +15,7 @@ has the full shape either way (a view with stride 0 on the grid axis for a
 row), built on first use.  Multiplication symbols of a constant matrix, the
 derivative symbol of a constant connection, and every sum, multiple and
 product of such symbols are built on the row alone.  +, -, scalar *,
-pad_zeros, sup_norms, leading_degree and the residue act on the whole
-array.
+sup_norms, leading_degree and the residue act on the whole array.
 
 Composition implements the 1-d asymptotic product
     sigma_{PQ} ~ sum_m ((-i)^m / m!) d_xi^m sigma_P  d_x^m sigma_Q,
@@ -49,6 +48,8 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
+
+from .geometry import _is_int
 
 __all__ = [
     "ClassicalSymbol",
@@ -223,18 +224,6 @@ class ClassicalSymbol:
         return nonzero, np.flatnonzero((bits != bits[:, :, :1]).reshape(self.depth, -1)
                                        .any(axis=1)).tolist()
 
-    def pad_zeros(self, depth: int) -> "ClassicalSymbol":
-        """Extend the ladder with exact-zero components.
-
-        Only valid for symbols whose expansion genuinely terminates
-        (multiplication and differential operators).
-        """
-        if depth <= self.depth:
-            return self
-        stored = self.stored
-        zeros = np.zeros((depth - self.depth,) + stored.shape[1:], dtype=complex)
-        return ClassicalSymbol._of(self.order, np.concatenate((stored, zeros)), self.grid)
-
     def sup_norms(self) -> np.ndarray:
         """Sup norm of each component, place 0 (degree order) first."""
         return np.abs(self.stored).reshape(self.depth, -1).max(axis=1)
@@ -242,8 +231,8 @@ class ClassicalSymbol:
     def leading_degree(self):
         """Highest degree with a component whose sup norm is above
         _LEADING_TOL (1e-11); None if all vanish."""
-        above = np.flatnonzero(self.sup_norms() > _LEADING_TOL)
-        return self.order - int(above[0]) if above.size else None
+        place, = _leading_places(self.sup_norms()[None])
+        return None if place is None else self.order - place
 
     def _binary(self, other, f):
         if not isinstance(other, ClassicalSymbol):
@@ -259,6 +248,13 @@ class ClassicalSymbol:
 
     def __rmul__(self, scalar):
         return ClassicalSymbol._of(self.order, complex(scalar) * self.stored, self.grid)
+
+
+def _leading_places(norms: np.ndarray) -> list:
+    """Per row of (terms, depth) sup norms, the first place above _LEADING_TOL, or None."""
+    above = norms > _LEADING_TOL
+    return [place if row[place] else None
+            for row, place in zip(above.tolist(), above.argmax(axis=1).tolist())]
 
 
 def _aligned(syms) -> tuple:
@@ -479,13 +475,13 @@ def wodzicki_residue(P: ClassicalSymbol) -> complex:
             )
         return 0.0 + 0.0j
     with np.errstate(over="ignore", invalid="ignore"):  # the caller refuses inf, nan
-        return _residue(P.ladder[int(j)])
+        return _residue(np.trace(P.ladder[int(j)], axis1=2, axis2=3))
 
 
-def _residue(row: np.ndarray) -> complex:
-    """The residue of a degree -1 component `row`, (2, G, d, d): its trace,
-    summed over xi = +1 and xi = -1, averaged over the grid."""
-    return complex(np.mean(np.trace(row, axis1=2, axis2=3).sum(axis=0)))
+def _residue(traces: np.ndarray) -> complex:
+    """The residue from the traces of a degree -1 component, (2, G) with
+    xi = +1 first: summed over xi = +-1, averaged over the grid."""
+    return complex(np.mean(traces.sum(axis=0)))
 
 
 def parametrix(A: ClassicalSymbol, depth: int) -> ClassicalSymbol:
@@ -621,8 +617,8 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
     exactly 0 and nothing is built.  Otherwise P and Q are built as one
     stack [Q, P], and one derivative table and one walk over it give the
     trace of row j of PQ and of QP at each point, without forming the
-    matrices (`_commutator_residue`).  Each residue's absolute value is
-    Python's abs of the complex residue.
+    matrices (`_commutator_traces`), reduced as a residue by `_residue`.
+    Each residue's absolute value is Python's abs (np.abs can miss an ulp).
 
     The result is the max over trials of |wodzicki_residue(compose(P, Q) -
     compose(Q, P))| up to rounding: each trial's value agrees with that one
@@ -631,7 +627,7 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
     order, so their bits can differ.
     """
     for name, value in (("seed", seed), ("trials", trials), ("depth", depth)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -648,19 +644,9 @@ def commutator_trace_test(seed: int, trials: int, depth: int = 6,
         q_draws = _symbol_draws(rng, depth, dim)
         j = op + oq + 1
         if j >= 0:
-            worst = max(worst, _commutator_residue(op, oq, p_draws, q_draws, j, grid))
+            traces = _commutator_traces(op, oq, p_draws, q_draws, j, grid)
+            worst = max(worst, abs(_residue(traces[0] - traces[1])))
     return worst
-
-
-def _commutator_residue(op: int, oq: int, p_draws: np.ndarray, q_draws: np.ndarray,
-                        j: int, grid: int) -> float:
-    """|res[P, Q]| for the symbols of orders op, oq drawn as `p_draws` and
-    `q_draws`, with j = op + oq + 1 >= 0: the traces of `_commutator_traces`,
-    tr PQ - tr QP taken at each point, then summed over xi = +1 and xi = -1
-    and averaged over the grid in the order of `_residue`, and its absolute
-    value with Python's abs, which np.abs can miss by one ulp."""
-    traces = _commutator_traces(op, oq, p_draws, q_draws, j, grid)
-    return abs(complex(np.mean((traces[0] - traces[1]).sum(axis=0))))
 
 
 def _commutator_traces(op: int, oq: int, p_draws: np.ndarray, q_draws: np.ndarray,
@@ -798,12 +784,9 @@ def connection_difference_order_audit(lift, depth: int = 6, grid: int = DEFAULT_
     curvature with a gamma_dot slot, which on a lift depends on k alone, so
     every catalog surface gives the same terms bit for bit."""
     terms = connection_difference_terms(lift, depth, grid)
-    # Sup norm of each component against leading_degree's tolerance.
-    above = (np.abs(np.stack([sym.stored for _, sym in terms])).reshape(len(terms), depth, -1)
-             .max(axis=2) > _LEADING_TOL)
-    places = above.argmax(axis=1).tolist()
-    return [(name, int(sym.order) - place if row[place] else None)
-            for (name, sym), row, place in zip(terms, above.tolist(), places)]
+    values = np.abs(np.stack([sym.stored for _, sym in terms])).reshape(len(terms), depth, -1)
+    return [(name, None if place is None else int(sym.order) - place)
+            for (name, sym), place in zip(terms, _leading_places(values.max(axis=2)))]
 
 
 def connection_difference_symbol(lift, depth: int = 6, grid: int = DEFAULT_GRID) -> ClassicalSymbol:

@@ -15,8 +15,7 @@ import numpy as np
 from .catalog import _SPHERE_5, KahlerSurface, complex_space_form
 from .geometry import RiemannTensor, _is_int, _violations
 
-__all__ = ["SasakiLift", "LiftConsistencyError", "lift_parts", "lift_curvature",
-           "total_volume", "FIBER_LENGTH"]
+__all__ = ["SasakiLift", "LiftConsistencyError", "lift_parts", "lift_curvature", "FIBER_LENGTH"]
 
 #: Orbit loops are parametrized by theta in [0, 2pi] at unit speed.
 FIBER_LENGTH = 2.0 * np.pi
@@ -33,13 +32,9 @@ class SasakiLift:
     curvature5: RiemannTensor
 
     @property
-    def fiber_length(self) -> float:
-        """FIBER_LENGTH, the one fiber length every level uses."""
-        return FIBER_LENGTH
-
-    @property
     def total_volume(self) -> float:
-        return self.fiber_length * self.base.volume
+        """FIBER_LENGTH x base volume (product metric on the homogeneous catalog)."""
+        return FIBER_LENGTH * self.base.volume
 
 
 def _check_identities(stack: np.ndarray, whats: tuple, tols: tuple) -> None:
@@ -125,8 +120,3 @@ def lift_curvature(base: KahlerSurface, k: int) -> SasakiLift:
     _check_identities(stack, _part_names(base) + (f"lift of {base.name!r} at k={k}",),
                       (1e-12, 1e-12, 1e-12 * max(1.0, top)))
     return SasakiLift(base=base, k=int(k), curvature5=RiemannTensor(stack[2]))
-
-
-def total_volume(lift: SasakiLift) -> float:
-    """fiber_length x base volume (product metric on the homogeneous catalog)."""
-    return lift.total_volume

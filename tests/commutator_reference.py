@@ -63,6 +63,14 @@ def commutator_trials(seed, trials, depth, grid=psdo.DEFAULT_GRID):
     return out
 
 
+def trace_check(op, oq, p_draws, q_draws, j, grid):
+    """The check's |res[P, Q]| of one trial, as commutator_trace_test takes
+    it: the traces of row j of PQ and of QP, subtracted point by point and
+    reduced by the residue's one reduction."""
+    traces = psdo._commutator_traces(op, oq, p_draws, q_draws, j, grid)
+    return abs(psdo._residue(traces[0] - traces[1]))
+
+
 def commutator_trace_reference(seed, trials, depth, grid=psdo.DEFAULT_GRID):
     """One (check, reference, S) per trial of commutator_trace_test that
     builds: the check's |res[P, Q]|, the same residue with components 0..j
@@ -72,6 +80,6 @@ def commutator_trace_reference(seed, trials, depth, grid=psdo.DEFAULT_GRID):
         pq = compose(P, Q, j + 1).ladder[j]
         qp = compose(Q, P, j + 1).ladder[j]
         reference = abs(wodzicki_residue(ClassicalSymbol.from_ladder(-1, (pq - qp)[None])))
-        rows.append((psdo._commutator_residue(op, oq, p_draws, q_draws, j, grid), reference,
+        rows.append((trace_check(op, oq, p_draws, q_draws, j, grid), reference,
                      commutator_scale(P, Q, j)))
     return rows

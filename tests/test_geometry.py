@@ -433,6 +433,33 @@ class TestSearchStop:
         assert value == want
         assert 156 <= len(solves) <= 160, len(solves)
 
+    def test_past_the_float_range_is_refused(self, solves):
+        # Every component is finite, but |R|_inf is about 2.4e308.
+        R = random_curvature_4d(np.random.default_rng(1)).comp
+        R = R * (1.7e308 / np.abs(R).max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^\|R\|_inf is past the float range$"):
+                max_abs_component(RiemannTensor(R))
+        assert 156 <= len(solves) <= 160, len(solves)
+
+    def test_catalog_values(self, solves):
+        # cp2's largest component is 4 in its own frame and in a rotated
+        # one; cp1xcp1 (2, 3), whose optimum is t = 0, gives 1/2, and cp2
+        # scaled by 1e-100 gives 4e-100.
+        comp = cp2_fubini_study().curvature.comp
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        turned = np.einsum("ai,bj,ck,dl,ijkl->abcd", Q, Q, Q, Q, comp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (comp, turned):
+                assert abs(max_abs_component(RiemannTensor(c)) - 4.0) <= 1e-12
+            for c, want in ((product_cp1(2, 3).curvature.comp, 0.5), (1e-100 * comp, 4e-100)):
+                solves.clear()
+                value = max_abs_component(RiemannTensor(c))
+                assert 156 <= len(solves) <= 160, len(solves)
+                assert abs(value - want) <= 8 * np.finfo(float).eps * want, value
+
     @pytest.mark.parametrize("chunk", range(10))
     def test_random_tensors(self, solves, chunk):
         # Random algebraic tensors (even seeds) and Kahler ones (odd).

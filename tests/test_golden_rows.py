@@ -16,6 +16,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -213,6 +215,23 @@ def test_one_lift_polynomial_per_sweep(capsys, monkeypatch):
         assert main(["decide", "--surface", *argv, "--k-range", "-3..3"]) == 0
         assert len(json.loads(capsys.readouterr().out)) == 7
         assert sorted(calls) == want
+
+
+def test_repeated_sweeps_print_a_fresh_processs_bytes(capsys):
+    # Repeated sweeps in one process read the terms kept by the first, and
+    # another surface's sweep in between does not disturb them.
+    argv = ["decide", "--surface", "cp2", "--k-range", "-3..3"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    script = "import sys; from wcslab.cli import main; sys.exit(main(sys.argv[1:]))"
+    fresh = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    wcs._sweep_terms.cache_clear()
+    outputs = []
+    for surface in (["cp2"], ["cp1xcp1", "--a", "2", "--b", "3"], ["cp2"]):
+        assert main(["decide", "--surface", *surface, "--k-range", "-3..3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2] == fresh
 
 
 if __name__ == "__main__":

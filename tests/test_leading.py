@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -193,7 +194,8 @@ class TestMomentOncePerFamily:
     def test_moment_is_read_only_and_cached(self, fam):
         assert fam.moment is fam.moment and not fam.moment.flags.writeable
 
-    def test_one_grid_per_verify_prop22(self, monkeypatch):
+    @pytest.mark.parametrize("grid", [16, 56])  # 56: the benchmark's larger check
+    def test_one_grid_per_verify_prop22(self, monkeypatch, grid):
         # The rule is built once per grid per process: a second run at the
         # same grid reads the cached moment and prints the same bytes.
         calls = []
@@ -208,10 +210,10 @@ class TestMomentOncePerFamily:
         outputs = []
         for _ in range(2):
             with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert cli.main(["verify-prop22", "--charge", "3", "--grid", "16"]) == 0
+                assert cli.main(["verify-prop22", "--charge", "3", "--grid", str(grid)]) == 0
             outputs.append(out.getvalue())
-        assert calls == [(16, 32)]
-        assert outputs[0] == outputs[1] and '"pass": true' in outputs[0]
+        assert calls == [(grid, 2 * grid)]
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])[0]["pass"] is True
 
 
 class TestMomentBuild:

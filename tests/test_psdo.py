@@ -13,6 +13,7 @@ from commutator_reference import (
     commutator_scale,
     commutator_trace_reference,
     commutator_trials,
+    trace_check,
     trace_scale,
 )
 from wcslab import psdo
@@ -50,6 +51,15 @@ def constant_symbol(order, mats, grid=GRID):
     rows = np.asarray(mats, dtype=complex)[:, :, None]  # (depth, 2, 1, d, d)
     return ClassicalSymbol.from_ladder(
         Fraction(order), np.broadcast_to(rows, rows.shape[:2] + (grid,) + rows.shape[3:]))
+
+
+def pad_zeros(sym, depth):
+    """sym with exact-zero components appended up to `depth` places, stored
+    as one grid row when sym is."""
+    stored = sym.stored
+    rows = np.concatenate((stored, np.zeros((depth - sym.depth,) + stored.shape[1:], complex)))
+    return ClassicalSymbol.from_ladder(sym.order,
+                                       np.broadcast_to(rows, (depth,) + sym.ladder.shape[1:]))
 
 
 def compose_constant_oracle(P, Q, depth):
@@ -276,7 +286,7 @@ class TestCompose:
 
     @pytest.mark.parametrize("variable", [False, True])
     def test_padded_products_match_reference_kernel(self, rng, reference_kernel, variable):
-        # pad_zeros leaves exactly-zero components; the kernel skips their terms.
+        # The depth-5 ladders end in exactly-zero components; the kernel skips their terms.
         x = 2.0 * np.pi * np.arange(GRID) / GRID
         wave = np.cos(x)[:, None, None] if variable else np.ones((GRID, 1, 1))
         gamma = wave * rng.standard_normal((2, 2))
@@ -297,8 +307,8 @@ class TestCompose:
                              Fraction(op))
             Q = mixed_ladder(random_symbol(rng, 0, 6, dim=dim, grid=GRID, modes=modes), kinds_q,
                              Fraction(oq))
-            # pad_zeros padding below a truncated ladder of either kind
-            P4 = ClassicalSymbol.from_ladder(P.order, P.ladder[:4]).pad_zeros(6)
+            # Zero padding below a truncated ladder of either kind
+            P4 = pad_zeros(ClassicalSymbol.from_ladder(P.order, P.ladder[:4]), 6)
             for left, right in ((P, Q), (Q, P), (P4, Q), (Q, P4), (P, P)):
                 new, old = reference_kernel(lambda: compose(left, right, 6))
                 assert_same_symbol(new, old)
@@ -350,6 +360,18 @@ class TestCompose:
                 assert np.array_equal(values, out.ladder[j])
                 assert np.shares_memory(values, out.ladder[j])
                 assert np.shares_memory(values, out.stored[j])
+
+    @pytest.mark.parametrize("depth", [4, 6, 12])
+    def test_truncation_keeps_the_rows_of_the_full_product(self, depth):
+        # So a residue read from compose(P, Q, j + 1) is the one read from
+        # compose(P, Q), bit for bit, as the commutator references assume.
+        rng = np.random.default_rng(depth)
+        for op, oq in ((-2, 1), (0, 0), (1, 1)):
+            P = random_symbol(rng, op, depth, dim=2, grid=GRID)
+            Q = random_symbol(rng, oq, depth, dim=2, grid=GRID)
+            full = compose(P, Q)
+            for rows in (1, op + oq + 2, depth // 2):
+                assert compose(P, Q, rows).stored.tobytes() == full.stored[:rows].tobytes()
 
     def test_truncation_error_reports_deficit(self, rng):
         P = random_symbol(rng, 0, 2, dim=1, grid=GRID)
@@ -490,7 +512,7 @@ class TestParametrix:
             assert_same_symbol(new, old)
             assert np.array_equal(new.ladder[0, 0], np.linalg.inv(A.ladder[0, 0]))
             assert np.array_equal(new.ladder[0, 1], np.linalg.inv(A.ladder[0, 1]))
-            padded = ClassicalSymbol.from_ladder(A.order, A.ladder[:2]).pad_zeros(5)
+            padded = pad_zeros(ClassicalSymbol.from_ladder(A.order, A.ladder[:2]), 5)
             assert_same_symbol(*reference_kernel(lambda: parametrix(padded, 5)))
 
     def test_zero_leading_component_is_singular(self):
@@ -547,7 +569,7 @@ class TestCommutatorTrace:
     @pytest.mark.parametrize("seed, depth", [(0, 4), (1, 6), (3, 5)])
     def test_residue_only_compose_matches_full_compose(self, seed, depth):
         # Reference: the same seeded draws, composed at full depth.
-        rows = [(psdo._commutator_residue(op, oq, p_draws, q_draws, j, GRID),
+        rows = [(trace_check(op, oq, p_draws, q_draws, j, GRID),
                  abs(wodzicki_residue(compose(P, Q) - compose(Q, P))),
                  commutator_scale(P, Q, j))
                 for op, oq, p_draws, q_draws, j, P, Q in commutator_trials(seed, 6, depth, GRID)]
@@ -595,7 +617,7 @@ class TestCommutatorTrace:
 
     @pytest.mark.parametrize("depth", [4, 5, 6, 9, 32])
     def test_matches_full_build_within_rounding(self, depth):
-        for seeds, counts in ((range(40), (1, 8)), (range(10), (9, 17))):
+        for seeds, counts in ((range(40), (1, 8)), (range(10), (9, 17)), (range(5), (20,))):
             for seed in seeds:
                 for trials in counts:
                     rows = commutator_trace_reference(seed, trials, depth)
@@ -890,8 +912,51 @@ class TestLadderArithmetic:
         assert ClassicalSymbol.from_ladder(P.order, zero).leading_degree() is None
         assert (P - P).leading_degree() is None
         # Subtracting the top component leaves the next one leading.
-        top = ClassicalSymbol.from_ladder(P.order, P.ladder[:1]).pad_zeros(4)
+        top = pad_zeros(ClassicalSymbol.from_ladder(P.order, P.ladder[:1]), 4)
         assert (P - top).leading_degree() == Fraction(-1, 2)
+
+
+class TestLeadingTolerance:
+    """A component counts as nonzero when its sup norm is above
+    _LEADING_TOL, strictly: leading_degree and the audit read that one
+    rule through psdo._leading_places."""
+
+    BOUNDARY = [(1e-11, False), (np.nextafter(1e-11, np.inf), True)]
+
+    def test_tolerance(self):
+        assert psdo._LEADING_TOL == 1e-11
+
+    @pytest.mark.parametrize("top, counts", BOUNDARY)
+    def test_leading_degree_at_the_boundary(self, top, counts):
+        ladder = np.zeros((3, 2, GRID, 2, 2), complex)
+        ladder[0, 1, 5, 0, 1] = top  # the top component's largest |entry|
+        ladder[0, 0, 3, 1, 1] = -0.5j * top
+        ladder[1, :, :, 0, 0] = 1.0
+        sym = ClassicalSymbol.from_ladder(Fraction(1, 2), ladder)
+        assert sym.sup_norms()[0] == top
+        assert sym.leading_degree() == (Fraction(1, 2) if counts else Fraction(-1, 2))
+
+    @pytest.mark.parametrize("top, counts", BOUNDARY)
+    def test_places_at_the_boundary(self, top, counts):
+        norms = np.array([[top, 1.0, 0.0], [0.0, top, 0.0], [top, top, top]])
+        want = [0, 1, 0] if counts else [1, None, None]
+        assert psdo._leading_places(norms) == want
+
+    def test_leading_degree_and_audit_share_the_rule(self, monkeypatch):
+        calls = []
+        places = psdo._leading_places
+
+        def spy(norms):
+            calls.append(norms.shape)
+            return places(norms)
+
+        monkeypatch.setattr(psdo, "_leading_places", spy)
+        lift = lift_curvature(cp2_fubini_study(), 2)
+        audit = connection_difference_order_audit(lift, depth=4, grid=GRID)
+        assert calls == [(6, 4)]
+        degrees = [sym.leading_degree() for _, sym in connection_difference_terms(lift, 4, GRID)]
+        assert calls == [(6, 4)] + [(1, 4)] * 6
+        assert [order for _, order in audit] == [int(degree) for degree in degrees]
 
 
 def full_grid_copy(sym):
@@ -959,7 +1024,6 @@ class TestOneRowStorage:
             assert_same_bits(a - b, af - bf)
         for scalar in (2.5, -1j, 0.5 - 2j):
             assert_same_bits(scalar * P, scalar * Pf)
-        assert_same_bits(P.pad_zeros(7), Pf.pad_zeros(7))
         assert one_row_ladder(P + Q) == ("b" not in kinds_p + kinds_q)
 
     def test_constant_constructors_keep_one_row(self):
@@ -994,7 +1058,11 @@ class TestOneRowStorage:
         coarse = connection_difference_symbol(lift, depth=6, grid=16)
         fine = connection_difference_symbol(lift, depth=6, grid=256)
         assert coarse.order == fine.order and coarse.depth == fine.depth
+        assert (coarse.grid, fine.grid) == (16, 256)
+        assert coarse.stored.shape == fine.stored.shape == (6, 2, 1, 5, 5)
+        assert coarse.stored.tobytes() == fine.stored.tobytes()
         assert coarse.ladder[:, :, 0].tobytes() == fine.ladder[:, :, 0].tobytes()
+        assert fine.ladder.shape == (6, 2, 256, 5, 5) and one_row_ladder(fine)
 
 
 class TestComponentsDoNotChange:
@@ -1270,7 +1338,7 @@ class TestConnectionDifferenceAudit:
         orders = [order for _, order in audit]
         assert all(order in (-1, -2) for order in orders)
         # exactly the two multiplication-only terms drop to order -2
-        assert orders.count(-2) == 2
+        assert orders.count(-2) == 2 and orders.count(-1) == 4
 
     def test_total_difference_has_negative_order(self):
         lift = lift_curvature(cp2_fubini_study(), 2)
@@ -1372,8 +1440,13 @@ class TestConnectionDifferenceAudit:
         psdo._terms.cache_clear()
         connection_difference_order_audit(lift, depth=6, grid=GRID)
         assert psdo._terms.cache_info()[:2] == (0, 1)
-        connection_difference_symbol(lift, depth=6, grid=GRID)
+        warm = connection_difference_symbol(lift, depth=6, grid=GRID)
         assert psdo._terms.cache_info()[:2] == (1, 1)
+        # The symbol read from the memo has the bytes of a cold build.
+        psdo._terms.cache_clear()
+        cold = connection_difference_symbol(lift, depth=6, grid=GRID)
+        assert psdo._terms.cache_info()[:2] == (0, 1)
+        assert warm.order == cold.order and warm.stored.tobytes() == cold.stored.tobytes()
 
     def test_returned_list_belongs_to_the_caller(self):
         lift = lift_curvature(cp2_fubini_study(), 2)

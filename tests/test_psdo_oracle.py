@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracle import apply_op, defect_slope
+from wcslab.catalog import cp2_fubini_study
 from wcslab.psdo import (
     ClassicalSymbol,
     compose,
@@ -18,6 +19,7 @@ from wcslab.psdo import (
     multiplication_symbol,
     parametrix,
     random_symbol,
+    resolvent_parametrix,
 )
 
 GRID = 256
@@ -78,3 +80,15 @@ class TestGates:
         gamma = rng.standard_normal((2, 2)) + np.cos(X)[:, None, None] * rng.standard_normal((2, 2))
         A = laplacian_plus_one_symbol(gamma, grid=GRID, depth=depth)
         assert defect_slope(parametrix(A, depth), A, None, MODES) <= -depth + 0.1
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_audit_resolvent(depth):
+    # The connection audit's resolvent, Gamma = (k/2) J on the 5x5
+    # horizontal block at k = 2, on the grid 128 and over n in 8..48.  Its
+    # odd degrees vanish, so depth 3 reads -4 as depth 4 does.
+    gamma = np.zeros((5, 5))
+    gamma[1:, 1:] = 0.5 * 2 * cp2_fubini_study().J.matrix
+    A = laplacian_plus_one_symbol(gamma, grid=128, depth=depth)
+    B = resolvent_parametrix(gamma, depth=depth, dim=5, grid=128)
+    assert defect_slope(B, A, None, np.arange(8, 49)) <= -depth + 0.1

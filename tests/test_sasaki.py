@@ -22,7 +22,6 @@ from wcslab.sasaki import (
     SasakiLift,
     lift_curvature,
     lift_parts,
-    total_volume,
 )
 from wcslab.wcs import decide_levels, density_closed_form
 
@@ -269,23 +268,24 @@ class TestNonFiniteCurvature:
 class TestTotalVolume:
     def test_torus(self):
         lift = lift_curvature(flat_torus(), 3)
-        assert total_volume(lift) == pytest.approx(2.0 * np.pi)
-        assert lift.fiber_length == FIBER_LENGTH == pytest.approx(2.0 * np.pi)
+        assert lift.total_volume == pytest.approx(2.0 * np.pi)
+        assert lift.total_volume == FIBER_LENGTH * lift.base.volume
+        assert FIBER_LENGTH == pytest.approx(2.0 * np.pi)
 
     def test_fiber_length_is_not_a_setting(self):
         # Every route reads FIBER_LENGTH; a lift cannot be given another.
         lift = lift_curvature(flat_torus(), 3)
         with pytest.raises(AttributeError):
-            lift.fiber_length = 1.0
+            lift.total_volume = 1.0
         with pytest.raises(TypeError):
             SasakiLift(base=lift.base, k=3, curvature5=lift.curvature5, fiber_length=1.0)
-        assert lift.fiber_length is FIBER_LENGTH
+        assert not hasattr(lift, "fiber_length")
 
     def test_product(self):
         lift = lift_curvature(product_cp1(1, 1), 1)
-        assert total_volume(lift) == pytest.approx(2.0 * np.pi * (4 * np.pi) ** 2)
+        assert lift.total_volume == pytest.approx(2.0 * np.pi * (4 * np.pi) ** 2)
 
     def test_linear_in_base_volume(self):
-        v1 = total_volume(lift_curvature(product_cp1(1, 1), 1))
-        v2 = total_volume(lift_curvature(product_cp1(2, 1), 1))
+        v1 = lift_curvature(product_cp1(1, 1), 1).total_volume
+        v2 = lift_curvature(product_cp1(2, 1), 1).total_volume
         assert v2 == pytest.approx(2.0 * v1)

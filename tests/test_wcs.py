@@ -24,7 +24,7 @@ from wcslab.geometry import (
 )
 from wcslab import geometry, wcs
 from wcslab.geometry import LEVI_CIVITA
-from wcslab.sasaki import LiftConsistencyError, lift_curvature, lift_parts
+from wcslab.sasaki import FIBER_LENGTH, LiftConsistencyError, lift_curvature, lift_parts
 from wcslab.wcs import (
     VERDICT_ATOL_FACTOR,
     _closed_form_terms,
@@ -102,7 +102,7 @@ class TestPermutationRoute:
         fit = density_closed_form(lift) / raw
         c = calibration_constant()
         assert type(c) is float and c == fit and c.hex() == float(fit).hex()
-        assert c == 1.0 / lift.fiber_length == 0.15915494309189535
+        assert c == 1.0 / FIBER_LENGTH == 0.15915494309189535
 
     def test_frame_independence(self, rng):
         # The lift rotated into a frame (xi, J-adapted horizontal frame),
@@ -341,6 +341,12 @@ class TestDecideLevels:
     @pytest.mark.parametrize("surface", SWEEP_SURFACES, ids=lambda s: f"{s.name}{s.params}")
     def test_matches_per_level_path(self, surface):
         assert_sweep_matches_reference(surface, SWEEP_LEVELS)
+
+    def test_permutation_route_is_the_sweeps_value(self):
+        cp2 = cp2_fubini_study()
+        got = density_permutation(lift_curvature(cp2, 2))
+        want = decide_pi1(cp2, 2).densities.value_permutation
+        assert abs(got - want) <= 1e-13 * abs(want), (got, want)
 
     def test_decide_pi1_is_a_sweep_of_one(self):
         for surface in (cp2_fubini_study(), generic_bounds(-16, 1.0, 1.0)):
