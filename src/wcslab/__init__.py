@@ -18,10 +18,8 @@ from .catalog import (
 from .geometry import (
     ComplexStructure,
     RiemannTensor,
-    endomorphism_of_pair,
     max_abs_component,
     pontrjagin_density,
-    validate_symmetries,
 )
 from .sasaki import SasakiLift, lift_curvature
 from .wcs import (
@@ -33,10 +31,8 @@ from .wcs import (
     decide_pi1,
     density_closed_form,
     density_permutation,
-    integral_csw5,
     iterate_value,
     prop39_bound,
-    s_scaled_density,
 )
 
 __version__ = "0.1.0"
@@ -51,10 +47,8 @@ __all__ = [
     "signature_from_curvature",
     "ComplexStructure",
     "RiemannTensor",
-    "endomorphism_of_pair",
     "max_abs_component",
     "pontrjagin_density",
-    "validate_symmetries",
     "SasakiLift",
     "lift_curvature",
     "Pi1Verdict",
@@ -65,9 +59,7 @@ __all__ = [
     "decide_pi1",
     "density_closed_form",
     "density_permutation",
-    "integral_csw5",
     "iterate_value",
     "prop39_bound",
-    "s_scaled_density",
     "__version__",
 ]

@@ -19,9 +19,7 @@ __all__ = [
     "RiemannTensor",
     "ComplexStructure",
     "ShapeError",
-    "validate_symmetries",
     "symmetry_violation",
-    "endomorphism_of_pair",
     "pontrjagin_density",
     "max_abs_component",
     "perm_sign",
@@ -125,20 +123,6 @@ def _violations(comps: np.ndarray) -> np.ndarray:
     np.add(res[3], c.transpose(0, 3, 1, 2, 4), out=res[3])
     np.abs(res, out=res)
     return res.reshape(4, len(c), -1).max(axis=(0, 2)).reshape(comps.shape[:-4])
-
-
-def validate_symmetries(R: RiemannTensor) -> bool:
-    """True iff antisymmetry, pair symmetry and first Bianchi hold to 1e-10."""
-    return symmetry_violation(R) <= 1e-10
-
-
-def endomorphism_of_pair(R: RiemannTensor, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Matrix of Z -> R(X,Y)Z in frame components: M[l,k] = X^i Y^j R[i,j,k,l]."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != (R.dim,) or Y.shape != (R.dim,):
-        raise ShapeError("vector dimension does not match the tensor")
-    return np.einsum("i,j,ijkl->lk", X, Y, R.comp)
 
 
 def perm_sign(perm) -> int:

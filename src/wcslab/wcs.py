@@ -28,16 +28,11 @@ __all__ = [
     "density_closed_form",
     "density_permutation",
     "permutation_density_raw",
-    "integral_csw5",
     "prop39_bound",
-    "prop39_crossover",
-    "prop39_middle_coefficient",
     "iterate_value",
-    "s_scaled_density",
     "decide_pi1",
     "decide_levels",
     "calibration_constant",
-    "route_comparison",
     "CURVATURE_TERMS",
     "VERDICT_ATOL_FACTOR",
 ]
@@ -183,18 +178,14 @@ def density_permutation(lift: SasakiLift) -> float:
     return iterate_value(lift, 1)
 
 
-def integral_csw5(lift: SasakiLift) -> float:
-    """Exact integral over the total space: density x total volume."""
-    return density_closed_form(lift) * lift.total_volume
-
-
 def prop39_bound(sigma: int, volume: float, r_inf: float, k: int) -> tuple[float, bool]:
     """Sufficient-condition left-hand side and its strict positivity:
 
         k^2 ( 96 pi^2 sigma - 224 k^2 |R|_inf vol + 192 k^4 vol )
 
-    with 224 = `prop39_middle_coefficient()`.  A k that is not an int or a
-    numpy integer, or is a bool, raises ValueError.
+    with 224 = `_PROP39_MIDDLE`, 32 x (sum of |coefficients| of
+    CURVATURE_TERMS).  A k that is not an int or a numpy integer, or is a
+    bool, raises ValueError.
     """
     if not _is_int(k):
         raise ValueError(f"k must be an int, got {k!r}")
@@ -211,20 +202,6 @@ def prop39_bound(sigma: int, volume: float, r_inf: float, k: int) -> tuple[float
     return lhs, lhs > 0.0
 
 
-def prop39_middle_coefficient() -> float:
-    """32 x (sum of |coefficients| of the five curvature terms) = 224, the
-    coefficient `prop39_bound` uses."""
-    return _PROP39_MIDDLE
-
-
-def prop39_crossover(sigma: int, volume: float, r_inf: float) -> int | None:
-    """Smallest k >= 1 from which the bound holds for every k' in [k, 50];
-    None if it fails at k = 50."""
-    fails = [k for k in range(1, 51) if not prop39_bound(sigma, volume, r_inf, k)[1]]
-    start = fails[-1] + 1 if fails else 1
-    return start if start <= 50 else None
-
-
 def iterate_value(lift: SasakiLift, n: int) -> float:
     """Permutation route on the reparametrized orbit theta -> gamma(n theta).
 
@@ -236,11 +213,6 @@ def iterate_value(lift: SasakiLift, n: int) -> float:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     raw = permutation_density_raw(lift.curvature5, float(n) * np.eye(5)[0])
     return calibration_constant() * raw
-
-
-def s_scaled_density(lift: SasakiLift, s: float) -> float:
-    """Density under the s-parametrized connection family: s times s = 1."""
-    return s * density_closed_form(lift)
 
 
 #: The slot choices of the cubic's 2 x 2 x 2 sums that take R1 in m slots,
@@ -361,9 +333,3 @@ def decide_levels(surface: KahlerSurface, ks) -> list[Pi1Verdict]:
 def decide_pi1(surface: KahlerSurface, k: int) -> Pi1Verdict:
     """The verdict at one level: `decide_levels` on [k]."""
     return decide_levels(surface, [k])[0]
-
-
-def route_comparison(surface: KahlerSurface, k: int) -> WcsDensity:
-    """Both density routes at level k on a curvature surface."""
-    surface.require_curvature()
-    return decide_pi1(surface, k).densities

@@ -29,17 +29,14 @@ from wcslab.psdo import (
 from wcslab.psdo import ClassicalSymbol
 from wcslab.sasaki import lift_curvature
 from wcslab.wcs import (
+    CURVATURE_TERMS,
     Verdict,
     calibration_constant,
     decide_pi1,
     density_closed_form,
-    integral_csw5,
     iterate_value,
     permutation_density_raw,
     prop39_bound,
-    prop39_crossover,
-    prop39_middle_coefficient,
-    route_comparison,
 )
 from wcslab.leading import LineBundleCurvature, MappedFamily, c_lo_pairing, rhs_prop22
 
@@ -84,9 +81,8 @@ def test_03_product_infinite_order():
         for b in (1, 2, 3):
             surface = product_cp1(a, b)
             for k in (-2, -1, 1, 2):
-                integral = integral_csw5(lift_curvature(surface, k))
-                verdict = decide_pi1(surface, k).verdict
-                ok = ok and integral != 0.0 and verdict == Verdict.INFINITE_ORDER
+                v = decide_pi1(surface, k)
+                ok = ok and v.integral != 0.0 and v.verdict == Verdict.INFINITE_ORDER
     report(3, ok, "CP^1 x CP^1 nonzero integral and INFINITE_ORDER, (a,b) in {1,2,3}^2")
 
 
@@ -95,7 +91,7 @@ def test_04_cross_route_oracle():
     ok = constant > 0.0 and constant == calibration_constant()
     for surface in CATALOG:
         for k in range(-3, 4):
-            cmp = route_comparison(surface, k)
+            cmp = decide_pi1(surface, k).densities
             ok = ok and cmp.route_agreement <= 1e-8
             ok = ok and cmp.calibration_constant == constant
     report(4, ok, f"permutation route matches closed form; constant {constant:.12g}")
@@ -123,12 +119,13 @@ def test_06_iterate_scaling():
 
 
 def test_07_positivity_bound_consistency():
-    ok = prop39_middle_coefficient() == 224.0 == 32.0 * 7.0
+    ok = 32.0 * sum(abs(c) for c, _ in CURVATURE_TERMS) == 224.0 == 32.0 * 7.0
+    ok = ok and prop39_bound(0, 1.0, 1.0, 1)[0] == 192.0 - 224.0
     for surface in CATALOG:
         for k in range(-6, 7):
             _, holds = prop39_bound(surface.signature, surface.volume, surface.r_inf, k)
             if holds:
-                ok = ok and integral_csw5(lift_curvature(surface, k)) > 0.0
+                ok = ok and decide_pi1(surface, k).integral > 0.0
     report(7, ok, "positivity bound implies positive integral; 224 = 32 x 7 audit")
 
 
@@ -184,9 +181,11 @@ def test_12_bounds_mode_declared_limits():
     # Exact Ricci-flat curvature data is out of reach, so the K3-style case
     # runs in bounds mode with sigma = -16 and must show the documented
     # small-k failure / large-k success profile.
+    # The crossover: the smallest k >= 1 from which the bound holds to k = 50.
     surface = generic_bounds(-16, 1.0, 1.0)
-    crossover = prop39_crossover(-16, 1.0, 1.0)
-    ok = crossover is not None
+    crossover = 1 + max([k for k in range(1, 51) if not prop39_bound(-16, 1.0, 1.0, k)[1]],
+                        default=0)
+    ok = crossover <= 50
     for k in range(1, 11):
         verdict = decide_pi1(surface, k).verdict
         want = Verdict.INFINITE_ORDER if k >= crossover else Verdict.INCONCLUSIVE

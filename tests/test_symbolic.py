@@ -1,6 +1,7 @@
 """Polynomial identities of the density formulas, proved with sympy for
 every algebraic Kahler curvature tensor at once, and for every algebraic
-curvature tensor on R^3; and the lift's k^2 part from an explicit metric.
+curvature tensor on R^3; the lift's k^2 part from an explicit metric; and
+that this part with cp2's R0 is the unit S^5 tensor at k = +-1.
 
 A Kahler tensor is R = sum_i a_i B_i over EXACT_KAHLER_BASIS, whose entries
 are small integers, with the nine a_i as symbols; the lift is R0 + t R1 with
@@ -16,8 +17,8 @@ import itertools
 import numpy as np
 from sympy import QQ, ring
 
-from wcslab.catalog import flat_torus
-from wcslab.geometry import _P1_SIGN, RiemannTensor, perm_sign, validate_symmetries
+from wcslab.catalog import cp2_fubini_study, flat_torus
+from wcslab.geometry import _P1_SIGN, RiemannTensor, perm_sign, symmetry_violation
 from wcslab.sasaki import lift_parts
 from wcslab.wcs import CURVATURE_TERMS
 
@@ -117,7 +118,7 @@ def test_3d_permutation_sum_vanishes():
     # such pair, so the identity frame stands for all frames.
     basis = np.array([kulkarni_nomizu_with_identity(h) for h in symmetric_units(3)])
     assert np.linalg.matrix_rank(basis.reshape(6, -1)) == 6
-    assert all(validate_symmetries(RiemannTensor(b.astype(float))) for b in basis)
+    assert all(symmetry_violation(RiemannTensor(b.astype(float))) <= 1e-10 for b in basis)
     R = sum(times(h, b) for h, b in zip(COEFFICIENTS_3D, exact(basis)))
     assert raw_permutation_sum(R, GAMMA_DOT) == 0
 
@@ -137,13 +138,18 @@ def at_origin(p):
     return METRIC_RING.from_dict({m: c for m, c in p.terms() if not any(m[:4])})
 
 
-def test_lift_k2_part_from_an_explicit_metric():
-    # R^5 with coordinates (t, x1..x4) and the orthonormal coframe (theta,
-    # dx1..dx4), theta = dt + k (x1 dx2 - x2 dx1 + x3 dx4 - x4 dx3): the
-    # level-k bundle over flat R^4, d theta = 2k (dx1 ^ dx2 + dx3 ^ dx4).
-    # The frame dual to it is (d_t, d_i - theta_i d_t), which is the
-    # coordinate frame at the origin, so the coordinate components of the
-    # curvature there are the frame components, with no O'Neill formula.
+@functools.cache
+def explicit_metric_curvature() -> np.ndarray:
+    """The curvature at the origin of the level-k bundle over flat R^4, from
+    its metric: (5, 5, 5, 5) polynomials in k.
+
+    R^5 has coordinates (t, x1..x4) and the orthonormal coframe (theta,
+    dx1..dx4), theta = dt + k (x1 dx2 - x2 dx1 + x3 dx4 - x4 dx3), so
+    d theta = 2k (dx1 ^ dx2 + dx3 ^ dx4).  The frame dual to it is
+    (d_t, d_i - theta_i d_t), which is the coordinate frame at the origin,
+    so the coordinate components of the curvature there are the frame
+    components, with no O'Neill formula.
+    """
     n = 5
     theta = [METRIC_RING(1), -LEVEL * X[1], LEVEL * X[0], -LEVEL * X[3], LEVEL * X[2]]
     g = [[theta[a] * theta[b] + (a == b and a > 0) for b in range(n)] for a in range(n)]
@@ -166,6 +172,11 @@ def test_lift_k2_part_from_an_explicit_metric():
             d(gamma[l][j][k], i) - d(gamma[l][i][k], j)
             + sum(gamma[l][i][m] * gamma[m][j][k] - gamma[l][j][m] * gamma[m][i][k]
                   for m in range(n)))
+    return R
+
+
+def test_lift_k2_part_from_an_explicit_metric():
+    R = explicit_metric_curvature()
     R1 = lift_parts(flat_torus())[1].comp
     assert np.array_equal(R1, np.round(R1))
     assert all(R[idx] == LEVEL**2 * int(R1[idx]) for idx in np.ndindex(R.shape))
@@ -173,3 +184,17 @@ def test_lift_k2_part_from_an_explicit_metric():
     for level in (1, 2):
         values = np.vectorize(lambda p: float(p(0, 0, 0, 0, level)), otypes=[float])(R)
         assert np.array_equal(values, level**2 * R1)
+
+
+def test_cp2_unit_level_is_the_unit_sphere():
+    # cp2's R0 plus the explicit metric's curvature at k = +-1 is the unit
+    # S^5 tensor delta_il delta_jk - delta_ik delta_jl (sectional curvature
+    # R(X, Y, Y, X) = 1): the Hopf fibration S^5 -> CP^2, in rationals.
+    R0 = lift_parts(cp2_fubini_study())[0].comp
+    assert np.array_equal(R0, np.round(R0))
+    delta = np.eye(5, dtype=int)
+    sphere = np.einsum("il,jk->ijkl", delta, delta) - np.einsum("ik,jl->ijkl", delta, delta)
+    R = explicit_metric_curvature()
+    for level in (1, -1):
+        assert all(int(R0[idx]) + R[idx](0, 0, 0, 0, level) == sphere[idx]
+                   for idx in np.ndindex(R.shape))

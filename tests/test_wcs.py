@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +19,7 @@ from wcslab.geometry import (
     STANDARD_J,
     ComplexStructure,
     RiemannTensor,
+    max_abs_component,
     pontrjagin_density,
     symmetry_violation,
 )
@@ -26,6 +27,7 @@ from wcslab import geometry, wcs
 from wcslab.geometry import LEVI_CIVITA
 from wcslab.sasaki import FIBER_LENGTH, LiftConsistencyError, lift_curvature, lift_parts
 from wcslab.wcs import (
+    CURVATURE_TERMS,
     VERDICT_ATOL_FACTOR,
     _closed_form_terms,
     Pi1Verdict,
@@ -36,14 +38,9 @@ from wcslab.wcs import (
     decide_pi1,
     density_closed_form,
     density_permutation,
-    integral_csw5,
     iterate_value,
     permutation_density_raw,
     prop39_bound,
-    prop39_crossover,
-    prop39_middle_coefficient,
-    route_comparison,
-    s_scaled_density,
 )
 
 from conftest import (
@@ -86,7 +83,7 @@ class TestPermutationRoute:
     def test_route_agreement_all_catalog(self):
         for base in CATALOG:
             for k in range(-3, 4):
-                cmp = route_comparison(base, k)
+                cmp = decide_pi1(base, k).densities
                 assert cmp.route_agreement <= 1e-8
 
     def test_calibration_constant_fixed_and_positive(self):
@@ -165,16 +162,16 @@ class TestPermutationSumsInOwnFrame:
 
 class TestIntegral:
     def test_torus_value(self):
-        lift = lift_curvature(flat_torus(), 1)
-        assert integral_csw5(lift) == pytest.approx(6.4 * 2.0 * np.pi)
+        assert decide_pi1(flat_torus(), 1).integral == pytest.approx(6.4 * 2.0 * np.pi)
 
     def test_k_zero_vanishes(self):
         for base in CATALOG:
-            assert integral_csw5(lift_curvature(base, 0)) == 0.0
+            assert density_closed_form(lift_curvature(base, 0)) == 0.0
+            assert decide_pi1(base, 0).integral == 0.0
 
     def test_cp2_unit_levels_vanish(self):
         for k in (-1, 1):
-            assert abs(integral_csw5(lift_curvature(cp2_fubini_study(), k))) <= 1e-9
+            assert abs(decide_pi1(cp2_fubini_study(), k).integral) <= 1e-9
 
 
 class TestProp39:
@@ -192,18 +189,15 @@ class TestProp39:
         assert holds == (expected > 0)
 
     def test_middle_coefficient_audit(self):
-        assert prop39_middle_coefficient() == 224.0 == 32.0 * 7.0
+        assert 32.0 * sum(abs(c) for c, _ in CURVATURE_TERMS) == 224.0 == 32.0 * 7.0
+        assert prop39_bound(0, 1.0, 1.0, 1)[0] == 192.0 - 224.0
 
     def test_positive_bound_implies_positive_integral(self):
         for base in CATALOG:
             for k in range(-6, 7):
                 _, holds = prop39_bound(base.signature, base.volume, base.r_inf, k)
                 if holds:
-                    assert integral_csw5(lift_curvature(base, k)) > 0.0
-
-    def test_crossover(self):
-        assert prop39_crossover(-16, 1.0, 1.0) == 4
-        assert prop39_crossover(0, 1.0, 0.0) == 1
+                    assert decide_pi1(base, k).integral > 0.0
 
     @pytest.mark.parametrize("k", [10**80, 10**400, -(10**155)],
                              ids=["1e80", "1e400", "-1e155"])
@@ -243,12 +237,6 @@ class TestIterateAndScaling:
         with pytest.raises(ValueError):
             iterate_value(lift, 0)
 
-    def test_s_scaling(self):
-        lift = lift_curvature(flat_torus(), 1)
-        assert s_scaled_density(lift, 0.0) == 0.0
-        assert s_scaled_density(lift, 1.0) == density_closed_form(lift)
-        assert s_scaled_density(lift, 2.5) == pytest.approx(16.0)
-
 
 class TestDecide:
     def test_torus(self):
@@ -272,13 +260,13 @@ class TestDecide:
 
     @pytest.mark.parametrize("surface", [flat_torus(), cp2_fubini_study(), product_cp1(2, 3)],
                              ids=lambda s: s.name)
-    def test_densities_are_the_route_comparison(self, surface):
+    def test_integral_is_the_closed_form_times_the_volume(self, surface):
         for k in range(-3, 4):
             v = decide_pi1(surface, k)
-            assert v.densities == route_comparison(surface, k)
+            lift = lift_curvature(surface, k)
+            assert v.densities.value_closed == density_closed_form(lift)
             if k != 0:
-                assert v.integral == v.densities.value_closed * lift_curvature(
-                    surface, k).total_volume
+                assert v.integral == v.densities.value_closed * lift.total_volume
 
     def test_infinite_order_always_justified(self):
         surfaces = CATALOG + [generic_bounds(-16, 1.0, 1.0), generic_bounds(0, 1.0, 0.0)]
@@ -602,6 +590,33 @@ class TestScalarCurvatureIdentity:
                 assert gap <= 1e-14 * size
 
 
+#: The rounding margin of the sharp inequality, in ulps of the curvature
+#: operator's norm |M|_2: max_abs_component is a rounded value within a few
+#: such ulps of |R|_inf (not a certified upper bound), and B sums five
+#: components, each at most |M|_2 in size.
+SHARP_MARGIN_ULPS = 32
+
+
+class TestSharpProp39Inequality:
+    """|B| <= 3 |R|_inf on every algebraic Kahler curvature tensor: B = -s/2,
+    the holomorphic sectional curvature averages s/6 over the unit sphere,
+    and each of its values is a component in some frame.  So prop 3.9's
+    224 |R|_inf could be 96 |R|_inf on Kahler tensors."""
+
+    def test_cp2_attains_the_bound(self):
+        R = cp2_fubini_study().curvature
+        assert _closed_form_terms(R)[1] == -12.0 == -3.0 * max_abs_component(R)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, 9, elements=st.floats(-2.0, 2.0)))
+    @example(KAHLER_BASIS.reshape(9, -1) @ cp2_fubini_study().curvature.comp.ravel())
+    def test_kahler_combinations(self, coefficients):
+        R = RiemannTensor(np.tensordot(coefficients, KAHLER_BASIS, axes=1))
+        norm = np.linalg.norm(geometry._curvature_operator(R.comp), 2)
+        B = _closed_form_terms(R)[1]
+        assert abs(B) <= 3.0 * max_abs_component(R) + SHARP_MARGIN_ULPS * np.spacing(norm)
+
+
 #: Neither an int nor a numpy integer.
 NOT_INTS = [1.5, True, np.float64(2.0)]
 
@@ -610,7 +625,6 @@ LEVEL_ENTRY_POINTS = {
     "decide_levels": lambda k: decide_levels(cp2_fubini_study(), [2, k]),
     "decide_pi1": lambda k: decide_pi1(cp2_fubini_study(), k),
     "decide_pi1_bounds_only": lambda k: decide_pi1(generic_bounds(-16, 1.0, 1.0), k),
-    "route_comparison": lambda k: route_comparison(cp2_fubini_study(), k),
     "prop39_bound": lambda k: prop39_bound(1, 1.0, 1.0, k),
     "iterate_value": lambda n: iterate_value(lift_curvature(flat_torus(), 1), n),
 }
